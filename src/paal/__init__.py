@@ -7,21 +7,19 @@ and fire only after validation performance stalls. Baseline uncertainty and
 diversity strategies share the same harness for comparison.
 """
 
-from .data import (ClassProfile, ClassSpec, Dataset, Sample, default_profile,
+from .data import (ClassProfile, ClassSpec, Dataset, default_profile,
                    generate, read_dataset, split_folds, write_dataset)
-from .kmeans import ClusterModel, kmeans_fit, nearest_centroid
-from .metrics import (dice_ce_loss, dsc_per_class, dsc_per_class_batch,
-                      mse_loss, pearson_r, uncertainty_score,
-                      uncertainty_scores)
+from .kmeans import ClusterModel, kmeans_fit
+from .metrics import (UNCERTAINTY_KINDS, dice_ce_loss, dsc_per_class_batch,
+                      mse_loss, pearson_r, uncertainty_scores)
 from .models import (ap_forward, build_ap_model, build_seg_model,
-                     concat_channels, load_checkpoint, normalize_images,
-                     save_checkpoint, seg_forward)
+                     concat_channels, normalize_images, seg_forward)
 from .nn import (adamw_step, cosine_lr, finite_diff_check, Network,
                  NumericalError, Param, ShapeError)
 from .orchestrator import (PoolState, RunReport, TrainConfig, evaluate,
                            init_pool, iq_update, query_step,
                            run_active_learning, train_epoch)
-from .strategies import (QueryContext, STRATEGY_NAMES, cluster_count,
+from .strategies import (STRATEGIES, QueryContext, Strategy, cluster_count,
                          coreset_select, query_weights, select,
                          weighted_polling)
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import data as data_mod
 from .experiment import ConfigError, load_config, run_campaign, write_report
-from .models import CheckpointError
 from .nn import NumericalError
 
 EXIT_OK = 0
@@ -94,8 +93,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (data_mod.DatasetFormatError, CheckpointError, FileNotFoundError,
-            OSError) as exc:
+    except (data_mod.DatasetFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except NumericalError as exc:

@@ -11,7 +11,7 @@ earlier classes where they overlap.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,34 +56,18 @@ def default_profile() -> ClassProfile:
     ))
 
 
-@dataclass(frozen=True)
-class Sample:
-    id: int
-    image: np.ndarray
-    mask: np.ndarray
-
-
 @dataclass
 class Dataset:
     images: np.ndarray  # (n, h, w) u8
     masks: np.ndarray   # (n, h, w) u8
     num_fg: int = 3
-    ids: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.images.shape != self.masks.shape:
             raise ValueError("images and masks must have identical shapes")
-        self.ids = np.arange(len(self.images), dtype=np.uint32)
 
     def __len__(self):
         return len(self.images)
-
-    @property
-    def shape(self):
-        return self.images.shape[1:]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(int(self.ids[i]), self.images[i], self.masks[i])
 
     def __eq__(self, other):
         return (isinstance(other, Dataset)
@@ -178,19 +162,10 @@ def read_dataset(path, num_fg: int = 3) -> Dataset:
     return Dataset(images, masks, num_fg=num_fg)
 
 
-@dataclass(frozen=True)
-class FoldSplit:
-    """Five (train, val) partitions with disjoint 20% validation chunks."""
-    folds: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def __getitem__(self, k):
-        return self.folds[k]
-
-    def __len__(self):
-        return len(self.folds)
-
-
-def split_folds(n: int, seed: int, num_folds: int = 5) -> FoldSplit:
+def split_folds(n: int, seed: int, num_folds: int = 5
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One (train, val) pair per fold; the validation chunks are disjoint and
+    together cover every id (20% each at the default five folds)."""
     if n < num_folds:
         raise ValueError(f"need at least {num_folds} samples, got {n}")
     perm = np.random.default_rng(seed).permutation(n)
@@ -200,4 +175,4 @@ def split_folds(n: int, seed: int, num_folds: int = 5) -> FoldSplit:
         val = np.sort(chunks[k])
         train = np.sort(np.concatenate([chunks[j] for j in range(num_folds) if j != k]))
         folds.append((train.astype(np.int64), val.astype(np.int64)))
-    return FoldSplit(tuple(folds))
+    return folds

@@ -20,7 +20,7 @@ import numpy as np
 from . import data as data_mod
 from .metrics import pearson_r
 from .orchestrator import RunReport, TrainConfig, run_active_learning
-from .strategies import STRATEGY_NAMES
+from .strategies import STRATEGIES
 
 
 class ConfigError(ValueError):
@@ -69,11 +69,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.strategies or not self.seeds:
             raise ConfigError("need at least one strategy and one seed")
-        bad = [s for s in self.strategies if s not in STRATEGY_NAMES]
+        bad = [s for s in self.strategies if s not in STRATEGIES]
         if bad:
             raise ConfigError(f"unknown strategies: {', '.join(bad)}")
-        if not self.budgets or any(not 0.0 < b <= 1.0 for b in self.budgets):
-            raise ConfigError("budgets must be ratios in (0, 1]")
+        if not 0.0 < self.init_ratio < 1.0:
+            raise ConfigError("init_ratio must be in (0, 1)")
+        if not self.budgets or any(not 0.0 < b <= 1.0 - self.init_ratio
+                                   for b in self.budgets):
+            raise ConfigError("budgets must be ratios in (0, 1 - init_ratio], "
+                              "the share left after the initial labeled set")
+        if self.warmup >= self.max_epochs:
+            raise ConfigError("warmup must be smaller than max_epochs")
+        if self.silent_period >= self.max_epochs:
+            raise ConfigError("silent_period must be smaller than max_epochs")
         if len(self.iterations) == 1:
             self.iterations = self.iterations * len(self.budgets)
         if len(self.iterations) != len(self.budgets):
@@ -153,10 +161,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def run_id_for(strategy: str, budget: float, seed: int, fold: int) -> str:
-    return f"{strategy}_b{budget:g}_s{seed}_f{fold}"
-
-
 @dataclass(frozen=True)
 class Cell:
     strategy: str
@@ -167,7 +171,7 @@ class Cell:
 
     @property
     def run_id(self) -> str:
-        return run_id_for(self.strategy, self.budget, self.seed, self.fold)
+        return f"{self.strategy}_b{self.budget:g}_s{self.seed}_f{self.fold}"
 
 
 def campaign_cells(config: ExperimentConfig) -> list[Cell]:
@@ -180,47 +184,41 @@ def campaign_cells(config: ExperimentConfig) -> list[Cell]:
     return cells
 
 
-def _cell_rows(cell: Cell, report: RunReport):
+def _cell_rows(cell: Cell, report: RunReport) -> tuple[str, ...]:
     """Render one run's report into the four CSV fragments."""
-    results = io.StringIO()
+    bufs = [io.StringIO() for _ in _CELL_FILES]
+    results, queries, calibration, annotations = (
+        csv.writer(buf, lineterminator="\n") for buf in bufs)
+    budget = f"{cell.budget:g}"
     for rec in report.epochs:
         cls = list(rec.val_dsc_class[:3]) + [None] * max(0, 3 - len(rec.val_dsc_class))
-        row = [cell.run_id, cell.strategy, f"{cell.budget:g}", cell.seed,
-               cell.fold, rec.epoch, rec.iteration, rec.labeled_count,
-               rec.labeled_count / report.pool_size, rec.seg_loss, rec.ap_loss,
-               rec.val_dsc_mean] + cls
-        results.write(",".join(_fmt(v) for v in row) + "\n")
+        results.writerow([cell.run_id, cell.strategy, budget, cell.seed,
+                          cell.fold, rec.epoch, rec.iteration, rec.labeled_count,
+                          rec.labeled_count / report.pool_size, rec.seg_loss,
+                          rec.ap_loss, rec.val_dsc_mean, *cls])
 
-    queries = io.StringIO()
     for q in report.queries:
         for i, sid in enumerate(q.selected):
             cluster = int(q.clusters[i]) if q.clusters is not None else -1
             weight = float(q.weights[i]) if q.weights is not None else None
-            row = [cell.run_id, q.iteration, int(sid), cluster, weight,
-                   q.time_ms]
-            queries.write(",".join(_fmt(v) for v in row) + "\n")
+            queries.writerow([cell.run_id, q.iteration, int(sid), cluster,
+                              weight, q.time_ms])
 
-    calibration = io.StringIO()
     if report.calibration_ids is not None:
         for i, sid in enumerate(report.calibration_ids):
             for j in range(report.calibration_pred.shape[1]):
-                row = [cell.run_id, int(sid), j + 1,
-                       float(report.calibration_pred[i, j]),
-                       float(report.calibration_actual[i, j])]
-                calibration.write(",".join(_fmt(v) for v in row) + "\n")
+                calibration.writerow([cell.run_id, int(sid), j + 1,
+                                      float(report.calibration_pred[i, j]),
+                                      float(report.calibration_actual[i, j])])
 
-    annotations = io.StringIO()
     totals: dict[int, int] = {}
     for q in report.queries:
         for c, n in q.class_counts.items():
             totals[c] = totals.get(c, 0) + n
     for c in sorted(totals):
-        row = [cell.run_id, cell.strategy, f"{cell.budget:g}", cell.seed,
-               cell.fold, c, totals[c]]
-        annotations.write(",".join(_fmt(v) for v in row) + "\n")
-
-    return (results.getvalue(), queries.getvalue(), calibration.getvalue(),
-            annotations.getvalue())
+        annotations.writerow([cell.run_id, cell.strategy, budget, cell.seed,
+                              cell.fold, c, totals[c]])
+    return tuple(buf.getvalue() for buf in bufs)
 
 
 _CELL_FILES = ("results.csv", "queries.csv", "calibration.csv", "annotations.csv")

@@ -102,12 +102,3 @@ def _plus_plus_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         d2 = np.minimum(d2, np.einsum("nd,nd->n", diff, diff))
     return centroids
 
-
-def nearest_centroid(model: ClusterModel, point: np.ndarray) -> int:
-    """Index of the closest centroid; ties go to the lowest index."""
-    p = np.asarray(point, dtype=np.float64)
-    if p.shape != (model.centroids.shape[1],):
-        raise ValueError(
-            f"point dim {p.shape} does not match centroids {model.centroids.shape}")
-    diff = model.centroids - p
-    return int(np.einsum("kd,kd->k", diff, diff).argmin())

@@ -11,15 +11,12 @@ DICE_SMOOTH = 1e-5
 UNCERTAINTY_KINDS = ("max_entropy", "least_conf", "margin", "var_ratio")
 
 
-def dsc_per_class(pred_labels: np.ndarray, true_labels: np.ndarray,
-                  num_fg: int) -> np.ndarray:
-    """Dice similarity per foreground class; 1.0 when both masks are empty."""
-    return dsc_per_class_batch(pred_labels[None], true_labels[None], num_fg)[0]
-
-
 def dsc_per_class_batch(pred_labels: np.ndarray, true_labels: np.ndarray,
                         num_fg: int) -> np.ndarray:
-    """Per-sample, per-class DSC for batches of label masks (B, H, W) -> (B, num_fg)."""
+    """Per-sample, per-class DSC for batches of label masks (B, H, W) -> (B, num_fg).
+
+    A class absent from both masks scores 1.0.
+    """
     pred = np.asarray(pred_labels)
     true = np.asarray(true_labels)
     if pred.shape != true.shape:
@@ -109,11 +106,6 @@ def uncertainty_scores(kind: str, probs: np.ndarray) -> np.ndarray:
     # var_ratio: fraction of pixels whose winning probability lacks majority
     confident = p.max(axis=1) > 0.5
     return 1.0 - confident.reshape(b, -1).mean(axis=1)
-
-
-def uncertainty_score(kind: str, probs: np.ndarray) -> float:
-    """Scalar uncertainty for a single sample's (C, H, W) posterior."""
-    return float(uncertainty_scores(kind, probs[None])[0])
 
 
 def pearson_r(x: np.ndarray, y: np.ndarray) -> float:

@@ -10,30 +10,12 @@ training one can never move the other.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from .nn import (ChannelSoftmax, Conv2D, Dense, GlobalAvgPool, Network, ReLU,
-                 Sigmoid, build_layer)
+                 Sigmoid)
 
 FEATURE_DIM = 16
-
-CHECKPOINT_MAGIC = b"PAALNN1\x00"
-
-_LAYER_TAGS = {
-    "conv2d": 1,
-    "dense": 2,
-    "relu": 3,
-    "sigmoid": 4,
-    "channel_softmax": 5,
-    "global_avg_pool": 6,
-}
-_TAG_KINDS = {tag: kind for kind, tag in _LAYER_TAGS.items()}
-
-
-class CheckpointError(ValueError):
-    """Malformed model checkpoint file."""
 
 
 def build_seg_model(in_channels: int = 1, num_classes: int = 4,
@@ -102,60 +84,3 @@ def ap_forward(ap: Network, images: np.ndarray, probs: np.ndarray,
     """
     x = concat_channels(images, probs)
     return ap.forward(x, train=train)[-1]
-
-
-def save_checkpoint(net: Network, path) -> None:
-    """Write layer specs and raw float32 parameters (documented binary format)."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(net.layers)))
-        for layer in net.layers:
-            kind, extents = layer.spec()
-            fh.write(struct.pack("<II", _LAYER_TAGS[kind], len(extents)))
-            for e in extents:
-                fh.write(struct.pack("<I", e))
-        for layer in net.layers:
-            for p in layer.params():
-                fh.write(np.ascontiguousarray(
-                    p.value, dtype="<f4").tobytes())
-
-
-def load_checkpoint(path, taps: dict[str, int] | None = None) -> Network:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointError("bad magic")
-    off = 8
-
-    def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(data):
-            raise CheckpointError("truncated checkpoint")
-        vals = struct.unpack_from(fmt, data, off)
-        off += size
-        return vals
-
-    (n_layers,) = take("<I")
-    layers = []
-    for _ in range(n_layers):
-        tag, n_ext = take("<II")
-        if tag not in _TAG_KINDS:
-            raise CheckpointError(f"unknown layer tag {tag}")
-        extents = take(f"<{n_ext}I") if n_ext else ()
-        layers.append(build_layer(_TAG_KINDS[tag], extents))
-    for layer in layers:
-        for p in layer.params():
-            count = p.value.size
-            size = count * 4
-            if off + size > len(data):
-                raise CheckpointError("truncated checkpoint")
-            buf = np.frombuffer(data, dtype="<f4", count=count, offset=off)
-            p.value = buf.reshape(p.value.shape).astype(np.float32)
-            p.grad = np.zeros_like(p.value)
-            p.m = np.zeros_like(p.value)
-            p.v = np.zeros_like(p.value)
-            off += size
-    if off != len(data):
-        raise CheckpointError("trailing bytes after parameters")
-    return Network(layers, taps=taps)

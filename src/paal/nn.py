@@ -9,10 +9,10 @@ runs with the same inputs are bit-identical.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -51,9 +51,6 @@ class Layer:
 
     def params(self) -> list[Param]:
         return []
-
-    def spec(self) -> tuple[str, tuple[int, ...]]:
-        raise NotImplementedError
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -94,9 +91,6 @@ class Conv2D(Layer):
 
     def params(self):
         return [self.weight, self.bias]
-
-    def spec(self):
-        return ("conv2d", (self.in_ch, self.out_ch, self.kernel))
 
     def _im2col(self, x: np.ndarray) -> tuple[np.ndarray, int]:
         """Patch matrix (k*k*C, B*H*Wp) over the padded plane, channel-first.
@@ -180,9 +174,6 @@ class Dense(Layer):
     def params(self):
         return [self.weight, self.bias]
 
-    def spec(self):
-        return ("dense", (self.in_dim, self.out_dim))
-
     def forward(self, x, train=False):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             self._shape_error(x.shape, f"(B, {self.in_dim})")
@@ -202,9 +193,6 @@ class ReLU(Layer):
     def __init__(self):
         self._cache = None
 
-    def spec(self):
-        return ("relu", ())
-
     def forward(self, x, train=False):
         if train:
             self._cache = x > 0
@@ -219,9 +207,6 @@ class ReLU(Layer):
 class Sigmoid(Layer):
     def __init__(self):
         self._cache = None
-
-    def spec(self):
-        return ("sigmoid", ())
 
     def forward(self, x, train=False):
         # split by sign for numerical stability
@@ -246,9 +231,6 @@ class ChannelSoftmax(Layer):
     def __init__(self):
         self._cache = None
 
-    def spec(self):
-        return ("channel_softmax", ())
-
     def forward(self, x, train=False):
         if x.ndim < 2:
             self._shape_error(x.shape, "(B, C, ...)")
@@ -271,9 +253,6 @@ class GlobalAvgPool(Layer):
     def __init__(self):
         self._cache = None
 
-    def spec(self):
-        return ("global_avg_pool", ())
-
     def forward(self, x, train=False):
         if x.ndim != 4:
             self._shape_error(x.shape, "(B, C, H, W)")
@@ -286,23 +265,6 @@ class GlobalAvgPool(Layer):
         self._cache = None
         g = grad_out / (h * w)
         return np.broadcast_to(g[:, :, None, None], (b, c, h, w)).copy()
-
-
-_LAYER_BUILDERS = {
-    "conv2d": lambda ext, rng: Conv2D(ext[0], ext[1], ext[2], rng=rng),
-    "dense": lambda ext, rng: Dense(ext[0], ext[1], rng=rng),
-    "relu": lambda ext, rng: ReLU(),
-    "sigmoid": lambda ext, rng: Sigmoid(),
-    "channel_softmax": lambda ext, rng: ChannelSoftmax(),
-    "global_avg_pool": lambda ext, rng: GlobalAvgPool(),
-}
-
-
-def build_layer(kind: str, extents: tuple[int, ...],
-                rng: np.random.Generator | None = None) -> Layer:
-    if kind not in _LAYER_BUILDERS:
-        raise ValueError(f"unknown layer kind {kind!r}")
-    return _LAYER_BUILDERS[kind](extents, rng)
 
 
 class Network:
@@ -355,17 +317,13 @@ class Network:
 
     def astype(self, dtype) -> "Network":
         """Deep copy with parameters cast to ``dtype`` (used by the gradient checker)."""
-        layers = []
-        for layer in self.layers:
-            kind, ext = layer.spec()
-            clone = build_layer(kind, ext, rng=np.random.default_rng(0))
-            for p_new, p_old in zip(clone.params(), layer.params()):
-                p_new.value = p_old.value.astype(dtype)
-                p_new.grad = np.zeros_like(p_new.value)
-                p_new.m = np.zeros_like(p_new.value)
-                p_new.v = np.zeros_like(p_new.value)
-            layers.append(clone)
-        return Network(layers, taps=self.taps)
+        clone = copy.deepcopy(self)
+        for p in clone.params():
+            p.value = p.value.astype(dtype)
+            p.grad = np.zeros_like(p.value)
+            p.m = np.zeros_like(p.value)
+            p.v = np.zeros_like(p.value)
+        return clone
 
 
 def adamw_step(params: list[Param], lr: float, beta1: float = 0.9,

@@ -3,11 +3,12 @@
 One run owns a segmentation model, an accuracy predictor and the pool
 bookkeeping. Every epoch trains both models on the labeled set (the
 predictor only after an initial silent period), evaluates on the validation
-split, and then decides whether to query: the polling strategies fire once
-validation DSC has failed to improve for ``iq_patience`` consecutive epochs,
-the baselines fire on a fixed epoch grid. Queried ids get their ground-truth
-masks (the stand-in for a human annotator) and move from the unlabeled pool
-to the labeled set. Everything is deterministic given the run seed.
+split, and then decides whether to query: strategies whose table entry sets
+``on_stall`` fire once validation DSC has failed to improve for
+``iq_patience`` consecutive epochs, the rest fire on a fixed epoch grid.
+Queried ids get their ground-truth masks (the stand-in for a human
+annotator) and move from the unlabeled pool to the labeled set. Everything
+is deterministic given the run seed.
 """
 
 from __future__ import annotations
@@ -22,12 +23,9 @@ from .metrics import dice_ce_loss, dsc_per_class_batch, mse_loss
 from .models import (ap_forward, build_ap_model, build_seg_model,
                      concat_channels, normalize_images, seg_forward)
 from .nn import Network, adamw_step, cosine_lr
-from .strategies import QueryContext, select
+from .strategies import STRATEGIES, QueryContext, select
 
-PAAL_STRATEGIES = ("paal_ap_only", "paal_full")
-
-_NEEDS_PROBS = ("max_entropy", "least_conf", "margin", "var_ratio", "entropy_kmeans")
-_NEEDS_FEATURES = ("kmeans_diversity", "entropy_kmeans", "coreset", "paal_full")
+_POOL_OUTPUTS = ("probs", "features", "pred_acc", "actual")
 
 
 @dataclass
@@ -199,53 +197,53 @@ def evaluate(seg: Network, val_images: np.ndarray, val_labels: np.ndarray,
 
 
 def _pool_inference(seg: Network, ap: Network, images_norm, labels, ids,
-                    need_probs: bool, need_feats: bool, need_pred: bool,
-                    batch: int, num_fg: int, with_actual: bool = False):
-    """Batched model outputs over a set of ids (never trains anything)."""
-    probs_all, feats_all, pred_all, actual_all = [], [], [], []
-    for lo in range(0, len(ids), batch):
+                    wanted, batch: int, num_fg: int) -> dict[str, np.ndarray]:
+    """Batched model outputs over a set of ids (never trains anything).
+
+    Returns one (len(ids), ...) array for each name in ``wanted`` that is
+    one of ``_POOL_OUTPUTS``: the posteriors, pooled features, AP-predicted
+    per-class DSC, and actual per-class DSC against the ground truth. Other
+    names are ignored; with none wanted, no model runs.
+    """
+    parts: dict[str, list] = {name: [] for name in _POOL_OUTPUTS if name in wanted}
+    for lo in range(0, len(ids) if parts else 0, batch):
         chunk = ids[lo:lo + batch]
         x = images_norm[chunk]
         probs, feats = seg_forward(seg, x)
-        if need_probs:
-            probs_all.append(probs)
-        if need_feats:
-            feats_all.append(feats)
-        if need_pred:
-            pred_all.append(ap_forward(ap, x, probs))
-        if with_actual:
-            actual_all.append(dsc_per_class_batch(
-                probs.argmax(axis=1), labels[chunk], num_fg))
-    cat = lambda parts: np.concatenate(parts, axis=0) if parts else None
-    return cat(probs_all), cat(feats_all), cat(pred_all), cat(actual_all)
+        out = {"probs": probs, "features": feats}
+        if "pred_acc" in parts:
+            out["pred_acc"] = ap_forward(ap, x, probs)
+        if "actual" in parts:
+            out["actual"] = dsc_per_class_batch(probs.argmax(axis=1),
+                                                labels[chunk], num_fg)
+        for name, acc in parts.items():
+            acc.append(out[name])
+    return {name: np.concatenate(acc, axis=0) for name, acc in parts.items()}
 
 
 def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
                images_norm: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
                num_fg: int, epoch: int, query_seed: int) -> QueryRecord | None:
-    """Select, 'annotate' (ground-truth lookup) and absorb one query batch."""
+    """Select, 'annotate' (ground-truth lookup) and absorb one query batch.
+
+    Runs the models only for the inputs the strategy's entry declares.
+    """
     if len(state.unlabeled) == 0:
         return None
     t0 = time.perf_counter()
     pool = state.unlabeled
     take = min(state.batch, state.budget - state.queried, len(pool))
 
-    need_probs = strategy in _NEEDS_PROBS
-    need_feats = strategy in _NEEDS_FEATURES
-    need_pred = strategy in PAAL_STRATEGIES
-    probs, feats, pred, _ = _pool_inference(
-        seg, ap, images_norm, labels, pool, need_probs, need_feats, need_pred,
-        cfg.eval_batch, num_fg)
-    labeled_feats = None
-    if strategy == "coreset":
-        _, labeled_feats, _, _ = _pool_inference(
-            seg, ap, images_norm, labels, state.labeled, False, True, False,
-            cfg.eval_batch, num_fg)
+    needs = STRATEGIES[strategy].needs
+    inputs = _pool_inference(seg, ap, images_norm, labels, pool, needs,
+                             cfg.eval_batch, num_fg)
+    if "labeled_features" in needs:
+        inputs["labeled_features"] = _pool_inference(
+            seg, ap, images_norm, labels, state.labeled, ("features",),
+            cfg.eval_batch, num_fg)["features"]
 
-    ctx = QueryContext(ids=pool, b=take, seed=query_seed, probs=probs,
-                       features=feats, pred_acc=pred,
-                       labeled_features=labeled_feats)
-    selected, info = select(strategy, ctx, with_info=True)
+    ctx = QueryContext(ids=pool, b=take, seed=query_seed, **inputs)
+    selected, info = select(strategy, ctx)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     # bucket each sample once, by its highest (rarest, under the default
@@ -283,6 +281,7 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
     Terminates once the budget can no longer be spent *and* validation DSC
     has been stale for ``early_stop_tolerance`` epochs, or at ``max_epochs``.
     """
+    on_stall = STRATEGIES[strategy].on_stall
     train_ids = np.asarray(train_ids, dtype=np.int64)
     val_ids = np.asarray(val_ids, dtype=np.int64)
     num_fg = dataset.num_fg
@@ -313,7 +312,7 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
         improved = iq_update(state, val_mean)
         since_improve = 0 if improved else since_improve + 1
 
-        if strategy in PAAL_STRATEGIES:
+        if on_stall:
             trigger = state.iq_counter >= cfg.iq_patience
         else:
             trigger = epoch > 0 and epoch % cfg.baseline_query_interval == 0
@@ -323,6 +322,7 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
                                 cfg, num_fg, epoch,
                                 query_seed=_subseed(cfg.seed, fold_index, 4, state.t))
             if record is not None:
+                state.assert_partition(train_ids)
                 report.queries.append(record)
                 # fresh data restarts the convergence clock: "stable" only
                 # counts epochs after the labeled set stopped changing
@@ -340,12 +340,11 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
             break
 
     if len(state.unlabeled):
-        _, _, pred, actual = _pool_inference(
-            seg, ap, images_norm, labels, state.unlabeled, False, False, True,
-            cfg.eval_batch, num_fg, with_actual=True)
+        out = _pool_inference(seg, ap, images_norm, labels, state.unlabeled,
+                              ("pred_acc", "actual"), cfg.eval_batch, num_fg)
         report.calibration_ids = state.unlabeled.copy()
-        report.calibration_pred = pred
-        report.calibration_actual = actual
+        report.calibration_pred = out["pred_acc"]
+        report.calibration_actual = out["actual"]
 
     report.best_val_dsc = state.best_val_dsc
     return report

@@ -1,33 +1,27 @@
-"""Sample-selection policies behind one dispatch surface.
+"""Sample-selection policies, one entry each in the ``STRATEGIES`` table.
 
 The headline strategy turns predicted per-class accuracies into query
 weights (mean negative log), clusters the pool by pooled features, and polls
 the clusters round-robin for their highest-weight members. The rest are the
 usual uncertainty/diversity baselines. All tie-breaks go to the lowest
 sample id (and lowest cluster index) so selections are reproducible.
+
+Every fact about a strategy lives in its :class:`Strategy` entry: the
+``QueryContext`` fields it reads (the orchestrator computes exactly those
+and nothing else), whether it fires on the validation-stall trigger or on
+the fixed epoch grid, and the function that picks the batch. Adding a
+baseline is one new entry in ``STRATEGIES``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kmeans import kmeans_fit
-from .metrics import uncertainty_scores
-
-STRATEGY_NAMES = (
-    "random",
-    "max_entropy",
-    "least_conf",
-    "margin",
-    "var_ratio",
-    "kmeans_diversity",
-    "entropy_kmeans",
-    "coreset",
-    "paal_ap_only",
-    "paal_full",
-)
+from .metrics import UNCERTAINTY_KINDS, uncertainty_scores
 
 ENTROPY_KMEANS_CANDIDATE_FACTOR = 4
 
@@ -38,8 +32,8 @@ WEIGHT_CLIP_EPS = 1e-6
 class QueryContext:
     """Everything a strategy may need about the current unlabeled pool.
 
-    Per-sample arrays are aligned with ``ids``; strategies that need a field
-    left as None raise.
+    Per-sample arrays are aligned with ``ids``; a field a strategy does not
+    declare in its ``needs`` may be left as None.
     """
     ids: np.ndarray
     b: int
@@ -177,67 +171,110 @@ def _kmeans_diversity(features: np.ndarray, ids: np.ndarray, b: int,
     return ids[np.asarray(chosen, dtype=np.int64)]
 
 
-def _require(ctx: QueryContext, field_name: str, strategy: str):
-    value = getattr(ctx, field_name)
-    if value is None:
-        raise ValueError(f"strategy {strategy!r} requires QueryContext.{field_name}")
-    return value
+def _pick_random(ctx: QueryContext):
+    rng = np.random.default_rng(ctx.seed)
+    return ctx.ids[rng.choice(len(ctx.ids), size=ctx.b, replace=False)], {}
 
 
-def select(strategy: str, ctx: QueryContext, with_info: bool = False):
+def _pick_uncertain(kind: str):
+    """Top-b by one uncertainty score, reporting the score as the weight."""
+    def pick(ctx: QueryContext):
+        scores = uncertainty_scores(kind, ctx.probs)
+        selected = _top_by_score(ctx.ids, scores, ctx.b)
+        return selected, {"weight": _lookup(ctx.ids, scores, selected)}
+    return pick
+
+
+def _pick_kmeans_diversity(ctx: QueryContext):
+    return _kmeans_diversity(ctx.features, ctx.ids, ctx.b, ctx.seed), {}
+
+
+def _pick_entropy_kmeans(ctx: QueryContext):
+    """K-means diversity among the 4b highest-entropy candidates."""
+    ids, b = ctx.ids, ctx.b
+    scores = uncertainty_scores("max_entropy", ctx.probs)
+    n_cand = min(ENTROPY_KMEANS_CANDIDATE_FACTOR * b, len(ids))
+    pos = _positions(ids, _top_by_score(ids, scores, n_cand))
+    selected = _kmeans_diversity(ctx.features[pos], ids[pos], b, ctx.seed)
+    return selected, {"weight": _lookup(ids, scores, selected)}
+
+
+def _pick_coreset(ctx: QueryContext):
+    return coreset_select(ctx.labeled_features, ctx.features, ctx.ids, ctx.b), {}
+
+
+def _pick_paal_ap_only(ctx: QueryContext):
+    weights = query_weights(ctx.pred_acc)
+    selected = _top_by_score(ctx.ids, weights, ctx.b)
+    return selected, {"weight": _lookup(ctx.ids, weights, selected)}
+
+
+def _pick_paal_full(ctx: QueryContext):
+    """Predicted-accuracy weights polled round-robin over feature clusters."""
+    ids, b = ctx.ids, ctx.b
+    weights = query_weights(ctx.pred_acc)
+    k = min(cluster_count(b), len(ids))
+    model = kmeans_fit(np.asarray(ctx.features, dtype=np.float64), k, ctx.seed)
+    selected = weighted_polling(model.assignments, weights, ids, b)
+    return selected, {"weight": _lookup(ids, weights, selected),
+                      "cluster": _lookup(ids, model.assignments, selected)}
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """One query policy: what it reads, when it fires, how it picks.
+
+    ``needs`` names the ``QueryContext`` fields ``pick`` reads, in the order
+    :func:`select` checks them. The orchestrator runs the models for exactly
+    these fields, so an entry with no needs costs no inference.
+
+    ``on_stall`` chooses the trigger: True fires a query once validation DSC
+    has not improved for ``iq_patience`` epochs (incremental querying);
+    False fires on the fixed grid of every ``baseline_query_interval``
+    epochs.
+
+    ``pick(ctx) -> (ids, info)`` returns ``ctx.b`` distinct pool ids and a
+    dict of per-selected-sample diagnostics aligned with them: ``"weight"``
+    (the score that drove the choice) and, for polling, ``"cluster"``.
+
+    ``pick`` must call ``kmeans_fit``, ``uncertainty_scores``,
+    ``coreset_select`` and ``weighted_polling`` by their names in this
+    module at call time, never through a binding made at import (such as
+    ``functools.partial(coreset_select, ...)``): the per-layer benchmark
+    tracer patches those module globals to time them.
+    """
+    needs: tuple[str, ...]
+    on_stall: bool
+    pick: Callable[[QueryContext], tuple[np.ndarray, dict[str, np.ndarray]]]
+
+
+STRATEGIES: dict[str, Strategy] = {
+    "random": Strategy((), False, _pick_random),
+    **{kind: Strategy(("probs",), False, _pick_uncertain(kind))
+       for kind in UNCERTAINTY_KINDS},
+    "kmeans_diversity": Strategy(("features",), False, _pick_kmeans_diversity),
+    "entropy_kmeans": Strategy(("probs", "features"), False, _pick_entropy_kmeans),
+    "coreset": Strategy(("features", "labeled_features"), False, _pick_coreset),
+    "paal_ap_only": Strategy(("pred_acc",), True, _pick_paal_ap_only),
+    "paal_full": Strategy(("pred_acc", "features"), True, _pick_paal_full),
+}
+
+
+def select(strategy: str, ctx: QueryContext
+           ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Pick ``ctx.b`` distinct sample ids from the pool using ``strategy``.
 
-    With ``with_info`` also returns per-selected-sample diagnostics:
-    the score/weight that drove the choice and, for the polling strategy,
-    the cluster each sample came from.
+    Returns the ids and the entry's per-selected-sample diagnostics (see
+    :class:`Strategy`). Raises if the strategy is unknown or ``ctx`` lacks a
+    field the strategy declares in its ``needs``.
     """
-    if strategy not in STRATEGY_NAMES:
-        raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(STRATEGY_NAMES)}")
-    ids, b = ctx.ids, ctx.b
-    info: dict[str, np.ndarray] = {}
-
-    if strategy == "random":
-        rng = np.random.default_rng(ctx.seed)
-        selected = ids[rng.choice(len(ids), size=b, replace=False)]
-    elif strategy in ("max_entropy", "least_conf", "margin", "var_ratio"):
-        probs = _require(ctx, "probs", strategy)
-        scores = uncertainty_scores(strategy, probs)
-        selected = _top_by_score(ids, scores, b)
-        info["weight"] = _lookup(ids, scores, selected)
-    elif strategy == "kmeans_diversity":
-        feats = _require(ctx, "features", strategy)
-        selected = _kmeans_diversity(feats, ids, b, ctx.seed)
-    elif strategy == "entropy_kmeans":
-        probs = _require(ctx, "probs", strategy)
-        feats = _require(ctx, "features", strategy)
-        scores = uncertainty_scores("max_entropy", probs)
-        n_cand = min(ENTROPY_KMEANS_CANDIDATE_FACTOR * b, len(ids))
-        cand_ids = _top_by_score(ids, scores, n_cand)
-        pos = _positions(ids, cand_ids)
-        selected = _kmeans_diversity(feats[pos], ids[pos], b, ctx.seed)
-        info["weight"] = _lookup(ids, scores, selected)
-    elif strategy == "coreset":
-        feats = _require(ctx, "features", strategy)
-        labeled = _require(ctx, "labeled_features", strategy)
-        selected = coreset_select(labeled, feats, ids, b)
-    elif strategy == "paal_ap_only":
-        pred = _require(ctx, "pred_acc", strategy)
-        weights = query_weights(pred)
-        selected = _top_by_score(ids, weights, b)
-        info["weight"] = _lookup(ids, weights, selected)
-    else:  # paal_full
-        pred = _require(ctx, "pred_acc", strategy)
-        feats = _require(ctx, "features", strategy)
-        weights = query_weights(pred)
-        k = min(cluster_count(b), len(ids))
-        model = kmeans_fit(np.asarray(feats, dtype=np.float64), k, ctx.seed)
-        selected = weighted_polling(model.assignments, weights, ids, b)
-        info["weight"] = _lookup(ids, weights, selected)
-        info["cluster"] = _lookup(ids, model.assignments, selected)
-
-    if with_info:
-        return selected, info
-    return selected
+    entry = STRATEGIES.get(strategy)
+    if entry is None:
+        raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(STRATEGIES)}")
+    for name in entry.needs:
+        if getattr(ctx, name) is None:
+            raise ValueError(f"strategy {strategy!r} requires QueryContext.{name}")
+    return entry.pick(ctx)
 
 
 def _positions(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:

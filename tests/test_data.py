@@ -121,16 +121,16 @@ class TestDatasetFile:
 class TestFolds:
     def test_val_sizes_are_twenty_percent(self):
         split = split_folds(10, seed=0)
-        assert all(len(val) == 2 for _, val in split.folds)
+        assert all(len(val) == 2 for _, val in split)
 
     def test_val_folds_partition_all_ids(self):
         split = split_folds(103, seed=5)
-        union = np.sort(np.concatenate([val for _, val in split.folds]))
+        union = np.sort(np.concatenate([val for _, val in split]))
         np.testing.assert_array_equal(union, np.arange(103))
 
     def test_train_val_disjoint_and_complete(self):
         split = split_folds(50, seed=9)
-        for train, val in split.folds:
+        for train, val in split:
             assert np.intersect1d(train, val).size == 0
             np.testing.assert_array_equal(np.sort(np.concatenate([train, val])),
                                           np.arange(50))
@@ -138,7 +138,7 @@ class TestFolds:
     def test_same_seed_same_split(self):
         a = split_folds(40, seed=3)
         b = split_folds(40, seed=3)
-        for (ta, va), (tb, vb) in zip(a.folds, b.folds):
+        for (ta, va), (tb, vb) in zip(a, b):
             np.testing.assert_array_equal(ta, tb)
             np.testing.assert_array_equal(va, vb)
 
@@ -147,10 +147,7 @@ class TestFolds:
             split_folds(4, seed=0)
 
 
-def test_sample_accessor_and_profile_validation():
-    ds = generate(1, 3)
-    s = ds.sample(2)
-    assert s.id == 2 and s.image.shape == (32, 32)
+def test_profile_validation():
     with pytest.raises(ValueError, match="occurrence"):
         ClassSpec(0.0)
     assert default_profile().num_fg == 3

@@ -1,11 +1,11 @@
-"""Clustering invariants: nearest-centroid exactness, monotone inertia, determinism."""
+"""Clustering invariants: nearest-centroid assignments, monotone inertia, determinism."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paal.kmeans import kmeans_fit, nearest_centroid
+from paal.kmeans import kmeans_fit
 
 
 def brute_nearest(centroids, point):
@@ -78,31 +78,3 @@ def test_duplicate_points_still_fit():
     pts[5:] = 1.0
     model = kmeans_fit(pts, 2, seed=0)
     assert model.inertia == pytest.approx(0.0, abs=1e-20)
-
-
-class TestNearestCentroid:
-    def setup_method(self):
-        self.model = kmeans_fit(np.array([[0.0, 0], [10, 0], [20, 0]]), 3, seed=0)
-        order = np.argsort(self.model.centroids[:, 0])
-        self.by_x = {x: int(c) for x, c in zip((0.0, 10.0, 20.0), order)}
-
-    def test_exact_centroid_hit(self):
-        assert nearest_centroid(self.model, np.array([10.0, 0])) == self.by_x[10.0]
-
-    def test_tie_goes_to_lowest_index(self):
-        from paal.kmeans import ClusterModel
-        model = ClusterModel(np.array([[0.0, 0.0], [2.0, 0.0]]),
-                             np.array([0, 1]), 0.0)
-        assert nearest_centroid(model, np.array([1.0, 0.0])) == 0
-
-    def test_matches_brute_force_scan(self):
-        rng = np.random.default_rng(9)
-        pts = rng.normal(size=(40, 5))
-        model = kmeans_fit(pts, 4, seed=2)
-        for _ in range(50):
-            q = rng.normal(size=5)
-            assert nearest_centroid(model, q) == brute_nearest(model.centroids, q)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dim"):
-            nearest_centroid(self.model, np.zeros(3))

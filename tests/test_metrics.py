@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paal.metrics import (dice_ce_loss, dsc_per_class, dsc_per_class_batch,
-                          mse_loss, pearson_r, uncertainty_score,
-                          uncertainty_scores)
+from paal.metrics import (dice_ce_loss, dsc_per_class_batch, mse_loss,
+                          pearson_r, uncertainty_scores)
 
 
 def brute_force_dsc(pred, true, num_fg):
@@ -58,43 +57,46 @@ def random_probs(rng, shape):
 class TestDSC:
     def test_identical_masks_are_perfect(self):
         m = np.array([[0, 1], [2, 3]])
-        np.testing.assert_array_equal(dsc_per_class(m, m, 3), [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(dsc_per_class_batch(m[None], m[None], 3),
+                                      [[1.0, 1.0, 1.0]])
 
     def test_disjoint_masks_score_zero(self):
         pred = np.array([[1, 1], [0, 0]])
         true = np.array([[0, 0], [1, 1]])
-        assert dsc_per_class(pred, true, 1)[0] == 0.0
+        assert dsc_per_class_batch(pred[None], true[None], 1)[0, 0] == 0.0
 
     def test_half_overlap(self):
         # |P|=2, |G|=2, overlap 1 -> 2*1/(2+2) = 0.5
         pred = np.array([[1, 1, 0]])
         true = np.array([[0, 1, 1]])
-        assert dsc_per_class(pred, true, 1)[0] == pytest.approx(0.5)
+        assert dsc_per_class_batch(pred[None], true[None], 1)[0, 0] == pytest.approx(0.5)
 
     def test_both_empty_is_one(self):
         z = np.zeros((3, 3), dtype=int)
-        np.testing.assert_array_equal(dsc_per_class(z, z, 2), [1.0, 1.0])
+        np.testing.assert_array_equal(dsc_per_class_batch(z[None], z[None], 2),
+                                      [[1.0, 1.0]])
 
     def test_matches_brute_force_on_random_masks(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
             pred = rng.integers(0, 4, size=(8, 8))
             true = rng.integers(0, 4, size=(8, 8))
-            np.testing.assert_array_equal(dsc_per_class(pred, true, 3),
-                                          brute_force_dsc(pred, true, 3))
+            np.testing.assert_array_equal(
+                dsc_per_class_batch(pred[None], true[None], 3)[0],
+                brute_force_dsc(pred, true, 3))
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_symmetry(self, seed):
         rng = np.random.default_rng(seed)
-        pred = rng.integers(0, 3, size=(6, 6))
-        true = rng.integers(0, 3, size=(6, 6))
-        np.testing.assert_array_equal(dsc_per_class(pred, true, 2),
-                                      dsc_per_class(true, pred, 2))
+        pred = rng.integers(0, 3, size=(2, 6, 6))
+        true = rng.integers(0, 3, size=(2, 6, 6))
+        np.testing.assert_array_equal(dsc_per_class_batch(pred, true, 2),
+                                      dsc_per_class_batch(true, pred, 2))
 
     def test_out_of_range_labels_rejected(self):
         with pytest.raises(ValueError, match="labels outside"):
-            dsc_per_class(np.array([[5]]), np.array([[0]]), 3)
+            dsc_per_class_batch(np.array([[[5]]]), np.array([[[0]]]), 3)
 
     def test_batch_variant_matches_per_sample(self):
         rng = np.random.default_rng(7)
@@ -102,7 +104,7 @@ class TestDSC:
         true = rng.integers(0, 4, size=(5, 4, 4))
         batch = dsc_per_class_batch(pred, true, 3)
         for i in range(5):
-            np.testing.assert_array_equal(batch[i], dsc_per_class(pred[i], true[i], 3))
+            np.testing.assert_array_equal(batch[i], brute_force_dsc(pred[i], true[i], 3))
 
 
 class TestDiceCE:
@@ -180,28 +182,28 @@ class TestMSE:
 class TestUncertainty:
     def test_uniform_probs_max_entropy_is_ln4(self):
         probs = np.full((4, 2, 2), 0.25)
-        assert uncertainty_score("max_entropy", probs) == pytest.approx(math.log(4))
+        assert uncertainty_scores("max_entropy", probs[None])[0] == pytest.approx(math.log(4))
 
     def test_one_hot_least_conf_and_margin(self):
         probs = np.zeros((3, 2, 2))
         probs[1] = 1.0
-        assert uncertainty_score("least_conf", probs) == pytest.approx(0.0)
-        assert uncertainty_score("margin", probs) == pytest.approx(-1.0)
+        assert uncertainty_scores("least_conf", probs[None])[0] == pytest.approx(0.0)
+        assert uncertainty_scores("margin", probs[None])[0] == pytest.approx(-1.0)
 
     def test_margin_two_class_single_pixel(self):
         probs = np.array([[[0.6]], [[0.4]]])
-        assert uncertainty_score("margin", probs) == pytest.approx(-0.2)
+        assert uncertainty_scores("margin", probs[None])[0] == pytest.approx(-0.2)
 
     def test_var_ratio_counts_unconfident_pixels(self):
         probs = np.zeros((2, 1, 4))
         probs[0] = [0.9, 0.8, 0.5, 0.55]
         probs[1] = 1.0 - probs[0]
         # pixel 2 peaks at exactly 0.5: no majority, so 1 of 4 is unconfident
-        assert uncertainty_score("var_ratio", probs) == pytest.approx(0.25)
+        assert uncertainty_scores("var_ratio", probs[None])[0] == pytest.approx(0.25)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown uncertainty kind"):
-            uncertainty_score("bald", np.ones((1, 1, 1)))
+            uncertainty_scores("bald", np.ones((1, 1, 1, 1)))
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)

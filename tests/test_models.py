@@ -1,12 +1,11 @@
-"""Toy model contracts: shapes, probability validity, decoupling, checkpoints."""
+"""Toy model contracts: shapes, probability validity, decoupling."""
 
 import numpy as np
 import pytest
 
 from paal.metrics import mse_loss
-from paal.models import (CheckpointError, ap_forward, build_ap_model,
-                         build_seg_model, concat_channels, load_checkpoint,
-                         normalize_images, save_checkpoint, seg_forward)
+from paal.models import (ap_forward, build_ap_model, build_seg_model,
+                         concat_channels, normalize_images, seg_forward)
 
 
 @pytest.fixture
@@ -125,44 +124,3 @@ class TestGradientIsolation:
         for p in seg.params():
             np.testing.assert_array_equal(p.grad, 0.0)
 
-
-class TestCheckpoint:
-    def test_round_trip_preserves_params_and_outputs(self, tmp_path, images):
-        seg = build_seg_model(seed=11)
-        path = tmp_path / "seg.ckpt"
-        save_checkpoint(seg, path)
-        loaded = load_checkpoint(path, taps={"feature": 3})
-        for a, b in zip(seg.params(), loaded.params()):
-            np.testing.assert_array_equal(a.value, b.value)
-        p0, f0 = seg_forward(seg, images)
-        p1, f1 = seg_forward(loaded, images)
-        np.testing.assert_array_equal(p0, p1)
-        np.testing.assert_array_equal(f0, f1)
-
-    def test_magic_header(self, tmp_path):
-        seg = build_seg_model(seed=12)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(seg, path)
-        assert path.read_bytes()[:8] == b"PAALNN1\x00"
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"WRONG!!!" + b"\x00" * 16)
-        with pytest.raises(CheckpointError, match="bad magic"):
-            load_checkpoint(path)
-
-    def test_truncated_rejected(self, tmp_path):
-        seg = build_seg_model(seed=13)
-        path = tmp_path / "t.ckpt"
-        save_checkpoint(seg, path)
-        path.write_bytes(path.read_bytes()[:-40])
-        with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(path)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        seg = build_seg_model(seed=14)
-        path = tmp_path / "x.ckpt"
-        save_checkpoint(seg, path)
-        path.write_bytes(path.read_bytes() + b"\x00\x00")
-        with pytest.raises(CheckpointError, match="trailing"):
-            load_checkpoint(path)

@@ -7,20 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paal.strategies import (QueryContext, STRATEGY_NAMES, cluster_count,
+from paal.strategies import (STRATEGIES, QueryContext, cluster_count,
                              coreset_select, query_weights, select,
                              weighted_polling)
 
+INPUT_FIELDS = ("probs", "features", "pred_acc", "labeled_features")
 
-def make_ctx(rng, n=20, b=5, classes=3, dim=4, seed=0):
+
+def make_ctx(rng, n=20, b=5, classes=3, dim=4, seed=0, fields=INPUT_FIELDS):
+    """A context over ids 100.., holding only the named input fields."""
     probs_raw = rng.uniform(0.1, 1.0, size=(n, 4, 2, 2))
-    probs = probs_raw / probs_raw.sum(axis=1, keepdims=True)
-    return QueryContext(
-        ids=np.arange(100, 100 + n), b=b, seed=seed,
-        probs=probs,
+    inputs = dict(
+        probs=probs_raw / probs_raw.sum(axis=1, keepdims=True),
         features=rng.normal(size=(n, dim)),
         pred_acc=rng.uniform(0.01, 1.0, size=(n, classes)),
         labeled_features=rng.normal(size=(7, dim)))
+    return QueryContext(ids=np.arange(100, 100 + n), b=b, seed=seed,
+                        **{f: inputs[f] for f in fields})
 
 
 class TestQueryWeights:
@@ -175,15 +178,15 @@ class TestSelect:
     def test_random_is_reproducible(self):
         rng = np.random.default_rng(1)
         ctx = make_ctx(rng, seed=42)
-        a = select("random", ctx)
-        b = select("random", ctx)
+        a, _ = select("random", ctx)
+        b, _ = select("random", ctx)
         np.testing.assert_array_equal(a, b)
 
     def test_every_strategy_returns_b_distinct_pool_ids(self):
         rng = np.random.default_rng(2)
         ctx = make_ctx(rng, n=25, b=6)
-        for strategy in STRATEGY_NAMES:
-            got = select(strategy, ctx)
+        for strategy in STRATEGIES:
+            got, _ = select(strategy, ctx)
             assert len(got) == 6, strategy
             assert len(set(got.tolist())) == 6, strategy
             assert set(got.tolist()) <= set(ctx.ids.tolist()), strategy
@@ -194,12 +197,12 @@ class TestSelect:
         probs[:, 0] = 1.0  # one-hot everywhere
         probs[5] = 0.25    # except one uniform sample
         ctx = QueryContext(ids=np.arange(n), b=1, seed=0, probs=probs)
-        np.testing.assert_array_equal(select("max_entropy", ctx), [5])
+        np.testing.assert_array_equal(select("max_entropy", ctx)[0], [5])
 
     def test_paal_ap_only_is_top_b_of_weights(self):
         rng = np.random.default_rng(3)
         ctx = make_ctx(rng, n=30, b=7)
-        got = select("paal_ap_only", ctx)
+        got, _ = select("paal_ap_only", ctx)
         w = query_weights(ctx.pred_acc)
         order = np.lexsort((ctx.ids, -w))
         np.testing.assert_array_equal(np.sort(got), np.sort(ctx.ids[order[:7]]))
@@ -208,21 +211,25 @@ class TestSelect:
         rng = np.random.default_rng(4)
         ctx = make_ctx(rng, n=10, b=4)
         ctx.features = np.zeros((10, 2))  # all points identical -> one real cluster
-        full = set(select("paal_full", ctx).tolist())
-        ap = set(select("paal_ap_only", ctx).tolist())
+        full = set(select("paal_full", ctx)[0].tolist())
+        ap = set(select("paal_ap_only", ctx)[0].tolist())
         assert full == ap
 
+    def test_declared_needs_suffice(self):
+        for strategy, entry in STRATEGIES.items():
+            ctx = make_ctx(np.random.default_rng(8), n=12, b=3,
+                           fields=entry.needs)
+            got, _ = select(strategy, ctx)
+            assert len(set(got.tolist())) == 3, strategy
+
     def test_missing_fields_raise_by_strategy(self):
-        ctx = QueryContext(ids=np.arange(5), b=2, seed=0)
-        with pytest.raises(ValueError, match="pred_acc"):
-            select("paal_full", ctx)
-        with pytest.raises(ValueError, match="features"):
-            select("kmeans_diversity", ctx)
-        with pytest.raises(ValueError, match="probs"):
-            select("max_entropy", ctx)
-        ctx.features = np.zeros((5, 2))
-        with pytest.raises(ValueError, match="labeled_features"):
-            select("coreset", ctx)
+        for strategy, entry in STRATEGIES.items():
+            for missing in entry.needs:
+                ctx = make_ctx(np.random.default_rng(9), n=12, b=3,
+                               fields=[f for f in entry.needs if f != missing])
+                with pytest.raises(ValueError,
+                                   match=f"{strategy}' requires QueryContext.{missing}$"):
+                    select(strategy, ctx)
 
     def test_batch_larger_than_pool_rejected(self):
         with pytest.raises(ValueError, match="exceeds pool"):
@@ -231,7 +238,7 @@ class TestSelect:
     def test_info_reports_weights_and_clusters(self):
         rng = np.random.default_rng(5)
         ctx = make_ctx(rng, n=20, b=5)
-        selected, info = select("paal_full", ctx, with_info=True)
+        selected, info = select("paal_full", ctx)
         assert len(info["weight"]) == 5
         assert len(info["cluster"]) == 5
 
@@ -245,5 +252,5 @@ class TestSelect:
             probs[i] = 0.25
         ctx = QueryContext(ids=np.arange(n), b=1, seed=0, probs=probs,
                            features=rng.normal(size=(n, 3)))
-        got = select("entropy_kmeans", ctx)
+        got, _ = select("entropy_kmeans", ctx)
         assert got[0] in hot
