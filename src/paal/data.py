@@ -6,6 +6,11 @@ a class-specific intensity band. Ellipses avoid already-placed foreground so
 each class region stays a single connected blob; if no free placement is
 found after many attempts the last candidate is placed anyway and overwrites
 earlier classes where they overlap.
+
+File format ``PAALDS2``: a 24-byte header (magic ``b"PAALDS2\\0"``, then
+little-endian u32 ``n``, ``h``, ``w``, ``num_fg``) and ``n`` records, each a
+u8 ``h x w`` image followed by its u8 mask (labels 0 .. ``num_fg``), row-major.
+The older ``PAALDS1`` files, which lack ``num_fg``, are rejected.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DATASET_MAGIC = b"PAALDS1\x00"
+DATASET_MAGIC = b"PAALDS2\x00"
+_HEADER = struct.Struct("<8sIIII")  # magic, n, h, w, num_fg
 
 BACKGROUND_BASE = 40.0
 NOISE_SIGMA = 10.0
@@ -60,7 +66,7 @@ def default_profile() -> ClassProfile:
 class Dataset:
     images: np.ndarray  # (n, h, w) u8
     masks: np.ndarray   # (n, h, w) u8
-    num_fg: int = 3
+    num_fg: int
 
     def __post_init__(self):
         if self.images.shape != self.masks.shape:
@@ -71,6 +77,7 @@ class Dataset:
 
     def __eq__(self, other):
         return (isinstance(other, Dataset)
+                and self.num_fg == other.num_fg
                 and self.images.shape == other.images.shape
                 and np.array_equal(self.images, other.images)
                 and np.array_equal(self.masks, other.masks))
@@ -128,37 +135,34 @@ def _place_ellipse(rng, mask, yy, xx, h, w, axis_range):
 def write_dataset(path, ds: Dataset) -> None:
     n, h, w = ds.images.shape
     with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<III", n, h, w))
-        for i in range(n):
-            fh.write(ds.images[i].tobytes())
-            fh.write(ds.masks[i].tobytes())
+        fh.write(_HEADER.pack(DATASET_MAGIC, n, h, w, ds.num_fg))
+        fh.write(np.stack((ds.images, ds.masks), axis=1).tobytes())
 
 
-def read_dataset(path, num_fg: int = 3) -> Dataset:
+def read_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 20:
-        raise DatasetFormatError("truncated file: missing header")
     if data[:8] != DATASET_MAGIC:
-        raise DatasetFormatError("bad magic")
-    n, h, w = struct.unpack_from("<III", data, 8)
-    record = 2 * h * w
-    expected = 20 + n * record
-    if n and record == 0:
+        raise DatasetFormatError(
+            f"bad magic {data[:8]!r}, expected {DATASET_MAGIC!r} (older format "
+            "or not a dataset file); regenerate it with `paal generate`")
+    if len(data) < _HEADER.size:
+        raise DatasetFormatError("truncated file: missing header")
+    _, n, h, w, num_fg = _HEADER.unpack_from(data)
+    expected = _HEADER.size + n * 2 * h * w
+    if n and h * w == 0:
         raise DatasetFormatError("extent overflow: zero-sized records")
     if len(data) < expected:
         raise DatasetFormatError("truncated file")
     if len(data) > expected:
         raise DatasetFormatError("trailing bytes after records")
-    images = np.empty((n, h, w), dtype=np.uint8)
-    masks = np.empty((n, h, w), dtype=np.uint8)
-    off = 20
-    for i in range(n):
-        images[i] = np.frombuffer(data, np.uint8, h * w, off).reshape(h, w)
-        off += h * w
-        masks[i] = np.frombuffer(data, np.uint8, h * w, off).reshape(h, w)
-        off += h * w
+    if num_fg < 1:
+        raise DatasetFormatError(f"num_fg must be >= 1, got {num_fg}")
+    records = np.frombuffer(data, np.uint8, offset=_HEADER.size).reshape(n, 2, h, w)
+    images, masks = records[:, 0], records[:, 1]
+    if n and masks.max() > num_fg:
+        raise DatasetFormatError(
+            f"mask label {masks.max()} above num_fg = {num_fg}")
     return Dataset(images, masks, num_fg=num_fg)
 
 

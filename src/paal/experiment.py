@@ -2,9 +2,11 @@
 
 A campaign is the cross product strategies x budgets x seeds x folds. Every
 cell runs independently, writes its own CSV fragments under
-``<out>/cells/<run_id>/`` (presence of the fragment marks the cell done, so
-interrupted campaigns resume), and the runner concatenates the fragments
+``<out>/cells/<run_id>/`` (its results.csv, written last, marks the cell done,
+so interrupted campaigns resume), and the runner concatenates the fragments
 into the top-level results/queries/calibration files in a fixed order.
+``results.csv`` has one ``val_dsc_c<k>`` column per foreground class of the
+dataset, ``k = 1 .. num_fg``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import csv
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -28,16 +31,15 @@ class ConfigError(ValueError):
 
 
 RESULTS_HEADER = ("run_id,strategy,budget,seed,fold,epoch,iteration,"
-                  "labeled_count,labeled_ratio,seg_loss,ap_loss,val_dsc_mean,"
-                  "val_dsc_c1,val_dsc_c2,val_dsc_c3")
+                  "labeled_count,labeled_ratio,seg_loss,ap_loss,val_dsc_mean")
 QUERIES_HEADER = "run_id,iteration,sample_id,cluster,weight,query_time_ms"
 CALIBRATION_HEADER = "run_id,sample_id,class,predicted_dsc,actual_dsc"
 ANNOTATIONS_HEADER = "run_id,strategy,budget,seed,fold,class,annotated_count"
 
-_INT_KEYS = ("data_n", "data_h", "data_w", "data_seed", "split_seed",
-             "max_epochs", "early_stop", "batch_size", "silent_period",
-             "iq_patience", "query_interval", "warmup")
-_FLOAT_KEYS = ("init_ratio", "lr0", "lr_min", "weight_decay")
+_INT_KEYS = ("data_n", "data_h", "data_w", "data_seed", "split_seed")
+# training key -> the type of its TrainConfig default, which parses its value
+_TRAIN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)
+               if f.name != "seed"}
 
 
 @dataclass
@@ -54,17 +56,7 @@ class ExperimentConfig:
     data_seed: int = 7
     split_seed: int = 7
     out: str | None = None
-    init_ratio: float = 0.05
-    max_epochs: int = 120
-    early_stop: int = 15
-    batch_size: int = 16
-    silent_period: int = 5
-    iq_patience: int = 10
-    query_interval: int = 5
-    warmup: int = 10
-    lr0: float = 1e-3
-    lr_min: float = 1e-6
-    weight_decay: float = 1e-4
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         if not self.strategies or not self.seeds:
@@ -72,16 +64,10 @@ class ExperimentConfig:
         bad = [s for s in self.strategies if s not in STRATEGIES]
         if bad:
             raise ConfigError(f"unknown strategies: {', '.join(bad)}")
-        if not 0.0 < self.init_ratio < 1.0:
-            raise ConfigError("init_ratio must be in (0, 1)")
-        if not self.budgets or any(not 0.0 < b <= 1.0 - self.init_ratio
+        if not self.budgets or any(not 0.0 < b <= 1.0 - self.train.init_ratio
                                    for b in self.budgets):
             raise ConfigError("budgets must be ratios in (0, 1 - init_ratio], "
                               "the share left after the initial labeled set")
-        if self.warmup >= self.max_epochs:
-            raise ConfigError("warmup must be smaller than max_epochs")
-        if self.silent_period >= self.max_epochs:
-            raise ConfigError("silent_period must be smaller than max_epochs")
         if len(self.iterations) == 1:
             self.iterations = self.iterations * len(self.budgets)
         if len(self.iterations) != len(self.budgets):
@@ -90,15 +76,6 @@ class ExperimentConfig:
             raise ConfigError("folds must be indices in 0..4")
         if self.dataset is None and self.data_n is None:
             raise ConfigError("config needs either 'dataset' or 'data_n'")
-
-    def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            max_epochs=self.max_epochs, early_stop_tolerance=self.early_stop,
-            silent_period=self.silent_period, iq_patience=self.iq_patience,
-            baseline_query_interval=self.query_interval,
-            batch_size=self.batch_size, lr0=self.lr0, lr_min=self.lr_min,
-            warmup=self.warmup, weight_decay=self.weight_decay,
-            init_ratio=self.init_ratio, seed=seed)
 
     def load_dataset(self) -> data_mod.Dataset:
         if self.dataset is not None:
@@ -109,7 +86,7 @@ class ExperimentConfig:
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse the flat `key = value` format; unknown keys are an error."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    known = {f.name for f in fields(ExperimentConfig)} - {"train"} | set(_TRAIN_KEYS)
     raw: dict[str, str] = {}
     unknown = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -127,9 +104,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(set(unknown)))}")
 
     kwargs: dict = {}
+    train: dict = {}
     try:
         for key, value in raw.items():
-            if key == "strategies":
+            if key in _TRAIN_KEYS:
+                train[key] = _TRAIN_KEYS[key](value)
+            elif key == "strategies":
                 kwargs[key] = [v.strip() for v in value.split(",") if v.strip()]
             elif key == "budgets":
                 kwargs[key] = [float(v) for v in value.split(",")]
@@ -137,11 +117,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 kwargs[key] = [int(v) for v in value.split(",")]
             elif key in _INT_KEYS:
                 kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
             else:
                 kwargs[key] = value
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(train=TrainConfig(**train), **kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -191,11 +169,10 @@ def _cell_rows(cell: Cell, report: RunReport) -> tuple[str, ...]:
         csv.writer(buf, lineterminator="\n") for buf in bufs)
     budget = f"{cell.budget:g}"
     for rec in report.epochs:
-        cls = list(rec.val_dsc_class[:3]) + [None] * max(0, 3 - len(rec.val_dsc_class))
         results.writerow([cell.run_id, cell.strategy, budget, cell.seed,
                           cell.fold, rec.epoch, rec.iteration, rec.labeled_count,
                           rec.labeled_count / report.pool_size, rec.seg_loss,
-                          rec.ap_loss, rec.val_dsc_mean, *cls])
+                          rec.ap_loss, rec.val_dsc_mean, *rec.val_dsc_class])
 
     for q in report.queries:
         for i, sid in enumerate(q.selected):
@@ -224,23 +201,31 @@ def _cell_rows(cell: Cell, report: RunReport) -> tuple[str, ...]:
 _CELL_FILES = ("results.csv", "queries.csv", "calibration.csv", "annotations.csv")
 
 
-def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str) -> str:
-    """Execute one cell and write its fragments; skips if already done."""
+def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
+             dataset: data_mod.Dataset) -> str:
+    """Execute one cell and write its fragments; skips if already done, and
+    refuses a done cell whose rows lack one column per class of ``dataset``."""
     cell_dir = os.path.join(out_dir, "cells", cell.run_id)
     done_marker = os.path.join(cell_dir, "results.csv")
     if os.path.exists(done_marker):
+        with open(done_marker, "r", encoding="utf-8", newline="") as fh:
+            row = next(csv.reader(fh), [])
+        if row and len(row) != RESULTS_HEADER.count(",") + 1 + dataset.num_fg:
+            raise ConfigError(f"{done_marker} was run on data with another "
+                              "class count; use a new --out")
         return cell.run_id
-    dataset = config.load_dataset()
     split = data_mod.split_folds(len(dataset), config.split_seed)
     train_ids, val_ids = split[cell.fold]
     budget_count = int(cell.budget * len(train_ids))
-    cfg = config.train_config(cell.seed)
     report = run_active_learning(dataset, train_ids, val_ids, cell.strategy,
-                                 budget_count, cell.iterations, cfg,
+                                 budget_count, cell.iterations,
+                                 replace(config.train, seed=cell.seed),
                                  fold_index=cell.fold)
     os.makedirs(cell_dir, exist_ok=True)
     fragments = _cell_rows(cell, report)
-    for name, content in zip(_CELL_FILES, fragments):
+    # the done marker, results.csv, comes first in _CELL_FILES: write it
+    # last, so a cell cut short in here is rerun in full
+    for name, content in reversed(tuple(zip(_CELL_FILES, fragments))):
         tmp = os.path.join(cell_dir, name + ".tmp")
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(content)
@@ -248,24 +233,22 @@ def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str) -> str:
     return cell.run_id
 
 
-def _run_cell_star(args):
-    return run_cell(*args)
-
-
 def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[str]:
     """Run every cell (resuming completed ones) and merge the fragments."""
     cells = campaign_cells(config)
+    dataset = config.load_dataset()
     os.makedirs(out_dir, exist_ok=True)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(_run_cell_star,
-                          [(config, cell, out_dir) for cell in cells]))
+            list(pool.map(run_cell, repeat(config), cells, repeat(out_dir),
+                          repeat(dataset)))
     else:
         for cell in cells:
-            run_cell(config, cell, out_dir)
+            run_cell(config, cell, out_dir, dataset)
 
-    headers = (RESULTS_HEADER, QUERIES_HEADER, CALIBRATION_HEADER,
-               ANNOTATIONS_HEADER)
+    class_columns = "".join(f",val_dsc_c{k}" for k in range(1, dataset.num_fg + 1))
+    headers = (RESULTS_HEADER + class_columns, QUERIES_HEADER,
+               CALIBRATION_HEADER, ANNOTATIONS_HEADER)
     for name, header in zip(_CELL_FILES, headers):
         out_path = os.path.join(out_dir, name)
         tmp = out_path + ".tmp"

@@ -18,12 +18,11 @@ from .nn import (ChannelSoftmax, Conv2D, Dense, GlobalAvgPool, Network, ReLU,
 FEATURE_DIM = 16
 
 
-def build_seg_model(in_channels: int = 1, num_classes: int = 4,
-                    seed: int = 0) -> Network:
-    """Segmentation net: conv(in->8)+ReLU, conv(8->16)+ReLU (tapped), conv(16->C), softmax."""
+def build_seg_model(num_classes: int, seed: int) -> Network:
+    """Segmentation net: conv(1->8)+ReLU, conv(8->16)+ReLU (tapped), conv(16->C), softmax."""
     rng = np.random.default_rng([seed, 0x5E6])
     layers = [
-        Conv2D(in_channels, 8, rng=rng),
+        Conv2D(1, 8, rng=rng),
         ReLU(),
         Conv2D(8, FEATURE_DIM, rng=rng),
         ReLU(),
@@ -33,33 +32,27 @@ def build_seg_model(in_channels: int = 1, num_classes: int = 4,
     return Network(layers, taps={"feature": 3})
 
 
-def build_ap_model(in_channels: int = 1, num_classes: int = 4,
-                   seed: int = 0) -> Network:
-    """Accuracy predictor: conv((in+C)->8)+ReLU, global pool, dense(8->C-1), sigmoid."""
+def build_ap_model(num_classes: int, seed: int) -> Network:
+    """Accuracy predictor: conv((1+C)->8)+ReLU, global pool, dense(8->C-1), sigmoid."""
     rng = np.random.default_rng([seed, 0xA9])
-    num_fg = num_classes - 1
     layers = [
-        Conv2D(in_channels + num_classes, 8, rng=rng),
+        Conv2D(1 + num_classes, 8, rng=rng),
         ReLU(),
         GlobalAvgPool(),
-        Dense(8, num_fg, rng=rng),
+        Dense(8, num_classes - 1, rng=rng),
         Sigmoid(),
     ]
     return Network(layers)
 
 
 def normalize_images(images: np.ndarray) -> np.ndarray:
-    """u8 images (B, H, W) or (B, C, H, W) -> float32 in [0, 1] with a channel axis."""
-    imgs = np.asarray(images)
-    if imgs.ndim == 3:
-        imgs = imgs[:, None, :, :]
-    return imgs.astype(np.float32) / 255.0
+    """u8 images (B, H, W) -> float32 (B, 1, H, W) in [0, 1]."""
+    return images[:, None].astype(np.float32) / 255.0
 
 
-def seg_forward(seg: Network, images: np.ndarray,
-                train: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def seg_forward(seg: Network, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel class probabilities plus the pooled 16-dim feature embedding."""
-    acts = seg.forward(images, train=train)
+    acts = seg.forward(images)
     probs = acts[-1]
     features = seg.tapped(acts, "feature").mean(axis=(2, 3))
     return probs, features
@@ -75,12 +68,10 @@ def concat_channels(images: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.concatenate([images, probs], axis=1)
 
 
-def ap_forward(ap: Network, images: np.ndarray, probs: np.ndarray,
-               train: bool = False) -> np.ndarray:
+def ap_forward(ap: Network, images: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Predicted per-foreground-class accuracy in [0, 1].
 
     ``probs`` is consumed as a constant: no gradient path back into the
     segmentation model exists.
     """
-    x = concat_channels(images, probs)
-    return ap.forward(x, train=train)[-1]
+    return ap.forward(concat_channels(images, probs))[-1]

@@ -27,16 +27,20 @@ from .strategies import STRATEGIES, QueryContext, select
 
 _POOL_OUTPUTS = ("probs", "features", "pred_acc", "actual")
 
+EVAL_BATCH = 32  # images per forward pass when nothing trains
+
 
 @dataclass
 class TrainConfig:
+    """The settings of one run. Every field but ``seed``, which a campaign
+    sets per cell, is a training key of the campaign config under the same
+    name, parsed with the type of its default."""
     max_epochs: int = 120
-    early_stop_tolerance: int = 15
+    early_stop: int = 15
     silent_period: int = 5
     iq_patience: int = 10
-    baseline_query_interval: int = 5
+    query_interval: int = 5
     batch_size: int = 16
-    eval_batch: int = 32
     lr0: float = 1e-3
     lr_min: float = 1e-6
     warmup: int = 10
@@ -45,6 +49,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0.0 < self.init_ratio < 1.0:
+            raise ValueError("init_ratio must be in (0, 1)")
+        if self.warmup >= self.max_epochs:
+            raise ValueError("warmup must be smaller than max_epochs")
         if self.silent_period >= self.max_epochs:
             raise ValueError("silent_period must be smaller than max_epochs")
 
@@ -84,7 +92,6 @@ class EpochRecord:
 @dataclass
 class QueryRecord:
     iteration: int
-    epoch: int
     selected: np.ndarray
     weights: np.ndarray | None
     clusters: np.ndarray | None
@@ -94,17 +101,12 @@ class QueryRecord:
 
 @dataclass
 class RunReport:
-    strategy: str
-    seed: int
-    fold: int
-    budget: int
     pool_size: int
     epochs: list[EpochRecord] = field(default_factory=list)
     queries: list[QueryRecord] = field(default_factory=list)
     calibration_ids: np.ndarray | None = None
     calibration_pred: np.ndarray | None = None
     calibration_actual: np.ndarray | None = None
-    best_val_dsc: float = float("-inf")
 
 
 def _subseed(*parts) -> int:
@@ -116,8 +118,6 @@ def init_pool(train_ids: np.ndarray, init_ratio: float, budget: int,
     """Seeded initial labeled/unlabeled split plus per-iteration batch size."""
     train_ids = np.asarray(train_ids, dtype=np.int64)
     n = len(train_ids)
-    if not 0.0 < init_ratio < 1.0:
-        raise ValueError("init_ratio must be in (0, 1)")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     m = int(np.ceil(init_ratio * n))
@@ -131,14 +131,13 @@ def init_pool(train_ids: np.ndarray, init_ratio: float, budget: int,
                      batch=max(budget // iterations, 1))
 
 
-def iq_update(state: PoolState, val_dsc: float) -> bool:
+def iq_update(state: PoolState, val_dsc: float) -> None:
     """Reset the no-improvement counter on a strictly better validation DSC."""
     if val_dsc > state.best_val_dsc:
         state.best_val_dsc = val_dsc
         state.iq_counter = 0
-        return True
-    state.iq_counter += 1
-    return False
+    else:
+        state.iq_counter += 1
 
 
 def train_epoch(seg: Network, ap: Network, images_norm: np.ndarray,
@@ -183,21 +182,22 @@ def train_epoch(seg: Network, ap: Network, images_norm: np.ndarray,
 
 
 def evaluate(seg: Network, val_images: np.ndarray, val_labels: np.ndarray,
-             num_fg: int, batch: int = 128) -> tuple[float, np.ndarray]:
+             num_fg: int) -> tuple[float, np.ndarray]:
     """Mean foreground DSC on the validation set (classes averaged, then samples)."""
     if len(val_images) == 0:
         raise ValueError("validation set is empty")
     per_sample = []
-    for lo in range(0, len(val_images), batch):
-        probs = seg.forward(val_images[lo:lo + batch])[-1]
+    for lo in range(0, len(val_images), EVAL_BATCH):
+        probs = seg.forward(val_images[lo:lo + EVAL_BATCH])[-1]
         pred = probs.argmax(axis=1)
-        per_sample.append(dsc_per_class_batch(pred, val_labels[lo:lo + batch], num_fg))
+        per_sample.append(dsc_per_class_batch(
+            pred, val_labels[lo:lo + EVAL_BATCH], num_fg))
     dsc = np.concatenate(per_sample, axis=0)
     return float(dsc.mean(axis=1).mean()), dsc.mean(axis=0)
 
 
 def _pool_inference(seg: Network, ap: Network, images_norm, labels, ids,
-                    wanted, batch: int, num_fg: int) -> dict[str, np.ndarray]:
+                    wanted, num_fg: int) -> dict[str, np.ndarray]:
     """Batched model outputs over a set of ids (never trains anything).
 
     Returns one (len(ids), ...) array for each name in ``wanted`` that is
@@ -206,8 +206,8 @@ def _pool_inference(seg: Network, ap: Network, images_norm, labels, ids,
     names are ignored; with none wanted, no model runs.
     """
     parts: dict[str, list] = {name: [] for name in _POOL_OUTPUTS if name in wanted}
-    for lo in range(0, len(ids) if parts else 0, batch):
-        chunk = ids[lo:lo + batch]
+    for lo in range(0, len(ids) if parts else 0, EVAL_BATCH):
+        chunk = ids[lo:lo + EVAL_BATCH]
         x = images_norm[chunk]
         probs, feats = seg_forward(seg, x)
         out = {"probs": probs, "features": feats}
@@ -222,25 +222,23 @@ def _pool_inference(seg: Network, ap: Network, images_norm, labels, ids,
 
 
 def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
-               images_norm: np.ndarray, labels: np.ndarray, cfg: TrainConfig,
-               num_fg: int, epoch: int, query_seed: int) -> QueryRecord | None:
+               images_norm: np.ndarray, labels: np.ndarray, num_fg: int,
+               query_seed: int) -> QueryRecord:
     """Select, 'annotate' (ground-truth lookup) and absorb one query batch.
 
-    Runs the models only for the inputs the strategy's entry declares.
+    Runs the models only for the inputs the strategy's entry declares; the
+    caller ensures the pool is not empty.
     """
-    if len(state.unlabeled) == 0:
-        return None
     t0 = time.perf_counter()
     pool = state.unlabeled
     take = min(state.batch, state.budget - state.queried, len(pool))
 
     needs = STRATEGIES[strategy].needs
-    inputs = _pool_inference(seg, ap, images_norm, labels, pool, needs,
-                             cfg.eval_batch, num_fg)
+    inputs = _pool_inference(seg, ap, images_norm, labels, pool, needs, num_fg)
     if "labeled_features" in needs:
         inputs["labeled_features"] = _pool_inference(
             seg, ap, images_norm, labels, state.labeled, ("features",),
-            cfg.eval_batch, num_fg)["features"]
+            num_fg)["features"]
 
     ctx = QueryContext(ids=pool, b=take, seed=query_seed, **inputs)
     selected, info = select(strategy, ctx)
@@ -253,7 +251,7 @@ def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
         counts[int(labels[sid].max())] += 1
 
     record = QueryRecord(
-        iteration=state.t, epoch=epoch, selected=np.sort(selected),
+        iteration=state.t, selected=np.sort(selected),
         weights=info.get("weight"), clusters=info.get("cluster"),
         class_counts=counts, time_ms=elapsed_ms)
     # re-align diagnostics to the sorted id order used everywhere downstream
@@ -279,54 +277,46 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
     """Algorithm: train, evaluate, update the trigger, maybe query; repeat.
 
     Terminates once the budget can no longer be spent *and* validation DSC
-    has been stale for ``early_stop_tolerance`` epochs, or at ``max_epochs``.
+    has been stale for ``early_stop`` epochs, or at ``max_epochs``. A query
+    restarts that count as it restarts the trigger's: "stale" only counts
+    epochs after the labeled set stopped changing.
     """
     on_stall = STRATEGIES[strategy].on_stall
     train_ids = np.asarray(train_ids, dtype=np.int64)
     val_ids = np.asarray(val_ids, dtype=np.int64)
     num_fg = dataset.num_fg
-    num_classes = num_fg + 1
 
     images_norm = normalize_images(dataset.images)
     labels = dataset.masks.astype(np.int64)
 
     state = init_pool(train_ids, cfg.init_ratio, budget, iterations,
                       seed=[cfg.seed, fold_index, 0xD1])
-    seg = build_seg_model(1, num_classes, seed=_subseed(cfg.seed, fold_index, 1))
-    ap = build_ap_model(1, num_classes, seed=_subseed(cfg.seed, fold_index, 2))
+    seg = build_seg_model(num_fg + 1, seed=_subseed(cfg.seed, fold_index, 1))
+    ap = build_ap_model(num_fg + 1, seed=_subseed(cfg.seed, fold_index, 2))
 
-    report = RunReport(strategy=strategy, seed=cfg.seed, fold=fold_index,
-                       budget=budget, pool_size=len(train_ids))
+    report = RunReport(pool_size=len(train_ids))
     val_images = images_norm[val_ids]
     val_labels = labels[val_ids]
 
-    since_improve = 0
     for epoch in range(cfg.max_epochs):
         lr = cosine_lr(epoch, cfg.max_epochs, cfg.warmup, cfg.lr0, cfg.lr_min)
         shuffle_rng = np.random.default_rng([cfg.seed, fold_index, 3, epoch])
         seg_loss, ap_loss = train_epoch(
             seg, ap, images_norm, labels, state.labeled, epoch, cfg, lr,
             shuffle_rng, num_fg)
-        val_mean, val_class = evaluate(seg, val_images, val_labels, num_fg,
-                                       cfg.eval_batch)
-        improved = iq_update(state, val_mean)
-        since_improve = 0 if improved else since_improve + 1
+        val_mean, val_class = evaluate(seg, val_images, val_labels, num_fg)
+        iq_update(state, val_mean)
 
         if on_stall:
             trigger = state.iq_counter >= cfg.iq_patience
         else:
-            trigger = epoch > 0 and epoch % cfg.baseline_query_interval == 0
+            trigger = epoch > 0 and epoch % cfg.query_interval == 0
         if (trigger and state.t <= state.iterations
                 and state.queried < state.budget and len(state.unlabeled)):
-            record = query_step(state, seg, ap, strategy, images_norm, labels,
-                                cfg, num_fg, epoch,
-                                query_seed=_subseed(cfg.seed, fold_index, 4, state.t))
-            if record is not None:
-                state.assert_partition(train_ids)
-                report.queries.append(record)
-                # fresh data restarts the convergence clock: "stable" only
-                # counts epochs after the labeled set stopped changing
-                since_improve = 0
+            report.queries.append(query_step(
+                state, seg, ap, strategy, images_norm, labels, num_fg,
+                query_seed=_subseed(cfg.seed, fold_index, 4, state.t)))
+            state.assert_partition(train_ids)
 
         report.epochs.append(EpochRecord(
             epoch=epoch, iteration=state.t, labeled_count=len(state.labeled),
@@ -336,15 +326,13 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
         budget_done = (state.queried >= state.budget
                        or state.t > state.iterations
                        or len(state.unlabeled) == 0)
-        if budget_done and since_improve >= cfg.early_stop_tolerance:
+        if budget_done and state.iq_counter >= cfg.early_stop:
             break
 
     if len(state.unlabeled):
         out = _pool_inference(seg, ap, images_norm, labels, state.unlabeled,
-                              ("pred_acc", "actual"), cfg.eval_batch, num_fg)
+                              ("pred_acc", "actual"), num_fg)
         report.calibration_ids = state.unlabeled.copy()
         report.calibration_pred = out["pred_acc"]
         report.calibration_actual = out["actual"]
-
-    report.best_val_dsc = state.best_val_dsc
     return report

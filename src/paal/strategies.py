@@ -230,8 +230,7 @@ class Strategy:
 
     ``on_stall`` chooses the trigger: True fires a query once validation DSC
     has not improved for ``iq_patience`` epochs (incremental querying);
-    False fires on the fixed grid of every ``baseline_query_interval``
-    epochs.
+    False fires on the fixed grid of every ``query_interval`` epochs.
 
     ``pick(ctx) -> (ids, info)`` returns ``ctx.b`` distinct pool ids and a
     dict of per-selected-sample diagnostics aligned with them: ``"weight"``

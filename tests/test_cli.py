@@ -1,8 +1,15 @@
-"""End to end through `paal run`: reproducible CSVs and config exit codes."""
+"""End to end through `paal run`: reproducible CSVs, resume, class counts
+and exit codes."""
 
+import csv
+import os
+import struct
+
+import numpy as np
 import pytest
 
-from paal.cli import EXIT_CONFIG, EXIT_OK, main
+from paal.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from paal.data import ClassProfile, ClassSpec, Dataset, generate, write_dataset
 from paal.strategies import STRATEGIES
 
 CSV_FILES = ("results.csv", "queries.csv", "calibration.csv", "annotations.csv")
@@ -69,4 +76,118 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, override):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+# two cells of CAMPAIGN, on a dataset file
+FILE_CAMPAIGN = """\
+strategies = random,paal_full
+budgets = 0.3
+iterations = 2
+seeds = 0
+folds = 0
+max_epochs = 4
+early_stop = 4
+warmup = 1
+silent_period = 1
+iq_patience = 0
+query_interval = 1
+lr0 = 0.01
+"""
+
+
+def run_on_file(tmp_path, name, dataset_path):
+    config = tmp_path / f"{name}.cfg"
+    config.write_text(f"dataset = {dataset_path}\n" + FILE_CAMPAIGN)
+    out = tmp_path / name
+    return main(["run", "--config", str(config), "--out", str(out)]), out
+
+
+def write_file(tmp_path, ds):
+    path = tmp_path / "data.bin"
+    write_dataset(path, ds)
+    return path
+
+
+def test_a_cell_cut_short_is_rerun(tmp_path, monkeypatch):
+    path = write_file(tmp_path, generate(7, 60, 16, 16))
+    code, clean = run_on_file(tmp_path, "clean", path)
+    assert code == EXIT_OK
+
+    real_replace = os.replace
+    failed = []
+
+    def replace_failing_once(src, dst):
+        if os.path.basename(dst) == "calibration.csv" and not failed:
+            failed.append(dst)
+            raise OSError("disk full")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_failing_once)
+    code, out = run_on_file(tmp_path, "cut", path)
+    assert code == EXIT_IO
+    assert "cells" in failed[0]
+    code, out = run_on_file(tmp_path, "cut", path)
+    assert code == EXIT_OK
+    assert csv_bytes(out) == csv_bytes(clean)
+
+
+@pytest.mark.parametrize("num_fg", [2, 4])
+def test_class_columns_follow_the_dataset(tmp_path, num_fg):
+    profile = ClassProfile((ClassSpec(0.7, intensity_range=(120.0, 220.0)),)
+                           * num_fg)
+    path = write_file(tmp_path, generate(7, 60, 16, 16, profile=profile))
+    code, out = run_on_file(tmp_path, "run", path)
+    assert code == EXIT_OK
+    with open(out / "results.csv", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    classes = [f"val_dsc_c{k}" for k in range(1, num_fg + 1)]
+    assert header[header.index("val_dsc_mean") + 1:] == classes
+    assert len(rows) == 2 * 4
+    for row in rows:
+        values = dict(zip(header, row))
+        assert float(values["val_dsc_mean"]) == pytest.approx(
+            np.mean([float(values[c]) for c in classes]), rel=1e-12, abs=1e-15)
+    assert main(["report", "--out", str(out)]) == EXIT_OK
+
+
+def test_rerun_on_a_different_class_count_is_refused(tmp_path, capsys):
+    path = write_file(tmp_path, generate(7, 60, 16, 16))
+    code, out = run_on_file(tmp_path, "run", path)
+    assert code == EXIT_OK
+    first = csv_bytes(out)
+    profile = ClassProfile((ClassSpec(0.7),) * 2)
+    write_file(tmp_path, generate(7, 60, 16, 16, profile=profile))
+    capsys.readouterr()
+    code, _ = run_on_file(tmp_path, "run", path)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:") and "new --out" in err
+    assert "Traceback" not in err
+    assert csv_bytes(out) == first
+
+
+def old_format_file(tmp_path):
+    ds = generate(7, 60, 16, 16)
+    path = tmp_path / "old.bin"
+    path.write_bytes(b"PAALDS1\x00" + struct.pack("<III", 60, 16, 16)
+                     + np.stack((ds.images, ds.masks), axis=1).tobytes())
+    return path
+
+
+def label_above_class_count_file(tmp_path):
+    ds = generate(7, 60, 16, 16)
+    return write_file(tmp_path, Dataset(ds.images, ds.masks, num_fg=2))
+
+
+@pytest.mark.parametrize("make_file", [old_format_file,
+                                       label_above_class_count_file])
+def test_bad_dataset_file_exits_3_without_traceback(tmp_path, capsys,
+                                                    make_file):
+    code, _ = run_on_file(tmp_path, "bad", make_file(tmp_path))
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.startswith("i/o error:")
     assert "Traceback" not in err

@@ -1,10 +1,12 @@
 """Synthetic generation determinism, the binary format, and fold splitting."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from paal.data import (ClassProfile, ClassSpec, DatasetFormatError, Dataset,
-                       default_profile, generate, read_dataset, split_folds,
+from paal.data import (DATASET_MAGIC, ClassProfile, ClassSpec,
+                       DatasetFormatError, Dataset, default_profile, generate, read_dataset, split_folds,
                        write_dataset)
 
 
@@ -86,12 +88,12 @@ class TestDatasetFile:
         ds = generate(7, 0)
         path = tmp_path / "empty.bin"
         write_dataset(path, ds)
-        assert path.stat().st_size == 20
+        assert path.stat().st_size == 24
         assert len(read_dataset(path)) == 0
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 12)
+        path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(DatasetFormatError, match="bad magic"):
             read_dataset(path)
 
@@ -113,8 +115,46 @@ class TestDatasetFile:
 
     def test_short_header_rejected(self, tmp_path):
         path = tmp_path / "short.bin"
+        path.write_bytes(DATASET_MAGIC + b"\x01")
+        with pytest.raises(DatasetFormatError, match="truncated file: missing header"):
+            read_dataset(path)
+
+    def test_short_old_format_file_rejected_as_bad_magic(self, tmp_path):
+        path = tmp_path / "short_old.bin"
         path.write_bytes(b"PAALDS1\x00\x01")
-        with pytest.raises(DatasetFormatError, match="truncated"):
+        with pytest.raises(DatasetFormatError, match="bad magic.*paal generate"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("num_fg", [1, 2, 4])
+    def test_round_trip_keeps_the_class_count(self, tmp_path, num_fg):
+        ds = generate(7, 12, 8, 8, profile=ClassProfile((ClassSpec(0.8),) * num_fg))
+        path = tmp_path / "ds.bin"
+        write_dataset(path, ds)
+        back = read_dataset(path)
+        assert back.num_fg == num_fg
+        assert back == ds
+        assert back != Dataset(ds.images, ds.masks, num_fg=num_fg + 1)
+
+    def test_old_format_rejected_with_a_hint(self, tmp_path):
+        ds = generate(7, 4)
+        path = tmp_path / "old.bin"
+        path.write_bytes(b"PAALDS1\x00" + struct.pack("<III", 4, 32, 32)
+                         + np.stack((ds.images, ds.masks), axis=1).tobytes())
+        with pytest.raises(DatasetFormatError, match="bad magic.*paal generate"):
+            read_dataset(path)
+
+    def test_zero_classes_rejected(self, tmp_path):
+        ds = generate(7, 4)
+        path = tmp_path / "zero.bin"
+        write_dataset(path, Dataset(ds.images, np.zeros_like(ds.masks), num_fg=0))
+        with pytest.raises(DatasetFormatError, match="num_fg"):
+            read_dataset(path)
+
+    def test_label_above_class_count_rejected(self, tmp_path):
+        ds = generate(7, 20)
+        path = tmp_path / "labels.bin"
+        write_dataset(path, Dataset(ds.images, ds.masks, num_fg=2))
+        with pytest.raises(DatasetFormatError, match="label 3 above num_fg = 2"):
             read_dataset(path)
 
 

@@ -15,7 +15,7 @@ def images():
 
 
 def test_seg_forward_probs_are_distributions(images):
-    seg = build_seg_model(seed=1)
+    seg = build_seg_model(4, seed=1)
     probs, features = seg_forward(seg, images)
     assert probs.shape == (3, 4, 16, 16)
     assert probs.min() >= 0.0
@@ -23,13 +23,13 @@ def test_seg_forward_probs_are_distributions(images):
 
 
 def test_seg_forward_feature_shape(images):
-    seg = build_seg_model(seed=1)
+    seg = build_seg_model(4, seed=1)
     _, features = seg_forward(seg, images)
     assert features.shape == (3, 16)
 
 
 def test_identical_images_give_identical_features(images):
-    seg = build_seg_model(seed=2)
+    seg = build_seg_model(4, seed=2)
     batch = np.concatenate([images[:1], images[:1], images[1:2]], axis=0)
     _, features = seg_forward(seg, batch)
     np.testing.assert_array_equal(features[0], features[1])
@@ -37,7 +37,7 @@ def test_identical_images_give_identical_features(images):
 
 
 def test_features_are_pooled_tap_activations(images):
-    seg = build_seg_model(seed=3)
+    seg = build_seg_model(4, seed=3)
     acts = seg.forward(images)
     _, features = seg_forward(seg, images)
     np.testing.assert_allclose(features, seg.tapped(acts, "feature").mean(axis=(2, 3)),
@@ -68,7 +68,7 @@ class TestConcatChannels:
 
 
 def test_ap_forward_range_and_shape(images):
-    ap = build_ap_model(seed=4)
+    ap = build_ap_model(4, seed=4)
     rng = np.random.default_rng(2)
     probs = rng.uniform(size=(3, 4, 16, 16)).astype(np.float32)
     out = ap_forward(ap, images, probs)
@@ -78,7 +78,7 @@ def test_ap_forward_range_and_shape(images):
 
 def test_ap_forward_larger_batch_shape():
     rng = np.random.default_rng(3)
-    ap = build_ap_model(seed=5)
+    ap = build_ap_model(4, seed=5)
     imgs = rng.uniform(size=(7, 1, 16, 16)).astype(np.float32)
     probs = rng.uniform(size=(7, 4, 16, 16)).astype(np.float32)
     assert ap_forward(ap, imgs, probs).shape == (7, 3)
@@ -94,8 +94,8 @@ def test_normalize_images_scales_and_adds_channel():
 
 class TestGradientIsolation:
     def test_ap_training_never_moves_seg_outputs(self, images):
-        seg = build_seg_model(seed=6)
-        ap = build_ap_model(seed=7)
+        seg = build_seg_model(4, seed=6)
+        ap = build_ap_model(4, seed=7)
         probs_before, _ = seg_forward(seg, images)
 
         # train AP for a few steps on arbitrary targets
@@ -113,8 +113,8 @@ class TestGradientIsolation:
         np.testing.assert_array_equal(probs_before, probs_after)
 
     def test_ap_loss_leaves_seg_grads_zero(self, images):
-        seg = build_seg_model(seed=9)
-        ap = build_ap_model(seed=10)
+        seg = build_seg_model(4, seed=9)
+        ap = build_ap_model(4, seed=10)
         probs, _ = seg_forward(seg, images)
         pred = ap.forward(concat_channels(images, probs), train=True)[-1]
         _, grad = mse_loss(pred, np.zeros_like(pred))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paal import orchestrator
-from paal.data import generate
+from paal.data import generate, split_folds
 from paal.models import build_ap_model, build_seg_model, normalize_images
 from paal.orchestrator import (TrainConfig, init_pool, query_step,
                                run_active_learning)
@@ -38,10 +38,10 @@ def test_query_step_computes_exactly_the_declared_inputs(strategy, dataset,
     num_fg = dataset.num_fg
     state = init_pool(np.arange(32), 0.25, budget=8, iterations=2, seed=0)
     record = query_step(
-        state, build_seg_model(1, num_fg + 1, seed=1),
-        build_ap_model(1, num_fg + 1, seed=2), strategy,
+        state, build_seg_model(num_fg + 1, seed=1),
+        build_ap_model(num_fg + 1, seed=2), strategy,
         normalize_images(dataset.images), dataset.masks.astype(np.int64),
-        TrainConfig(), num_fg, epoch=1, query_seed=5)
+        num_fg, query_seed=5)
 
     needs = STRATEGIES[strategy].needs
     assert {f for f, v in handed.items() if v is not None} == set(needs)
@@ -67,7 +67,29 @@ def test_corrupted_pool_after_a_query_raises(corruption, dataset, monkeypatch):
 
     monkeypatch.setattr(orchestrator, "query_step", corrupting_query_step)
     cfg = TrainConfig(max_epochs=3, warmup=1, silent_period=1,
-                      baseline_query_interval=1)
+                      query_interval=1)
     with pytest.raises(AssertionError, match="overlap|partition"):
         run_active_learning(dataset, np.arange(32), np.arange(32, 40),
                             "random", budget=8, iterations=2, cfg=cfg)
+
+
+# (strategy, early_stop, iq_patience, lr0) -> epochs run out of max_epochs=40;
+# recorded when early stopping kept its own stall counter beside the trigger's
+@pytest.mark.parametrize("strategy,early_stop,iq_patience,lr0,epochs", [
+    ("random", 3, 0, 0.03, 10),
+    ("paal_full", 4, 1, 0.03, 10),
+    ("max_entropy", 5, 2, 0.03, 23),
+    ("paal_full", 6, 3, 0.05, 26),
+])
+def test_early_stopping_epoch_counts(strategy, early_stop, iq_patience, lr0,
+                                     epochs):
+    dataset = generate(5, 120, 16, 16)
+    train_ids, val_ids = split_folds(len(dataset), seed=5)[0]
+    cfg = TrainConfig(max_epochs=40, early_stop=early_stop,
+                      iq_patience=iq_patience, warmup=2, silent_period=2,
+                      query_interval=2, lr0=lr0)
+    report = run_active_learning(dataset, train_ids, val_ids, strategy,
+                                 budget=int(0.3 * len(train_ids)), iterations=3,
+                                 cfg=cfg)
+    assert len(report.epochs) == epochs
+    assert len(report.queries) == 3
