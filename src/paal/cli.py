@@ -1,13 +1,17 @@
 """Command-line front end: `paal generate|run|report`.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-failure (NaN/Inf detected during training).
+`paal generate` writes the dataset file that a campaign config names under
+its required ``dataset`` key; `paal run` and `paal report` take the results
+directory as the required ``--out``.
+
+Exit codes: 0 success, 2 configuration or usage error (bad config value,
+bad command-line number, missing option), 3 I/O error, 4 numerical failure
+(NaN/Inf detected during training).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -20,9 +24,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
-
-OUT_ENV_VAR = "PAAL_OUT_DIR"
-DEFAULT_OUT = "paal_runs"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,22 +41,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run an experiment campaign")
     run.add_argument("--config", required=True, help="flat key=value config file")
-    run.add_argument("--out", default=None, help="results directory")
+    run.add_argument("--out", required=True, help="results directory")
     run.add_argument("--jobs", type=int, default=1, help="parallel cells")
-    run.add_argument("--seed", type=int, default=None,
-                     help="override the config's seed list with one seed")
 
     rep = sub.add_parser("report", help="aggregate a results directory")
-    rep.add_argument("--out", default=None, help="results directory to aggregate")
+    rep.add_argument("--out", required=True, help="results directory to aggregate")
     return parser
 
 
-def _resolve_out(flag_value, config_value=None) -> str:
-    return (flag_value or config_value or os.environ.get(OUT_ENV_VAR)
-            or DEFAULT_OUT)
-
-
 def _cmd_generate(args) -> int:
+    if args.n < 0 or min(args.height, args.width) < 1:
+        raise ConfigError("--n must be >= 0, --height and --width >= 1")
     ds = data_mod.generate(args.seed, args.n, args.height, args.width)
     data_mod.write_dataset(args.out, ds)
     print(f"wrote {len(ds)} samples ({args.height}x{args.width}) to {args.out}")
@@ -67,19 +63,17 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     config = load_config(args.config)
-    if args.seed is not None:
-        config.seeds = [args.seed]
-    out_dir = _resolve_out(args.out, config.out)
-    run_ids = run_campaign(config, out_dir, jobs=max(1, args.jobs))
-    print(f"completed {len(run_ids)} cells -> {out_dir}")
+    run_ids = run_campaign(config, args.out, jobs=args.jobs)
+    print(f"completed {len(run_ids)} cells -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    out_dir = _resolve_out(args.out)
-    write_report(out_dir)
-    print(f"wrote summary/distribution/curves/calibration reports in {out_dir}")
+    write_report(args.out)
+    print(f"wrote summary/distribution/curves/calibration reports in {args.out}")
     return EXIT_OK
 
 

@@ -7,6 +7,9 @@ so interrupted campaigns resume), and the runner concatenates the fragments
 into the top-level results/queries/calibration files in a fixed order.
 ``results.csv`` has one ``val_dsc_c<k>`` column per foreground class of the
 dataset, ``k = 1 .. num_fg``.
+
+The config's required ``dataset`` key names a dataset file written by
+``paal generate``; the results directory is ``paal run --out``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import csv
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import repeat
 
 import numpy as np
@@ -36,7 +39,6 @@ QUERIES_HEADER = "run_id,iteration,sample_id,cluster,weight,query_time_ms"
 CALIBRATION_HEADER = "run_id,sample_id,class,predicted_dsc,actual_dsc"
 ANNOTATIONS_HEADER = "run_id,strategy,budget,seed,fold,class,annotated_count"
 
-_INT_KEYS = ("data_n", "data_h", "data_w", "data_seed", "split_seed")
 # training key -> the type of its TrainConfig default, which parses its value
 _TRAIN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)
                if f.name != "seed"}
@@ -47,15 +49,10 @@ class ExperimentConfig:
     strategies: list[str]
     budgets: list[float]
     seeds: list[int]
+    dataset: str
     iterations: list[int] = field(default_factory=lambda: [5])
     folds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
-    dataset: str | None = None
-    data_n: int | None = None
-    data_h: int = 32
-    data_w: int = 32
-    data_seed: int = 7
     split_seed: int = 7
-    out: str | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
@@ -68,20 +65,16 @@ class ExperimentConfig:
                                    for b in self.budgets):
             raise ConfigError("budgets must be ratios in (0, 1 - init_ratio], "
                               "the share left after the initial labeled set")
+        if any(i < 1 for i in self.iterations):
+            raise ConfigError("iterations must be >= 1")
         if len(self.iterations) == 1:
             self.iterations = self.iterations * len(self.budgets)
         if len(self.iterations) != len(self.budgets):
             raise ConfigError("iterations must match budgets (or be a single value)")
         if any(not 0 <= f <= 4 for f in self.folds):
             raise ConfigError("folds must be indices in 0..4")
-        if self.dataset is None and self.data_n is None:
-            raise ConfigError("config needs either 'dataset' or 'data_n'")
-
-    def load_dataset(self) -> data_mod.Dataset:
-        if self.dataset is not None:
-            return data_mod.read_dataset(self.dataset)
-        return data_mod.generate(self.data_seed, self.data_n,
-                                 self.data_h, self.data_w)
+        if any(s < 0 for s in self.seeds) or self.split_seed < 0:
+            raise ConfigError("seeds and split_seed must be >= 0")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -102,6 +95,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raw[key] = value
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(set(unknown)))}")
+    missing = [f.name for f in fields(ExperimentConfig) if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"missing config keys: {', '.join(missing)}")
 
     kwargs: dict = {}
     train: dict = {}
@@ -115,7 +112,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 kwargs[key] = [float(v) for v in value.split(",")]
             elif key in ("seeds", "iterations", "folds"):
                 kwargs[key] = [int(v) for v in value.split(",")]
-            elif key in _INT_KEYS:
+            elif key == "split_seed":
                 kwargs[key] = int(value)
             else:
                 kwargs[key] = value
@@ -202,9 +199,11 @@ _CELL_FILES = ("results.csv", "queries.csv", "calibration.csv", "annotations.csv
 
 
 def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
-             dataset: data_mod.Dataset) -> str:
-    """Execute one cell and write its fragments; skips if already done, and
-    refuses a done cell whose rows lack one column per class of ``dataset``."""
+             dataset: data_mod.Dataset,
+             split: tuple[np.ndarray, np.ndarray]) -> str:
+    """Execute one cell on its fold's ``(train_ids, val_ids)`` and write its
+    fragments; skips if already done, and refuses a done cell whose rows lack
+    one column per class of ``dataset``."""
     cell_dir = os.path.join(out_dir, "cells", cell.run_id)
     done_marker = os.path.join(cell_dir, "results.csv")
     if os.path.exists(done_marker):
@@ -214,8 +213,7 @@ def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
             raise ConfigError(f"{done_marker} was run on data with another "
                               "class count; use a new --out")
         return cell.run_id
-    split = data_mod.split_folds(len(dataset), config.split_seed)
-    train_ids, val_ids = split[cell.fold]
+    train_ids, val_ids = split
     budget_count = int(cell.budget * len(train_ids))
     report = run_active_learning(dataset, train_ids, val_ids, cell.strategy,
                                  budget_count, cell.iterations,
@@ -236,15 +234,20 @@ def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
 def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[str]:
     """Run every cell (resuming completed ones) and merge the fragments."""
     cells = campaign_cells(config)
-    dataset = config.load_dataset()
+    dataset = data_mod.read_dataset(config.dataset)
+    try:
+        folds = data_mod.split_folds(len(dataset), config.split_seed)
+    except ValueError as exc:
+        raise ConfigError(f"{config.dataset}: {exc}") from exc
+    splits = [folds[cell.fold] for cell in cells]
     os.makedirs(out_dir, exist_ok=True)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             list(pool.map(run_cell, repeat(config), cells, repeat(out_dir),
-                          repeat(dataset)))
+                          repeat(dataset), splits))
     else:
-        for cell in cells:
-            run_cell(config, cell, out_dir, dataset)
+        for cell, split in zip(cells, splits):
+            run_cell(config, cell, out_dir, dataset, split)
 
     class_columns = "".join(f",val_dsc_c{k}" for k in range(1, dataset.num_fg + 1))
     headers = (RESULTS_HEADER + class_columns, QUERIES_HEADER,

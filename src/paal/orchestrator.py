@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError("warmup must be smaller than max_epochs")
         if self.silent_period >= self.max_epochs:
             raise ValueError("silent_period must be smaller than max_epochs")
+        if self.batch_size < 1 or self.query_interval < 1:
+            raise ValueError("batch_size and query_interval must be >= 1")
 
 
 @dataclass
@@ -68,6 +70,12 @@ class PoolState:
     iq_counter: int = 0
     best_val_dsc: float = float("-inf")
     queried: int = 0
+
+    @property
+    def can_query(self) -> bool:
+        """Iterations and budget are left, and the pool is not empty."""
+        return (self.t <= self.iterations and self.queried < self.budget
+                and len(self.unlabeled) > 0)
 
     def assert_partition(self, all_train_ids: np.ndarray):
         both = np.intersect1d(self.labeled, self.unlabeled)
@@ -181,22 +189,17 @@ def train_epoch(seg: Network, ap: Network, images_norm: np.ndarray,
     return seg_total / count, (ap_total / count) if train_ap else None
 
 
-def evaluate(seg: Network, val_images: np.ndarray, val_labels: np.ndarray,
-             num_fg: int) -> tuple[float, np.ndarray]:
+def evaluate(seg: Network, images_norm: np.ndarray, labels: np.ndarray,
+             val_ids: np.ndarray, num_fg: int) -> tuple[float, np.ndarray]:
     """Mean foreground DSC on the validation set (classes averaged, then samples)."""
-    if len(val_images) == 0:
+    if len(val_ids) == 0:
         raise ValueError("validation set is empty")
-    per_sample = []
-    for lo in range(0, len(val_images), EVAL_BATCH):
-        probs = seg.forward(val_images[lo:lo + EVAL_BATCH])[-1]
-        pred = probs.argmax(axis=1)
-        per_sample.append(dsc_per_class_batch(
-            pred, val_labels[lo:lo + EVAL_BATCH], num_fg))
-    dsc = np.concatenate(per_sample, axis=0)
+    dsc = _pool_inference(seg, None, images_norm, labels, val_ids,
+                          ("actual",), num_fg)["actual"]
     return float(dsc.mean(axis=1).mean()), dsc.mean(axis=0)
 
 
-def _pool_inference(seg: Network, ap: Network, images_norm, labels, ids,
+def _pool_inference(seg: Network, ap: Network | None, images_norm, labels, ids,
                     wanted, num_fg: int) -> dict[str, np.ndarray]:
     """Batched model outputs over a set of ids (never trains anything).
 
@@ -295,8 +298,6 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
     ap = build_ap_model(num_fg + 1, seed=_subseed(cfg.seed, fold_index, 2))
 
     report = RunReport(pool_size=len(train_ids))
-    val_images = images_norm[val_ids]
-    val_labels = labels[val_ids]
 
     for epoch in range(cfg.max_epochs):
         lr = cosine_lr(epoch, cfg.max_epochs, cfg.warmup, cfg.lr0, cfg.lr_min)
@@ -304,15 +305,14 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
         seg_loss, ap_loss = train_epoch(
             seg, ap, images_norm, labels, state.labeled, epoch, cfg, lr,
             shuffle_rng, num_fg)
-        val_mean, val_class = evaluate(seg, val_images, val_labels, num_fg)
+        val_mean, val_class = evaluate(seg, images_norm, labels, val_ids, num_fg)
         iq_update(state, val_mean)
 
         if on_stall:
             trigger = state.iq_counter >= cfg.iq_patience
         else:
             trigger = epoch > 0 and epoch % cfg.query_interval == 0
-        if (trigger and state.t <= state.iterations
-                and state.queried < state.budget and len(state.unlabeled)):
+        if trigger and state.can_query:
             report.queries.append(query_step(
                 state, seg, ap, strategy, images_norm, labels, num_fg,
                 query_seed=_subseed(cfg.seed, fold_index, 4, state.t)))
@@ -323,10 +323,7 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
             seg_loss=seg_loss, ap_loss=ap_loss, val_dsc_mean=val_mean,
             val_dsc_class=tuple(float(v) for v in val_class)))
 
-        budget_done = (state.queried >= state.budget
-                       or state.t > state.iterations
-                       or len(state.unlabeled) == 0)
-        if budget_done and state.iq_counter >= cfg.early_stop:
+        if not state.can_query and state.iq_counter >= cfg.early_stop:
             break
 
     if len(state.unlabeled):

@@ -13,17 +13,14 @@ from paal.data import ClassProfile, ClassSpec, Dataset, generate, write_dataset
 from paal.strategies import STRATEGIES
 
 CSV_FILES = ("results.csv", "queries.csv", "calibration.csv", "annotations.csv")
+EVERY_STRATEGY = ",".join(STRATEGIES)
 
-# n=60 (48 train, 12 val) at 16x16, 4 epochs, a query every epoch, every strategy
-CAMPAIGN = f"""\
-strategies = {','.join(STRATEGIES)}
+# 4 epochs, a query every epoch; on n=60 at 16x16 (48 train, 12 val)
+CAMPAIGN = """\
 budgets = 0.3
 iterations = 2
 seeds = 0
 folds = 0
-data_n = 60
-data_h = 16
-data_w = 16
 max_epochs = 4
 early_stop = 4
 warmup = 1
@@ -34,9 +31,18 @@ lr0 = 0.01
 """
 
 
-def paal_run(tmp_path, name, jobs, extra=""):
+@pytest.fixture(scope="module")
+def data_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "data.bin"
+    write_dataset(path, generate(7, 60, 16, 16))
+    return path
+
+
+def paal_run(tmp_path, name, dataset_path, jobs=1,
+             strategies="random,paal_full", extra=""):
     config = tmp_path / f"{name}.cfg"
-    config.write_text(CAMPAIGN + extra)
+    config.write_text(f"dataset = {dataset_path}\nstrategies = {strategies}\n"
+                      + CAMPAIGN + extra)
     out = tmp_path / name
     code = main(["run", "--config", str(config), "--out", str(out),
                  "--jobs", str(jobs)])
@@ -54,10 +60,10 @@ def csv_bytes(out_dir) -> dict[str, bytes]:
     return files
 
 
-def test_campaign_csvs_are_identical_across_reruns_and_jobs(tmp_path):
+def test_campaign_csvs_are_identical_across_reruns_and_jobs(tmp_path, data_file):
     runs = {}
     for name, jobs in (("first", 1), ("rerun", 1), ("jobs2", 2)):
-        code, out = paal_run(tmp_path, name, jobs)
+        code, out = paal_run(tmp_path, name, data_file, jobs, EVERY_STRATEGY)
         assert code == EXIT_OK
         runs[name] = csv_bytes(out)
     assert runs["rerun"] == runs["first"]
@@ -67,40 +73,69 @@ def test_campaign_csvs_are_identical_across_reruns_and_jobs(tmp_path):
     assert main(["report", "--out", str(tmp_path / "first")]) == EXIT_OK
 
 
-@pytest.mark.parametrize("override", ["budgets = 1.0", "warmup = 4",
-                                      "silent_period = 4"],
-                         ids=["budget_beyond_pool", "warmup_not_below_max_epochs",
-                              "silent_period_not_below_max_epochs"])
-def test_bad_config_exits_2_without_traceback(tmp_path, capsys, override):
-    code, _ = paal_run(tmp_path, "bad", 1, extra=override + "\n")
+def assert_config_error(code, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    return err
 
 
-# two cells of CAMPAIGN, on a dataset file
-FILE_CAMPAIGN = """\
-strategies = random,paal_full
-budgets = 0.3
-iterations = 2
-seeds = 0
-folds = 0
-max_epochs = 4
-early_stop = 4
-warmup = 1
-silent_period = 1
-iq_patience = 0
-query_interval = 1
-lr0 = 0.01
-"""
+BAD_CONFIGS = {
+    "budget_beyond_pool": "budgets = 1.0",
+    "warmup_not_below_max_epochs": "warmup = 4",
+    "silent_period_not_below_max_epochs": "silent_period = 4",
+    "zero_iterations": "iterations = 0",
+    "zero_batch_size": "batch_size = 0",
+    "zero_query_interval": "query_interval = 0",
+    "negative_seed": "seeds = -1",
+    "negative_split_seed": "split_seed = -1",
+    "inline_dataset_key": "data_n = 60",
+}
 
 
-def run_on_file(tmp_path, name, dataset_path):
-    config = tmp_path / f"{name}.cfg"
-    config.write_text(f"dataset = {dataset_path}\n" + FILE_CAMPAIGN)
-    out = tmp_path / name
-    return main(["run", "--config", str(config), "--out", str(out)]), out
+@pytest.mark.parametrize("override", list(BAD_CONFIGS.values()),
+                         ids=list(BAD_CONFIGS))
+def test_bad_config_exits_2_without_traceback(tmp_path, capsys, data_file,
+                                              override):
+    code, _ = paal_run(tmp_path, "bad", data_file, extra=override + "\n")
+    assert_config_error(code, capsys)
+
+
+def test_a_config_without_a_dataset_exits_2(tmp_path, capsys):
+    config = tmp_path / "nodata.cfg"
+    config.write_text("strategies = random\n" + CAMPAIGN)
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert "missing config keys: dataset" in assert_config_error(code, capsys)
+
+
+@pytest.mark.parametrize("argv", [["run", "--config", "campaign.cfg"],
+                                  ["report"]], ids=["run", "report"])
+def test_a_missing_out_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_CONFIG
+    assert "the following arguments are required: --out" in err
+    assert "Traceback" not in err
+
+
+def test_a_dataset_too_small_for_five_folds_exits_2(tmp_path, capsys):
+    path = tmp_path / "four.bin"
+    write_dataset(path, generate(7, 4, 16, 16))
+    code, _ = paal_run(tmp_path, "small", path)
+    assert "need at least 5 samples, got 4" in assert_config_error(code, capsys)
+
+
+@pytest.mark.parametrize("args", [["generate", "--n", "-1"],
+                                  ["generate", "--n", "5", "--height", "0"],
+                                  ["run", "--config", "-", "--jobs", "0"]],
+                         ids=["negative_n", "zero_height", "zero_jobs"])
+def test_a_bad_command_line_number_exits_2(tmp_path, capsys, args):
+    code = main(args + ["--out", str(tmp_path / "out")])
+    err = assert_config_error(code, capsys)
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def write_file(tmp_path, ds):
@@ -111,7 +146,7 @@ def write_file(tmp_path, ds):
 
 def test_a_cell_cut_short_is_rerun(tmp_path, monkeypatch):
     path = write_file(tmp_path, generate(7, 60, 16, 16))
-    code, clean = run_on_file(tmp_path, "clean", path)
+    code, clean = paal_run(tmp_path, "clean", path)
     assert code == EXIT_OK
 
     real_replace = os.replace
@@ -124,10 +159,10 @@ def test_a_cell_cut_short_is_rerun(tmp_path, monkeypatch):
         return real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", replace_failing_once)
-    code, out = run_on_file(tmp_path, "cut", path)
+    code, out = paal_run(tmp_path, "cut", path)
     assert code == EXIT_IO
     assert "cells" in failed[0]
-    code, out = run_on_file(tmp_path, "cut", path)
+    code, out = paal_run(tmp_path, "cut", path)
     assert code == EXIT_OK
     assert csv_bytes(out) == csv_bytes(clean)
 
@@ -137,7 +172,7 @@ def test_class_columns_follow_the_dataset(tmp_path, num_fg):
     profile = ClassProfile((ClassSpec(0.7, intensity_range=(120.0, 220.0)),)
                            * num_fg)
     path = write_file(tmp_path, generate(7, 60, 16, 16, profile=profile))
-    code, out = run_on_file(tmp_path, "run", path)
+    code, out = paal_run(tmp_path, "run", path)
     assert code == EXIT_OK
     with open(out / "results.csv", newline="") as fh:
         reader = csv.reader(fh)
@@ -155,13 +190,13 @@ def test_class_columns_follow_the_dataset(tmp_path, num_fg):
 
 def test_rerun_on_a_different_class_count_is_refused(tmp_path, capsys):
     path = write_file(tmp_path, generate(7, 60, 16, 16))
-    code, out = run_on_file(tmp_path, "run", path)
+    code, out = paal_run(tmp_path, "run", path)
     assert code == EXIT_OK
     first = csv_bytes(out)
     profile = ClassProfile((ClassSpec(0.7),) * 2)
     write_file(tmp_path, generate(7, 60, 16, 16, profile=profile))
     capsys.readouterr()
-    code, _ = run_on_file(tmp_path, "run", path)
+    code, _ = paal_run(tmp_path, "run", path)
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("config error:") and "new --out" in err
@@ -186,7 +221,7 @@ def label_above_class_count_file(tmp_path):
                                        label_above_class_count_file])
 def test_bad_dataset_file_exits_3_without_traceback(tmp_path, capsys,
                                                     make_file):
-    code, _ = run_on_file(tmp_path, "bad", make_file(tmp_path))
+    code, _ = paal_run(tmp_path, "bad", make_file(tmp_path))
     err = capsys.readouterr().err
     assert code == EXIT_IO
     assert err.startswith("i/o error:")

@@ -7,7 +7,7 @@ import pytest
 from paal.experiment import ConfigError, ExperimentConfig, parse_config_text
 from paal.orchestrator import TrainConfig
 
-BASE = "strategies = random\nbudgets = 0.3\nseeds = 0\ndata_n = 60\n"
+BASE = "strategies = random\nbudgets = 0.3\nseeds = 0\ndataset = data.bin\n"
 
 
 def test_every_training_setting_is_a_key_parsed_with_its_default_type():
@@ -36,8 +36,7 @@ def test_the_accepted_keys():
     campaign = {f.name for f in fields(ExperimentConfig)} - {"train"}
     train = {f.name for f in fields(TrainConfig)} - {"seed"}
     assert campaign == {"strategies", "budgets", "seeds", "iterations", "folds",
-                        "dataset", "data_n", "data_h", "data_w", "data_seed",
-                        "split_seed", "out"}
+                        "dataset", "split_seed"}
     assert train == {"init_ratio", "max_epochs", "early_stop", "batch_size",
                      "silent_period", "iq_patience", "query_interval",
                      "warmup", "lr0", "lr_min", "weight_decay"}
