@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import repeat
@@ -128,14 +129,6 @@ def load_config(path) -> ExperimentConfig:
         return parse_config_text(fh.read())
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 @dataclass(frozen=True)
 class Cell:
     strategy: str
@@ -150,12 +143,18 @@ class Cell:
 
 
 def campaign_cells(config: ExperimentConfig) -> list[Cell]:
+    """The campaign's cells; a config that gives two cells one run_id (a
+    repeated value, or budgets equal to 6 significant digits) is refused."""
     cells = []
     for strategy in config.strategies:
         for budget, iters in zip(config.budgets, config.iterations):
             for seed in config.seeds:
                 for fold in config.folds:
                     cells.append(Cell(strategy, budget, iters, seed, fold))
+    repeated = [rid for rid, n in Counter(c.run_id for c in cells).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"cells share a run_id: {', '.join(repeated)}; "
+                          "list each strategy, budget, seed and fold once")
     return cells
 
 
@@ -270,9 +269,11 @@ def _read_csv(path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _pop_std(values) -> float:
-    arr = np.asarray(values, dtype=np.float64)
-    return float(np.sqrt(np.mean((arr - arr.mean()) ** 2)))
+def _write_csv(path, header: str, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
 
 
 def write_report(results_dir: str) -> None:
@@ -285,36 +286,37 @@ def write_report(results_dir: str) -> None:
     calibration = _read_csv(os.path.join(results_dir, "calibration.csv"))
     annotations = _read_csv(os.path.join(results_dir, "annotations.csv"))
 
-    # final (best) validation DSC per run
+    # best validation DSC per run, over the run and at each labeled ratio
     run_meta: dict[str, tuple[str, str]] = {}
     best_dsc: dict[str, float] = {}
+    per_ratio: dict[tuple[str, str], dict[str, float]] = {}
     for r in rows:
         rid = r["run_id"]
         run_meta[rid] = (r["strategy"], r["budget"])
         v = float(r["val_dsc_mean"])
-        if rid not in best_dsc or v > best_dsc[rid]:
-            best_dsc[rid] = v
+        best_dsc[rid] = max(best_dsc.get(rid, v), v)
+        runs = per_ratio.setdefault((r["strategy"], r["labeled_ratio"]), {})
+        runs[rid] = max(runs.get(rid, v), v)
 
-    query_times: dict[str, list[float]] = {}
+    # one time per query event: every row of a (run, iteration) carries it
+    event_time: dict[tuple[str, str], float] = {}
     for q in queries:
-        key = (q["run_id"], q["iteration"])
-        query_times.setdefault(key, []).append(float(q["query_time_ms"]))
-    event_time: dict[tuple, float] = {k: v[0] for k, v in query_times.items()}
+        event_time.setdefault((q["run_id"], q["iteration"]),
+                              float(q["query_time_ms"]))
 
     groups: dict[tuple[str, str], list[str]] = {}
     for rid, meta in run_meta.items():
         groups.setdefault(meta, []).append(rid)
-
-    with open(os.path.join(results_dir, "summary.csv"), "w", newline="") as fh:
-        fh.write("strategy,budget,dsc_mean,dsc_std,query_time_mean\n")
-        for (strategy, budget) in sorted(groups, key=lambda m: (m[0], float(m[1]))):
-            rids = sorted(groups[(strategy, budget)])
-            finals = [best_dsc[r] for r in rids]
-            times = [t for (rid, _), t in sorted(event_time.items())
-                     if rid in rids]
-            tmean = repr(float(np.mean(times))) if times else ""
-            fh.write(f"{strategy},{budget},{_fmt(float(np.mean(finals)))},"
-                     f"{_fmt(_pop_std(finals))},{tmean}\n")
+    summary = []
+    for (strategy, budget) in sorted(groups, key=lambda m: (m[0], float(m[1]))):
+        rids = sorted(groups[(strategy, budget)])
+        finals = [best_dsc[r] for r in rids]
+        times = [t for (rid, _), t in sorted(event_time.items()) if rid in rids]
+        summary.append([strategy, budget, float(np.mean(finals)),
+                        float(np.std(finals)),
+                        float(np.mean(times)) if times else None])
+    _write_csv(os.path.join(results_dir, "summary.csv"),
+               "strategy,budget,dsc_mean,dsc_std,query_time_mean", summary)
 
     # annotation distribution at the largest budget present
     max_budget = max((float(a["budget"]) for a in annotations), default=None)
@@ -324,29 +326,19 @@ def write_report(results_dir: str) -> None:
             continue
         key = (a["strategy"], int(a["class"]))
         dist[key] = dist.get(key, 0) + int(a["annotated_count"])
-    with open(os.path.join(results_dir, "distribution.csv"), "w", newline="") as fh:
-        fh.write("strategy,class,annotated_count,ratio_vs_random\n")
-        for (strategy, cls) in sorted(dist):
-            count = dist[(strategy, cls)]
-            ref = dist.get(("random", cls))
-            ratio = _fmt(count / ref) if ref else ""
-            fh.write(f"{strategy},{cls},{count},{ratio}\n")
+    distribution = []
+    for (strategy, cls), count in sorted(dist.items()):
+        ref = dist.get(("random", cls))
+        distribution.append([strategy, cls, count, count / ref if ref else None])
+    _write_csv(os.path.join(results_dir, "distribution.csv"),
+               "strategy,class,annotated_count,ratio_vs_random", distribution)
 
     # DSC as a function of labeled ratio, averaged over runs
-    per_ratio: dict[tuple[str, str], dict[str, float]] = {}
-    for r in rows:
-        key = (r["strategy"], r["labeled_ratio"])
-        v = float(r["val_dsc_mean"])
-        runs = per_ratio.setdefault(key, {})
-        rid = r["run_id"]
-        if rid not in runs or v > runs[rid]:
-            runs[rid] = v
-    with open(os.path.join(results_dir, "curves.csv"), "w", newline="") as fh:
-        fh.write("strategy,labeled_ratio,dsc_mean\n")
-        for (strategy, ratio) in sorted(per_ratio,
-                                        key=lambda k: (k[0], float(k[1]))):
-            vals = list(per_ratio[(strategy, ratio)].values())
-            fh.write(f"{strategy},{ratio},{_fmt(float(np.mean(vals)))}\n")
+    _write_csv(os.path.join(results_dir, "curves.csv"),
+               "strategy,labeled_ratio,dsc_mean",
+               [[strategy, ratio, float(np.mean(list(runs.values())))]
+                for (strategy, ratio), runs in sorted(
+                    per_ratio.items(), key=lambda kv: (kv[0][0], float(kv[0][1])))])
 
     # accuracy-predictor calibration per run (per-sample mean over classes)
     per_run: dict[str, dict[int, list[tuple[float, float]]]] = {}
@@ -354,13 +346,12 @@ def write_report(results_dir: str) -> None:
         per_run.setdefault(c["run_id"], {}).setdefault(
             int(c["sample_id"]), []).append(
                 (float(c["predicted_dsc"]), float(c["actual_dsc"])))
-    with open(os.path.join(results_dir, "calibration_summary.csv"), "w",
-              newline="") as fh:
-        fh.write("run_id,strategy,budget,n_samples,pearson_r\n")
-        for rid in sorted(per_run):
-            pairs = per_run[rid]
-            pred = [float(np.mean([p for p, _ in pairs[s]])) for s in sorted(pairs)]
-            act = [float(np.mean([a for _, a in pairs[s]])) for s in sorted(pairs)]
-            r = pearson_r(pred, act) if len(pred) >= 2 else 0.0
-            strategy, budget = run_meta.get(rid, ("", ""))
-            fh.write(f"{rid},{strategy},{budget},{len(pred)},{_fmt(r)}\n")
+    calibration_rows = []
+    for rid in sorted(per_run):
+        pairs = per_run[rid]
+        pred = [float(np.mean([p for p, _ in pairs[s]])) for s in sorted(pairs)]
+        act = [float(np.mean([a for _, a in pairs[s]])) for s in sorted(pairs)]
+        r = pearson_r(pred, act) if len(pred) >= 2 else 0.0
+        calibration_rows.append([rid, *run_meta.get(rid, ("", "")), len(pred), r])
+    _write_csv(os.path.join(results_dir, "calibration_summary.csv"),
+               "run_id,strategy,budget,n_samples,pearson_r", calibration_rows)

@@ -49,6 +49,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if min(self.warmup, self.silent_period, self.early_stop,
+               self.iq_patience) < 0:
+            raise ValueError("warmup, silent_period, early_stop and "
+                             "iq_patience must be >= 0")
         if not 0.0 < self.init_ratio < 1.0:
             raise ValueError("init_ratio must be in (0, 1)")
         if self.warmup >= self.max_epochs:
@@ -244,8 +250,11 @@ def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
             num_fg)["features"]
 
     ctx = QueryContext(ids=pool, b=take, seed=query_seed, **inputs)
-    selected, info = select(strategy, ctx)
+    pos, weight, cluster = select(strategy, ctx)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    # the pool is sorted, so sorted positions give the ids in sorted order
+    pos = np.sort(pos)
+    selected = pool[pos]
 
     # bucket each sample once, by its highest (rarest, under the default
     # profile) class label, so the distribution conserves the queried total
@@ -254,16 +263,10 @@ def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
         counts[int(labels[sid].max())] += 1
 
     record = QueryRecord(
-        iteration=state.t, selected=np.sort(selected),
-        weights=info.get("weight"), clusters=info.get("cluster"),
+        iteration=state.t, selected=selected,
+        weights=None if weight is None else weight[pos],
+        clusters=None if cluster is None else cluster[pos],
         class_counts=counts, time_ms=elapsed_ms)
-    # re-align diagnostics to the sorted id order used everywhere downstream
-    if record.weights is not None or record.clusters is not None:
-        order = np.argsort(selected)
-        if record.weights is not None:
-            record.weights = np.asarray(record.weights)[order]
-        if record.clusters is not None:
-            record.clusters = np.asarray(record.clusters)[order]
 
     state.labeled = np.union1d(state.labeled, selected)
     state.unlabeled = np.setdiff1d(state.unlabeled, selected)

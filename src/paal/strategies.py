@@ -11,6 +11,10 @@ Every fact about a strategy lives in its :class:`Strategy` entry: the
 and nothing else), whether it fires on the validation-stall trigger or on
 the fixed epoch grid, and the function that picks the batch. Adding a
 baseline is one new entry in ``STRATEGIES``.
+
+Selections speak positions in ``QueryContext.ids``, never ids: a pick
+returns the positions it chose plus pool-aligned weights and clusters, and
+the selection helpers read ``ids`` only to break ties toward the lowest id.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .metrics import UNCERTAINTY_KINDS, uncertainty_scores
 ENTROPY_KMEANS_CANDIDATE_FACTOR = 4
 
 WEIGHT_CLIP_EPS = 1e-6
+
+Selection = tuple[np.ndarray, np.ndarray | None, np.ndarray | None]
 
 
 @dataclass
@@ -67,52 +73,40 @@ def cluster_count(b: int) -> int:
 
 
 def _top_by_score(ids: np.ndarray, scores: np.ndarray, b: int) -> np.ndarray:
-    """Highest-score ids first; equal scores break toward the lower id."""
-    order = np.lexsort((ids, -np.asarray(scores, dtype=np.float64)))
-    return ids[order[:b]]
+    """Positions of the b highest scores; equal scores break toward the lower id."""
+    return np.lexsort((ids, -np.asarray(scores, dtype=np.float64)))[:b]
 
 
 def weighted_polling(assignments: np.ndarray, weights: np.ndarray,
                      ids: np.ndarray, b: int) -> np.ndarray:
-    """Round-robin the clusters, taking each one's heaviest unselected member.
+    """Positions of b samples polled round-robin over the clusters.
 
-    Clusters are visited in order of descending maximum member weight
-    (ties: lower cluster index first); exhausted clusters are skipped until
-    b samples are drawn.
+    Round r takes the r-th heaviest member of every cluster that has one,
+    visiting clusters in order of descending maximum member weight (ties:
+    lower cluster index first). Equal weights break toward the lower id.
     """
     ids = np.asarray(ids, dtype=np.int64)
     n = len(ids)
     if b > n:
         raise ValueError(f"cannot select {b} from {n} samples")
     weights = np.asarray(weights, dtype=np.float64)
+    assignments = np.asarray(assignments)
 
-    queues: dict[int, list[int]] = {}
-    for cluster in np.unique(assignments):
-        members = np.flatnonzero(assignments == cluster)
-        order = np.lexsort((ids[members], -weights[members]))
-        queues[int(cluster)] = list(members[order])
-    visit = sorted(queues, key=lambda c: (-weights[queues[c][0]], c))
-
-    selected: list[int] = []
-    cursors = {c: 0 for c in visit}
-    while len(selected) < b:
-        progressed = False
-        for c in visit:
-            if len(selected) == b:
-                break
-            q = queues[c]
-            if cursors[c] < len(q):
-                selected.append(q[cursors[c]])
-                cursors[c] += 1
-                progressed = True
-        if not progressed:
-            raise RuntimeError("polling stalled before filling the batch")
-    return ids[np.asarray(selected, dtype=np.int64)]
+    # each cluster's members, heaviest first; rank = place within the cluster
+    order = np.lexsort((ids, -weights, assignments))
+    clusters = assignments[order]
+    heads = np.flatnonzero(np.r_[True, clusters[1:] != clusters[:-1]])
+    sizes = np.diff(np.r_[heads, n])
+    rank = np.arange(n) - np.repeat(heads, sizes)
+    # each cluster's place in a round: by its heaviest member, then index
+    visit = np.empty(len(heads), dtype=np.int64)
+    visit[np.lexsort((clusters[heads], -weights[order[heads]]))] = np.arange(len(heads))
+    return order[np.lexsort((np.repeat(visit, sizes), rank))[:b]]
 
 
 def coreset_select(labeled_features: np.ndarray, unlabeled_features: np.ndarray,
                    ids: np.ndarray, b: int) -> np.ndarray:
-    """Greedy k-center: repeatedly take the point farthest from everything chosen."""
+    """Greedy k-center: positions of the points farthest from everything chosen."""
     ids = np.asarray(ids, dtype=np.int64)
     feats = np.asarray(unlabeled_features, dtype=np.float64)
     n = len(ids)
@@ -137,7 +131,7 @@ def coreset_select(labeled_features: np.ndarray, unlabeled_features: np.ndarray,
         chosen.append(int(pick))
         available[pick] = False
         min_d = np.minimum(min_d, _min_dists(feats, feats[pick:pick + 1]))
-    return ids[np.asarray(chosen, dtype=np.int64)]
+    return np.asarray(chosen, dtype=np.int64)
 
 
 def _min_dists(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
@@ -150,7 +144,7 @@ def _min_dists(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
 
 def _kmeans_diversity(features: np.ndarray, ids: np.ndarray, b: int,
                       seed: int) -> np.ndarray:
-    """K-means with one cluster per slot, picking each cluster's most central member."""
+    """K-means with one cluster per slot; positions of the most central members."""
     model = kmeans_fit(np.asarray(features, dtype=np.float64), b, seed)
     chosen: list[int] = []
     taken = np.zeros(len(ids), dtype=bool)
@@ -168,56 +162,53 @@ def _kmeans_diversity(features: np.ndarray, ids: np.ndarray, b: int,
         leftovers = np.flatnonzero(~taken)
         leftovers = leftovers[np.argsort(ids[leftovers])]
         chosen.extend(int(i) for i in leftovers[:b - len(chosen)])
-    return ids[np.asarray(chosen, dtype=np.int64)]
+    return np.asarray(chosen, dtype=np.int64)
 
 
-def _pick_random(ctx: QueryContext):
+def _pick_random(ctx: QueryContext) -> Selection:
     rng = np.random.default_rng(ctx.seed)
-    return ctx.ids[rng.choice(len(ctx.ids), size=ctx.b, replace=False)], {}
+    return rng.choice(len(ctx.ids), size=ctx.b, replace=False), None, None
 
 
 def _pick_uncertain(kind: str):
     """Top-b by one uncertainty score, reporting the score as the weight."""
-    def pick(ctx: QueryContext):
+    def pick(ctx: QueryContext) -> Selection:
         scores = uncertainty_scores(kind, ctx.probs)
-        selected = _top_by_score(ctx.ids, scores, ctx.b)
-        return selected, {"weight": _lookup(ctx.ids, scores, selected)}
+        return _top_by_score(ctx.ids, scores, ctx.b), scores, None
     return pick
 
 
-def _pick_kmeans_diversity(ctx: QueryContext):
-    return _kmeans_diversity(ctx.features, ctx.ids, ctx.b, ctx.seed), {}
+def _pick_kmeans_diversity(ctx: QueryContext) -> Selection:
+    return _kmeans_diversity(ctx.features, ctx.ids, ctx.b, ctx.seed), None, None
 
 
-def _pick_entropy_kmeans(ctx: QueryContext):
+def _pick_entropy_kmeans(ctx: QueryContext) -> Selection:
     """K-means diversity among the 4b highest-entropy candidates."""
     ids, b = ctx.ids, ctx.b
     scores = uncertainty_scores("max_entropy", ctx.probs)
     n_cand = min(ENTROPY_KMEANS_CANDIDATE_FACTOR * b, len(ids))
-    pos = _positions(ids, _top_by_score(ids, scores, n_cand))
-    selected = _kmeans_diversity(ctx.features[pos], ids[pos], b, ctx.seed)
-    return selected, {"weight": _lookup(ids, scores, selected)}
+    cand = _top_by_score(ids, scores, n_cand)
+    pos = cand[_kmeans_diversity(ctx.features[cand], ids[cand], b, ctx.seed)]
+    return pos, scores, None
 
 
-def _pick_coreset(ctx: QueryContext):
-    return coreset_select(ctx.labeled_features, ctx.features, ctx.ids, ctx.b), {}
+def _pick_coreset(ctx: QueryContext) -> Selection:
+    pos = coreset_select(ctx.labeled_features, ctx.features, ctx.ids, ctx.b)
+    return pos, None, None
 
 
-def _pick_paal_ap_only(ctx: QueryContext):
+def _pick_paal_ap_only(ctx: QueryContext) -> Selection:
     weights = query_weights(ctx.pred_acc)
-    selected = _top_by_score(ctx.ids, weights, ctx.b)
-    return selected, {"weight": _lookup(ctx.ids, weights, selected)}
+    return _top_by_score(ctx.ids, weights, ctx.b), weights, None
 
 
-def _pick_paal_full(ctx: QueryContext):
+def _pick_paal_full(ctx: QueryContext) -> Selection:
     """Predicted-accuracy weights polled round-robin over feature clusters."""
-    ids, b = ctx.ids, ctx.b
     weights = query_weights(ctx.pred_acc)
-    k = min(cluster_count(b), len(ids))
+    k = min(cluster_count(ctx.b), len(ctx.ids))
     model = kmeans_fit(np.asarray(ctx.features, dtype=np.float64), k, ctx.seed)
-    selected = weighted_polling(model.assignments, weights, ids, b)
-    return selected, {"weight": _lookup(ids, weights, selected),
-                      "cluster": _lookup(ids, model.assignments, selected)}
+    pos = weighted_polling(model.assignments, weights, ctx.ids, ctx.b)
+    return pos, weights, model.assignments
 
 
 @dataclass(frozen=True)
@@ -232,9 +223,10 @@ class Strategy:
     has not improved for ``iq_patience`` epochs (incremental querying);
     False fires on the fixed grid of every ``query_interval`` epochs.
 
-    ``pick(ctx) -> (ids, info)`` returns ``ctx.b`` distinct pool ids and a
-    dict of per-selected-sample diagnostics aligned with them: ``"weight"``
-    (the score that drove the choice) and, for polling, ``"cluster"``.
+    ``pick(ctx) -> (pos, weight, cluster)`` returns the ``ctx.b`` distinct
+    positions in ``ctx.ids`` it picked, in pick order, plus two diagnostics
+    aligned with the whole pool (length ``len(ctx.ids)``) or None: the
+    score that drove the choice, and, for polling, each sample's cluster.
 
     ``pick`` must call ``kmeans_fit``, ``uncertainty_scores``,
     ``coreset_select`` and ``weighted_polling`` by their names in this
@@ -244,7 +236,7 @@ class Strategy:
     """
     needs: tuple[str, ...]
     on_stall: bool
-    pick: Callable[[QueryContext], tuple[np.ndarray, dict[str, np.ndarray]]]
+    pick: Callable[[QueryContext], Selection]
 
 
 STRATEGIES: dict[str, Strategy] = {
@@ -259,11 +251,10 @@ STRATEGIES: dict[str, Strategy] = {
 }
 
 
-def select(strategy: str, ctx: QueryContext
-           ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Pick ``ctx.b`` distinct sample ids from the pool using ``strategy``.
+def select(strategy: str, ctx: QueryContext) -> Selection:
+    """Pick ``ctx.b`` distinct pool positions using ``strategy``.
 
-    Returns the ids and the entry's per-selected-sample diagnostics (see
+    Returns the positions and the pool-aligned weights and clusters (see
     :class:`Strategy`). Raises if the strategy is unknown or ``ctx`` lacks a
     field the strategy declares in its ``needs``.
     """
@@ -275,11 +266,3 @@ def select(strategy: str, ctx: QueryContext
             raise ValueError(f"strategy {strategy!r} requires QueryContext.{name}")
     return entry.pick(ctx)
 
-
-def _positions(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    index = {int(s): i for i, s in enumerate(ids)}
-    return np.asarray([index[int(s)] for s in wanted], dtype=np.int64)
-
-
-def _lookup(ids: np.ndarray, values: np.ndarray, selected: np.ndarray) -> np.ndarray:
-    return values[_positions(ids, selected)]

@@ -91,6 +91,14 @@ BAD_CONFIGS = {
     "negative_seed": "seeds = -1",
     "negative_split_seed": "split_seed = -1",
     "inline_dataset_key": "data_n = 60",
+    "repeated_seed": "seeds = 0,0",
+    "repeated_strategy": "strategies = random,random",
+    "budgets_equal_to_6_digits": "budgets = 0.3,0.3000001",
+    "zero_max_epochs": "max_epochs = 0\nwarmup = -1\nsilent_period = -1",
+    "negative_warmup": "warmup = -1",
+    "negative_silent_period": "silent_period = -1",
+    "negative_early_stop": "early_stop = -1",
+    "negative_iq_patience": "iq_patience = -1",
 }
 
 

@@ -1,10 +1,12 @@
-"""Campaign config parsing: the training keys are the TrainConfig fields."""
+"""Campaign config parsing (the training keys are the TrainConfig fields)
+and the bytes `paal report` writes."""
 
 from dataclasses import fields
 
 import pytest
 
-from paal.experiment import ConfigError, ExperimentConfig, parse_config_text
+from paal.experiment import (ConfigError, ExperimentConfig, parse_config_text,
+                             write_report)
 from paal.orchestrator import TrainConfig
 
 BASE = "strategies = random\nbudgets = 0.3\nseeds = 0\ndataset = data.bin\n"
@@ -50,3 +52,86 @@ def test_an_int_setting_rejects_a_float():
 def test_training_checks_exit_through_config_error():
     with pytest.raises(ConfigError, match="init_ratio must be in"):
         parse_config_text(BASE + "init_ratio = 1.5\n")
+
+
+# a hand-made results directory: two random seeds and two paal_full budgets,
+# a ratio with no random count, a query group with no timings, and a
+# one-sample calibration run
+REPORT_INPUTS = {
+    "results.csv": """\
+run_id,strategy,budget,seed,fold,epoch,iteration,labeled_count,labeled_ratio,seg_loss,ap_loss,val_dsc_mean,val_dsc_c1,val_dsc_c2
+random_b0.3_s0_f0,random,0.3,0,0,0,1,4,0.1,0.9,,0.1,0.0,0.2
+random_b0.3_s0_f0,random,0.3,0,0,1,2,6,0.15,0.8,,0.7,0.6,0.8
+random_b0.3_s0_f0,random,0.3,0,0,2,2,6,0.15,0.7,,0.2,0.1,0.3
+random_b0.3_s1_f0,random,0.3,1,0,0,1,4,0.1,0.9,,0.3,0.2,0.4
+random_b0.3_s1_f0,random,0.3,1,0,1,2,6,0.15,0.8,,0.2,0.1,0.3
+paal_full_b0.3_s0_f0,paal_full,0.3,0,0,0,1,4,0.1,0.9,0.05,0.6,0.5,0.7
+paal_full_b0.3_s0_f0,paal_full,0.3,0,0,1,2,6,0.15,0.8,0.04,0.9,0.8,1.0
+paal_full_b0.2_s0_f0,paal_full,0.2,0,0,0,1,4,0.1,0.9,0.05,0.4,0.3,0.5
+""",
+    "queries.csv": """\
+run_id,iteration,sample_id,cluster,weight,query_time_ms
+random_b0.3_s0_f0,1,3,-1,,1.5
+random_b0.3_s0_f0,1,8,-1,,1.5
+random_b0.3_s1_f0,1,2,-1,,2.25
+random_b0.3_s1_f0,10,5,-1,,0.1
+paal_full_b0.3_s0_f0,1,4,0,0.5,3.0
+paal_full_b0.3_s0_f0,1,9,1,0.25,3.0
+""",
+    "calibration.csv": """\
+run_id,sample_id,class,predicted_dsc,actual_dsc
+random_b0.3_s0_f0,7,1,0.1,0.2
+random_b0.3_s0_f0,7,2,0.3,0.2
+random_b0.3_s0_f0,11,1,0.5,0.9
+random_b0.3_s0_f0,11,2,0.7,0.6
+random_b0.3_s0_f0,5,1,0.2,0.1
+random_b0.3_s0_f0,5,2,0.2,0.4
+paal_full_b0.3_s0_f0,6,1,0.3,0.3
+paal_full_b0.3_s0_f0,6,2,0.3,0.5
+""",
+    "annotations.csv": """\
+run_id,strategy,budget,seed,fold,class,annotated_count
+random_b0.3_s0_f0,random,0.3,0,0,0,1
+random_b0.3_s0_f0,random,0.3,0,0,1,3
+random_b0.3_s1_f0,random,0.3,1,0,1,2
+paal_full_b0.3_s0_f0,paal_full,0.3,0,0,1,4
+paal_full_b0.3_s0_f0,paal_full,0.3,0,0,2,2
+paal_full_b0.2_s0_f0,paal_full,0.2,0,0,2,5
+""",
+}
+
+REPORT_OUTPUTS = {
+    "summary.csv": """\
+strategy,budget,dsc_mean,dsc_std,query_time_mean
+paal_full,0.2,0.4,0.0,
+paal_full,0.3,0.9,0.0,3.0
+random,0.3,0.5,0.19999999999999998,1.2833333333333334
+""",
+    "distribution.csv": """\
+strategy,class,annotated_count,ratio_vs_random
+paal_full,1,4,0.8
+paal_full,2,2,
+random,0,1,1.0
+random,1,5,1.0
+""",
+    "curves.csv": """\
+strategy,labeled_ratio,dsc_mean
+paal_full,0.1,0.5
+paal_full,0.15,0.9
+random,0.1,0.2
+random,0.15,0.44999999999999996
+""",
+    "calibration_summary.csv": """\
+run_id,strategy,budget,n_samples,pearson_r
+paal_full_b0.3_s0_f0,paal_full,0.3,1,0.0
+random_b0.3_s0_f0,random,0.3,3,0.996615895540124
+""",
+}
+
+
+def test_report_writes_the_expected_bytes(tmp_path):
+    for name, text in REPORT_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    write_report(str(tmp_path))
+    for name, text in REPORT_OUTPUTS.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name

@@ -73,11 +73,32 @@ class TestClusterCount:
             cluster_count(0)
 
 
+def polling_reference(assignments, weights, ids, b):
+    """Weighted polling as a queue per cluster and a cursor per queue: the
+    loop the closed form in ``weighted_polling`` replaced. Returns ids."""
+    queues = {}
+    for cluster in np.unique(assignments):
+        members = np.flatnonzero(assignments == cluster)
+        order = np.lexsort((ids[members], -weights[members]))
+        queues[int(cluster)] = list(members[order])
+    visit = sorted(queues, key=lambda c: (-weights[queues[c][0]], c))
+    selected = []
+    cursors = {c: 0 for c in visit}
+    while len(selected) < b:
+        for c in visit:
+            if len(selected) == b:
+                break
+            if cursors[c] < len(queues[c]):
+                selected.append(queues[c][cursors[c]])
+                cursors[c] += 1
+    return ids[np.asarray(selected, dtype=np.int64)]
+
+
 class TestWeightedPolling:
     def test_single_cluster_degenerates_to_top_b(self):
         ids = np.array([10, 11, 12, 13, 14])
         weights = np.array([0.1, 5.0, 3.0, 4.0, 0.2])
-        got = weighted_polling(np.zeros(5, dtype=int), weights, ids, 3)
+        got = ids[weighted_polling(np.zeros(5, dtype=int), weights, ids, 3)]
         np.testing.assert_array_equal(got, [11, 13, 12])
 
     def test_hand_traced_two_cluster_case(self):
@@ -85,25 +106,25 @@ class TestWeightedPolling:
         ids = np.array([0, 1, 2, 3])
         assignments = np.array([0, 0, 1, 1])
         weights = np.array([5.0, 1.0, 4.0, 3.0])
-        got = weighted_polling(assignments, weights, ids, 2)
+        got = ids[weighted_polling(assignments, weights, ids, 2)]
         np.testing.assert_array_equal(got, [0, 2])
 
     def test_full_pool_selection(self):
         ids = np.arange(6)
-        got = weighted_polling(np.array([0, 1, 0, 1, 0, 1]),
-                               np.arange(6, dtype=float), ids, 6)
+        got = ids[weighted_polling(np.array([0, 1, 0, 1, 0, 1]),
+                                   np.arange(6, dtype=float), ids, 6)]
         assert sorted(got) == list(range(6))
 
     def test_higher_weight_cluster_gets_first_pick(self):
         ids = np.arange(4)
         assignments = np.array([0, 0, 1, 1])
         weights = np.array([1.0, 0.5, 9.0, 0.4])
-        got = weighted_polling(assignments, weights, ids, 1)
+        got = ids[weighted_polling(assignments, weights, ids, 1)]
         np.testing.assert_array_equal(got, [2])
 
     def test_weight_ties_break_to_lowest_id(self):
         ids = np.array([7, 3, 5])
-        got = weighted_polling(np.zeros(3, dtype=int), np.ones(3), ids, 2)
+        got = ids[weighted_polling(np.zeros(3, dtype=int), np.ones(3), ids, 2)]
         np.testing.assert_array_equal(got, [3, 5])
 
     def test_oversized_batch_rejected(self):
@@ -123,11 +144,11 @@ class TestWeightedPolling:
         # dyadic weights so positive scaling by powers of two is exact
         weights = rng.integers(0, 256, size=n) / 16.0
 
-        got = weighted_polling(assignments, weights, ids, b)
+        got = ids[weighted_polling(assignments, weights, ids, b)]
         assert len(got) == b and len(set(got)) == b
         assert set(got) <= set(ids)
 
-        scaled = weighted_polling(assignments, weights * 4.0, ids, b)
+        scaled = ids[weighted_polling(assignments, weights * 4.0, ids, b)]
         np.testing.assert_array_equal(got, scaled)
 
         counts = {}
@@ -142,11 +163,29 @@ class TestWeightedPolling:
                                             -(-b // n_clusters))
 
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_round_robin_reference(self, data):
+        n = data.draw(st.integers(1, 40))
+        b = data.draw(st.integers(1, n))
+        ids = np.array(data.draw(st.lists(st.integers(0, 999), min_size=n,
+                                          max_size=n, unique=True)))
+        assignments = np.array(data.draw(st.lists(st.integers(0, 6),
+                                                  min_size=n, max_size=n)))
+        # dyadic weights on a coarse grid, so equal weights are common
+        weights = np.array(data.draw(st.lists(st.integers(0, 8), min_size=n,
+                                              max_size=n))) / 4.0
+        np.testing.assert_array_equal(
+            ids[weighted_polling(assignments, weights, ids, b)],
+            polling_reference(assignments, weights, ids, b))
+
+
 class TestCoreset:
     def test_farthest_point_on_a_line(self):
         labeled = np.zeros((1, 1))
         unlabeled = np.array([[1.0], [4.0], [2.0]])
-        got = coreset_select(labeled, unlabeled, np.array([5, 6, 7]), 1)
+        ids = np.array([5, 6, 7])
+        got = ids[coreset_select(labeled, unlabeled, ids, 1)]
         np.testing.assert_array_equal(got, [6])
 
     def test_symmetric_cross_picks_opposite_extremes(self):
@@ -159,7 +198,8 @@ class TestCoreset:
 
     def test_empty_labeled_starts_from_pool_centroid(self):
         pts = np.array([[0.0], [1.0], [10.0]])
-        got = coreset_select(np.zeros((0, 1)), pts, np.array([1, 2, 3]), 1)
+        ids = np.array([1, 2, 3])
+        got = ids[coreset_select(np.zeros((0, 1)), pts, ids, 1)]
         np.testing.assert_array_equal(got, [3])  # farthest from mean (~3.7)
 
     def test_selection_is_distinct_and_sized(self):
@@ -178,15 +218,15 @@ class TestSelect:
     def test_random_is_reproducible(self):
         rng = np.random.default_rng(1)
         ctx = make_ctx(rng, seed=42)
-        a, _ = select("random", ctx)
-        b, _ = select("random", ctx)
+        a, _, _ = select("random", ctx)
+        b, _, _ = select("random", ctx)
         np.testing.assert_array_equal(a, b)
 
     def test_every_strategy_returns_b_distinct_pool_ids(self):
         rng = np.random.default_rng(2)
         ctx = make_ctx(rng, n=25, b=6)
         for strategy in STRATEGIES:
-            got, _ = select(strategy, ctx)
+            got = ctx.ids[select(strategy, ctx)[0]]
             assert len(got) == 6, strategy
             assert len(set(got.tolist())) == 6, strategy
             assert set(got.tolist()) <= set(ctx.ids.tolist()), strategy
@@ -197,12 +237,12 @@ class TestSelect:
         probs[:, 0] = 1.0  # one-hot everywhere
         probs[5] = 0.25    # except one uniform sample
         ctx = QueryContext(ids=np.arange(n), b=1, seed=0, probs=probs)
-        np.testing.assert_array_equal(select("max_entropy", ctx)[0], [5])
+        np.testing.assert_array_equal(ctx.ids[select("max_entropy", ctx)[0]], [5])
 
     def test_paal_ap_only_is_top_b_of_weights(self):
         rng = np.random.default_rng(3)
         ctx = make_ctx(rng, n=30, b=7)
-        got, _ = select("paal_ap_only", ctx)
+        got = ctx.ids[select("paal_ap_only", ctx)[0]]
         w = query_weights(ctx.pred_acc)
         order = np.lexsort((ctx.ids, -w))
         np.testing.assert_array_equal(np.sort(got), np.sort(ctx.ids[order[:7]]))
@@ -219,7 +259,7 @@ class TestSelect:
         for strategy, entry in STRATEGIES.items():
             ctx = make_ctx(np.random.default_rng(8), n=12, b=3,
                            fields=entry.needs)
-            got, _ = select(strategy, ctx)
+            got, _, _ = select(strategy, ctx)
             assert len(set(got.tolist())) == 3, strategy
 
     def test_missing_fields_raise_by_strategy(self):
@@ -238,9 +278,10 @@ class TestSelect:
     def test_info_reports_weights_and_clusters(self):
         rng = np.random.default_rng(5)
         ctx = make_ctx(rng, n=20, b=5)
-        selected, info = select("paal_full", ctx)
-        assert len(info["weight"]) == 5
-        assert len(info["cluster"]) == 5
+        pos, weight, cluster = select("paal_full", ctx)
+        np.testing.assert_array_equal(weight, query_weights(ctx.pred_acc))
+        assert len(cluster) == 20
+        assert len(set(cluster[pos].tolist())) == 5
 
     def test_entropy_kmeans_selects_from_high_entropy_candidates(self):
         rng = np.random.default_rng(6)
@@ -252,5 +293,5 @@ class TestSelect:
             probs[i] = 0.25
         ctx = QueryContext(ids=np.arange(n), b=1, seed=0, probs=probs,
                            features=rng.normal(size=(n, 3)))
-        got, _ = select("entropy_kmeans", ctx)
+        got = ctx.ids[select("entropy_kmeans", ctx)[0]]
         assert got[0] in hot
