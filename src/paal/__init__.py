@@ -14,8 +14,8 @@ from .metrics import (UNCERTAINTY_KINDS, dice_ce_loss, dsc_per_class_batch,
                       mse_loss, pearson_r, uncertainty_scores)
 from .models import (ap_forward, build_ap_model, build_seg_model,
                      concat_channels, normalize_images, seg_forward)
-from .nn import (adamw_step, cosine_lr, finite_diff_check, Network,
-                 NumericalError, Param, ShapeError)
+from .nn import (adamw_step, cosine_lr, Network, NumericalError, Param,
+                 ShapeError)
 from .orchestrator import (PoolState, RunReport, TrainConfig, evaluate,
                            init_pool, iq_update, query_step,
                            run_active_learning, train_epoch)

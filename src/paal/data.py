@@ -23,6 +23,8 @@ import numpy as np
 DATASET_MAGIC = b"PAALDS2\x00"
 _HEADER = struct.Struct("<8sIIII")  # magic, n, h, w, num_fg
 
+NUM_FOLDS = 5
+
 BACKGROUND_BASE = 40.0
 NOISE_SIGMA = 10.0
 _PLACEMENT_ATTEMPTS = 100
@@ -166,17 +168,16 @@ def read_dataset(path) -> Dataset:
     return Dataset(images, masks, num_fg=num_fg)
 
 
-def split_folds(n: int, seed: int, num_folds: int = 5
-                ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One (train, val) pair per fold; the validation chunks are disjoint and
-    together cover every id (20% each at the default five folds)."""
-    if n < num_folds:
-        raise ValueError(f"need at least {num_folds} samples, got {n}")
+def split_folds(n: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One (train, val) pair per fold; the ``NUM_FOLDS`` validation chunks
+    are disjoint and together cover every id (20% each)."""
+    if n < NUM_FOLDS:
+        raise ValueError(f"need at least {NUM_FOLDS} samples, got {n}")
     perm = np.random.default_rng(seed).permutation(n)
-    chunks = np.array_split(perm, num_folds)
+    chunks = np.array_split(perm, NUM_FOLDS)
     folds = []
-    for k in range(num_folds):
+    for k in range(NUM_FOLDS):
         val = np.sort(chunks[k])
-        train = np.sort(np.concatenate([chunks[j] for j in range(num_folds) if j != k]))
+        train = np.sort(np.concatenate([chunks[j] for j in range(NUM_FOLDS) if j != k]))
         folds.append((train.astype(np.int64), val.astype(np.int64)))
     return folds

@@ -52,7 +52,7 @@ class ExperimentConfig:
     seeds: list[int]
     dataset: str
     iterations: list[int] = field(default_factory=lambda: [5])
-    folds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
+    folds: list[int] = field(default_factory=lambda: list(range(data_mod.NUM_FOLDS)))
     split_seed: int = 7
     train: TrainConfig = field(default_factory=TrainConfig)
 
@@ -72,8 +72,9 @@ class ExperimentConfig:
             self.iterations = self.iterations * len(self.budgets)
         if len(self.iterations) != len(self.budgets):
             raise ConfigError("iterations must match budgets (or be a single value)")
-        if any(not 0 <= f <= 4 for f in self.folds):
-            raise ConfigError("folds must be indices in 0..4")
+        if any(not 0 <= f < data_mod.NUM_FOLDS for f in self.folds):
+            raise ConfigError(
+                f"folds must be indices in 0..{data_mod.NUM_FOLDS - 1}")
         if any(s < 0 for s in self.seeds) or self.split_seed < 0:
             raise ConfigError("seeds and split_seed must be >= 0")
 
@@ -240,8 +241,10 @@ def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[
         raise ConfigError(f"{config.dataset}: {exc}") from exc
     splits = [folds[cell.fold] for cell in cells]
     os.makedirs(out_dir, exist_ok=True)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts every worker on the first submit: start no idle ones
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_cell, repeat(config), cells, repeat(out_dir),
                           repeat(dataset), splits))
     else:

@@ -1,25 +1,30 @@
 """Toy segmentation network and accuracy predictor.
 
-The segmentation model is a three-conv stack with a per-pixel channel
-softmax; its second ReLU activation is tapped and average-pooled into a
-16-dim feature embedding. The accuracy predictor consumes the input image
-concatenated with the segmentation probabilities and regresses one value in
-[0, 1] per foreground class. The two networks share no parameters, so
-training one can never move the other.
+The segmentation model is a three-conv stack that ends at the per-pixel
+class logits; :func:`softmax` turns them into posteriors outside the
+network, because the training loss takes its gradient with respect to the
+logits. Its second ReLU activation (``FEATURE_ACT`` in the forward pass's
+activation list) is average-pooled into a 16-dim feature embedding. The
+accuracy predictor consumes the input image concatenated with the
+segmentation probabilities and regresses one value in [0, 1] per
+foreground class. The two networks share no parameters, so training one
+can never move the other.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .nn import (ChannelSoftmax, Conv2D, Dense, GlobalAvgPool, Network, ReLU,
-                 Sigmoid)
+from .nn import Conv2D, Dense, GlobalAvgPool, Network, ReLU, Sigmoid
 
 FEATURE_DIM = 16
+# index in seg.forward's [input, out_0, ...] list of the second ReLU's output
+FEATURE_ACT = 4
 
 
 def build_seg_model(num_classes: int, seed: int) -> Network:
-    """Segmentation net: conv(1->8)+ReLU, conv(8->16)+ReLU (tapped), conv(16->C), softmax."""
+    """Segmentation net: conv(1->8)+ReLU, conv(8->16)+ReLU (pooled into the
+    features), conv(16->C) logits."""
     rng = np.random.default_rng([seed, 0x5E6])
     layers = [
         Conv2D(1, 8, rng=rng),
@@ -27,9 +32,8 @@ def build_seg_model(num_classes: int, seed: int) -> Network:
         Conv2D(8, FEATURE_DIM, rng=rng),
         ReLU(),
         Conv2D(FEATURE_DIM, num_classes, rng=rng),
-        ChannelSoftmax(),
     ]
-    return Network(layers, taps={"feature": 3})
+    return Network(layers)
 
 
 def build_ap_model(num_classes: int, seed: int) -> Network:
@@ -50,11 +54,18 @@ def normalize_images(images: np.ndarray) -> np.ndarray:
     return images[:, None].astype(np.float32) / 255.0
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over axis 1 (the channel axis), independently per pixel."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    return ez / ez.sum(axis=1, keepdims=True)
+
+
 def seg_forward(seg: Network, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel class probabilities plus the pooled 16-dim feature embedding."""
     acts = seg.forward(images)
-    probs = acts[-1]
-    features = seg.tapped(acts, "feature").mean(axis=(2, 3))
+    probs = softmax(acts[-1])
+    features = acts[FEATURE_ACT].mean(axis=(2, 3))
     return probs, features
 
 

@@ -1,15 +1,16 @@
 """Minimal differentiable layers on numpy arrays.
 
 Everything the toy segmentation and accuracy-predictor networks need:
-float32 tensors, a handful of layers with hand-written backward passes,
-decoupled-weight-decay Adam, a warmup+cosine learning-rate schedule and a
-finite-difference gradient checker. Accumulation order is fixed, so repeated
-runs with the same inputs are bit-identical.
+float32 tensors, the layers the two nets use with hand-written backward
+passes, decoupled-weight-decay Adam and a warmup+cosine learning-rate
+schedule. The segmentation net ends at its logits: its softmax lives in
+``models.softmax``, because the Dice+CE loss folds the softmax Jacobian into
+its logit gradient. Accumulation order is fixed, so repeated runs with the
+same inputs are bit-identical.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
@@ -33,10 +34,6 @@ class Param:
         self.v = np.zeros_like(self.value)
         self.step = 0
 
-    @property
-    def shape(self):
-        return self.value.shape
-
 
 def glorot_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator,
                    dtype=np.float32) -> np.ndarray:
@@ -46,8 +43,6 @@ def glorot_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator,
 
 class Layer:
     """Base layer: forward caches whatever backward needs when train=True."""
-
-    name = ""
 
     def params(self) -> list[Param]:
         return []
@@ -61,23 +56,21 @@ class Layer:
     def _require_cache(self, cache):
         if cache is None:
             raise RuntimeError(
-                f"{self.name or type(self).__name__}: backward called without "
+                f"{type(self).__name__}: backward called without "
                 "a cached forward pass")
         return cache
 
     def _shape_error(self, got, want: str):
         raise ShapeError(
-            f"{self.name or type(self).__name__}: expected input {want}, "
+            f"{type(self).__name__}: expected input {want}, "
             f"got shape {tuple(got)}")
 
 
 class Conv2D(Layer):
     """Same-padded stride-1 correlation, implemented as im2col + one matmul."""
 
-    def __init__(self, in_ch: int, out_ch: int, kernel: int = 3,
-                 rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, in_ch: int, out_ch: int, kernel: int = 3, *,
+                 rng: np.random.Generator):
         if kernel % 2 != 1:
             raise ValueError("same padding requires an odd kernel size")
         self.in_ch = in_ch
@@ -161,10 +154,7 @@ class Conv2D(Layer):
 class Dense(Layer):
     """Fully connected layer on (B, in_dim) inputs."""
 
-    def __init__(self, in_dim: int, out_dim: int,
-                 rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, in_dim: int, out_dim: int, *, rng: np.random.Generator):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.weight = Param(glorot_uniform((in_dim, out_dim), in_dim, out_dim, rng))
@@ -225,28 +215,6 @@ class Sigmoid(Layer):
         return grad_out * y * (1.0 - y)
 
 
-class ChannelSoftmax(Layer):
-    """Softmax over axis 1 (the channel axis), independently per pixel."""
-
-    def __init__(self):
-        self._cache = None
-
-    def forward(self, x, train=False):
-        if x.ndim < 2:
-            self._shape_error(x.shape, "(B, C, ...)")
-        z = x - x.max(axis=1, keepdims=True)
-        ez = np.exp(z)
-        out = ez / ez.sum(axis=1, keepdims=True)
-        if train:
-            self._cache = out
-        return out
-
-    def backward(self, grad_out):
-        p = self._require_cache(self._cache)
-        self._cache = None
-        return p * (grad_out - (grad_out * p).sum(axis=1, keepdims=True))
-
-
 class GlobalAvgPool(Layer):
     """Spatial mean per channel: (B, C, H, W) -> (B, C)."""
 
@@ -268,21 +236,10 @@ class GlobalAvgPool(Layer):
 
 
 class Network:
-    """An ordered layer stack with named tap points.
+    """An ordered layer stack."""
 
-    ``taps`` maps a name to a layer index; the activation produced by that
-    layer can be fetched from a forward pass with :meth:`tapped`.
-    """
-
-    def __init__(self, layers: list[Layer], taps: dict[str, int] | None = None):
+    def __init__(self, layers: list[Layer]):
         self.layers = layers
-        self.taps = dict(taps or {})
-        for i, layer in enumerate(self.layers):
-            if not layer.name:
-                layer.name = f"layer{i}:{type(layer).__name__}"
-        for name, idx in self.taps.items():
-            if not 0 <= idx < len(layers):
-                raise ValueError(f"tap {name!r} points at invalid layer index {idx}")
 
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
@@ -295,35 +252,20 @@ class Network:
             activations.append(x)
         return activations
 
-    def tapped(self, activations: list[np.ndarray], name: str) -> np.ndarray:
-        return activations[self.taps[name] + 1]
-
-    def backward(self, grad_out: np.ndarray, start: int | None = None) -> np.ndarray:
-        """Backpropagate from layer ``start`` (default: the last) down to the input.
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """Backpropagate from the last layer down to the input.
 
         Accumulates into each Param.grad; the caller is responsible for
         zeroing gradients between steps.
         """
-        if start is None:
-            start = len(self.layers) - 1
         g = grad_out
-        for layer in reversed(self.layers[:start + 1]):
+        for layer in reversed(self.layers):
             g = layer.backward(g)
         return g
 
     def zero_grad(self):
         for p in self.params():
             p.grad[...] = 0
-
-    def astype(self, dtype) -> "Network":
-        """Deep copy with parameters cast to ``dtype`` (used by the gradient checker)."""
-        clone = copy.deepcopy(self)
-        for p in clone.params():
-            p.value = p.value.astype(dtype)
-            p.grad = np.zeros_like(p.value)
-            p.m = np.zeros_like(p.value)
-            p.v = np.zeros_like(p.value)
-        return clone
 
 
 def adamw_step(params: list[Param], lr: float, beta1: float = 0.9,
@@ -354,41 +296,3 @@ def cosine_lr(epoch: int, total_epochs: int, warmup: int = 10,
         return lr0 * epoch / warmup
     progress = (epoch - warmup) / (total_epochs - warmup)
     return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * progress))
-
-
-def finite_diff_check(net: Network, x: np.ndarray, loss_fn,
-                      eps: float = 1e-3) -> float:
-    """Worst relative error between analytic and central-difference gradients.
-
-    ``loss_fn(output) -> (loss, grad_wrt_output)``. The check runs on a
-    float64 copy of the network so the difference quotients are not drowned
-    in float32 rounding noise.
-    """
-    net64 = net.astype(np.float64)
-    x64 = x.astype(np.float64)
-
-    acts = net64.forward(x64, train=True)
-    _, gout = loss_fn(acts[-1])
-    net64.zero_grad()
-    net64.backward(np.asarray(gout, dtype=np.float64))
-
-    def loss_at():
-        return float(loss_fn(net64.forward(x64)[-1])[0])
-
-    worst = 0.0
-    for p in net64.params():
-        flat = p.value.reshape(-1)
-        gflat = p.grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            lp = loss_at()
-            flat[i] = orig - eps
-            lm = loss_at()
-            flat[i] = orig
-            numeric = (lp - lm) / (2.0 * eps)
-            analytic = gflat[i]
-            scale = max(abs(analytic), abs(numeric))
-            if scale > 1e-12:
-                worst = max(worst, abs(analytic - numeric) / scale)
-    return worst

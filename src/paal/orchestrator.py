@@ -13,6 +13,7 @@ is deterministic given the run seed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ import numpy as np
 from .data import Dataset
 from .metrics import dice_ce_loss, dsc_per_class_batch, mse_loss
 from .models import (ap_forward, build_ap_model, build_seg_model,
-                     concat_channels, normalize_images, seg_forward)
+                     concat_channels, normalize_images, seg_forward, softmax)
 from .nn import Network, adamw_step, cosine_lr
 from .strategies import STRATEGIES, QueryContext, select
 
@@ -63,6 +64,11 @@ class TrainConfig:
             raise ValueError("silent_period must be smaller than max_epochs")
         if self.batch_size < 1 or self.query_interval < 1:
             raise ValueError("batch_size and query_interval must be >= 1")
+        if not all(map(math.isfinite, (self.lr0, self.lr_min, self.weight_decay))):
+            raise ValueError("lr0, lr_min and weight_decay must be finite")
+        if not (0.0 <= self.lr_min <= self.lr0 and self.lr0 > 0.0
+                and self.weight_decay >= 0.0):
+            raise ValueError("need lr0 > 0, 0 <= lr_min <= lr0 and weight_decay >= 0")
 
 
 @dataclass
@@ -165,7 +171,6 @@ def train_epoch(seg: Network, ap: Network, images_norm: np.ndarray,
     segmentation output, with the posteriors treated as constants.
     """
     order = labeled_ids[shuffle_rng.permutation(len(labeled_ids))]
-    softmax_idx = len(seg.layers) - 1
     train_ap = epoch >= cfg.silent_period
     seg_total = 0.0
     ap_total = 0.0
@@ -175,11 +180,10 @@ def train_epoch(seg: Network, ap: Network, images_norm: np.ndarray,
         x = images_norm[batch]
         y = labels[batch]
 
-        acts = seg.forward(x, train=True)
-        probs = acts[-1]
+        probs = softmax(seg.forward(x, train=True)[-1])
         loss, glogits = dice_ce_loss(probs, y)
         seg.zero_grad()
-        seg.backward(glogits, start=softmax_idx - 1)
+        seg.backward(glogits)
         adamw_step(seg.params(), lr, weight_decay=cfg.weight_decay)
         seg_total += loss * len(batch)
         count += len(batch)

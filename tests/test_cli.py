@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from paal import experiment
 from paal.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from paal.data import ClassProfile, ClassSpec, Dataset, generate, write_dataset
 from paal.strategies import STRATEGIES
@@ -73,6 +74,36 @@ def test_campaign_csvs_are_identical_across_reruns_and_jobs(tmp_path, data_file)
     assert main(["report", "--out", str(tmp_path / "first")]) == EXIT_OK
 
 
+@pytest.mark.parametrize("strategies,jobs,pools", [
+    ("random,paal_full", 4, [2]),
+    ("random,paal_full", 2, [2]),
+    ("random", 4, []),
+], ids=["more_jobs_than_cells", "as_many_jobs_as_cells", "one_cell"])
+def test_jobs_start_no_more_workers_than_cells(tmp_path, monkeypatch, data_file,
+                                               strategies, jobs, pools):
+    started = []
+
+    class RecordingPool:
+        """Records its worker count and runs the cells in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    code, _ = paal_run(tmp_path, "run", data_file, jobs, strategies)
+    assert code == EXIT_OK
+    assert started == pools
+
+
 def assert_config_error(code, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
@@ -99,6 +130,16 @@ BAD_CONFIGS = {
     "negative_silent_period": "silent_period = -1",
     "negative_early_stop": "early_stop = -1",
     "negative_iq_patience": "iq_patience = -1",
+    "zero_lr0": "lr0 = 0",
+    "negative_lr0": "lr0 = -0.01",
+    "nan_lr0": "lr0 = nan",
+    "inf_lr0": "lr0 = inf",
+    "negative_lr_min": "lr_min = -1",
+    "lr_min_above_lr0": "lr_min = 0.1",
+    "nan_lr_min": "lr_min = nan",
+    "negative_weight_decay": "weight_decay = -0.1",
+    "nan_weight_decay": "weight_decay = nan",
+    "inf_weight_decay": "weight_decay = inf",
 }
 
 

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from paal.data import (DATASET_MAGIC, ClassProfile, ClassSpec,
+from paal.data import (DATASET_MAGIC, NUM_FOLDS, ClassProfile, ClassSpec,
                        DatasetFormatError, Dataset, default_profile, generate, read_dataset, split_folds,
                        write_dataset)
 
@@ -165,6 +165,7 @@ class TestFolds:
 
     def test_val_folds_partition_all_ids(self):
         split = split_folds(103, seed=5)
+        assert len(split) == NUM_FOLDS
         union = np.sort(np.concatenate([val for _, val in split]))
         np.testing.assert_array_equal(union, np.arange(103))
 

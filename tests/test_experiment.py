@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+from paal.data import NUM_FOLDS
 from paal.experiment import (ConfigError, ExperimentConfig, parse_config_text,
                              write_report)
 from paal.orchestrator import TrainConfig
@@ -52,6 +53,12 @@ def test_an_int_setting_rejects_a_float():
 def test_training_checks_exit_through_config_error():
     with pytest.raises(ConfigError, match="init_ratio must be in"):
         parse_config_text(BASE + "init_ratio = 1.5\n")
+
+
+def test_folds_follow_the_fold_count():
+    assert parse_config_text(BASE).folds == list(range(NUM_FOLDS))
+    with pytest.raises(ConfigError, match=f"indices in 0..{NUM_FOLDS - 1}"):
+        parse_config_text(BASE + f"folds = {NUM_FOLDS}\n")
 
 
 # a hand-made results directory: two random seeds and two paal_full budgets,

@@ -1,10 +1,12 @@
 """Static guards on the package source: every name a module imports is used
-in that module, and every module-level private name is read somewhere in
-the package.
+in that module, every module-level private name is read somewhere in the
+package, and every public module-level name or class method is read
+somewhere in the package outside ``__init__.py``.
 
 No linter ships with the toolchain, so these are the unused-import and
-dead-helper checks. ``__init__.py`` is skipped by the import check because
-its imports are the package's re-exports.
+dead-code checks. ``__init__.py`` is skipped by the import check because
+its imports are the package's re-exports, and its reads do not count for
+public names, because a re-export alone keeps nothing in use.
 """
 
 import ast
@@ -33,29 +35,56 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def module_names(tree: ast.Module) -> list[str]:
+    """Names the module body defines by ``def``, ``class`` or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return names
+
+
+def method_names(tree: ast.Module) -> list[str]:
+    """Methods of the classes the module body defines."""
+    return [item.name for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.FunctionDef)]
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name the code loads, plus every attribute it touches."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level ``_x`` definitions that no module of ``sources`` reads,
     by name or as a module attribute."""
-    defined: list[tuple[str, str]] = []
-    read: set[str] = set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                names = []
-            defined += [(module, name) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return [f"{module}: {name}" for module, name in defined if name not in read]
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(read_names, trees.values()))
+    return [f"{module}: {name}" for module, tree in trees.items()
+            for name in module_names(tree)
+            if name.startswith("_") and not name.startswith("__")
+            and name not in read]
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """Public module-level names and class methods that no module of
+    ``sources`` but ``__init__.py`` reads, by name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*(read_names(tree) for module, tree in trees.items()
+                         if module != "__init__.py"))
+    return [f"{module}: {name}" for module, tree in trees.items()
+            for name in module_names(tree) + method_names(tree)
+            if not name.startswith("_") and name not in read]
 
 
 def test_guard_flags_an_unused_import():
@@ -79,6 +108,23 @@ def test_guard_flags_an_unread_private_name():
                                              "experiment.py: _KEYS"]
 
 
+def test_guard_flags_an_unread_public_name():
+    sources = {
+        "nn.py": ("class Network:\n"
+                  "    def forward(self, x):\n        return x\n"
+                  "    def astype(self, dtype):\n        return self\n"
+                  "def finite_diff_check(net, x):\n"
+                  "    return net.astype(float).forward(x)\n"),
+        "models.py": ("from .nn import Network\n"
+                      "def seg_forward(net, x):\n    return net.forward(x)\n"
+                      "def build_seg_model():\n    return Network()\n"),
+        "orchestrator.py": ("from .models import build_seg_model, seg_forward\n"
+                            "seg_forward(build_seg_model(), 0)\n"),
+        "__init__.py": "from .nn import finite_diff_check\n",
+    }
+    assert unread_public_names(sources) == ["nn.py: finite_diff_check"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -87,3 +133,8 @@ def test_no_unused_imports(path):
 def test_no_unread_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
     assert unread_private_names(sources) == []
+
+
+def test_no_unread_public_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unread_public_names(sources) == []

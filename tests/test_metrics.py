@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from paal.metrics import (dice_ce_loss, dsc_per_class_batch, mse_loss,
                           pearson_r, uncertainty_scores)
+from paal.models import softmax
 
 
 def brute_force_dsc(pred, true, num_fg):
@@ -49,9 +50,7 @@ def brute_force_dice_ce(probs, labels, smooth=1e-5):
 
 
 def random_probs(rng, shape):
-    z = rng.normal(size=shape)
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return (e / e.sum(axis=1, keepdims=True)).astype(np.float64)
+    return softmax(rng.normal(size=shape))
 
 
 class TestDSC:
@@ -134,10 +133,6 @@ class TestDiceCE:
         rng = np.random.default_rng(19)
         logits = rng.normal(size=(1, 4, 4, 4))
         labels = rng.integers(0, 4, size=(1, 4, 4))
-
-        def softmax(z):
-            e = np.exp(z - z.max(axis=1, keepdims=True))
-            return e / e.sum(axis=1, keepdims=True)
 
         _, grad = dice_ce_loss(softmax(logits), labels)
         eps = 1e-6

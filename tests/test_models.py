@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from paal.metrics import mse_loss
-from paal.models import (ap_forward, build_ap_model, build_seg_model,
-                         concat_channels, normalize_images, seg_forward)
+from paal.models import (FEATURE_ACT, FEATURE_DIM, ap_forward, build_ap_model,
+                         build_seg_model, concat_channels, normalize_images,
+                         seg_forward)
+from paal.nn import ReLU
 
 
 @pytest.fixture
@@ -39,8 +41,10 @@ def test_identical_images_give_identical_features(images):
 def test_features_are_pooled_tap_activations(images):
     seg = build_seg_model(4, seed=3)
     acts = seg.forward(images)
+    assert isinstance(seg.layers[FEATURE_ACT - 1], ReLU)
+    assert acts[FEATURE_ACT].shape[1] == FEATURE_DIM
     _, features = seg_forward(seg, images)
-    np.testing.assert_allclose(features, seg.tapped(acts, "feature").mean(axis=(2, 3)),
+    np.testing.assert_allclose(features, acts[FEATURE_ACT].mean(axis=(2, 3)),
                                atol=1e-7)
 
 
