@@ -12,6 +12,7 @@ bad command-line number, missing option), 3 I/O error, 4 numerical failure
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 
 import numpy as np
@@ -24,6 +25,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
+
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,7 +82,27 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _pin_heap() -> tuple[int, int] | None:
+    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at 128 MiB.
+
+    Left alone, glibc lifts the mmap threshold only to the largest block
+    freed so far, so training's 10 MB im2col buffers can be unmapped or
+    trimmed and faulted back in on every step. Returns mallopt's results
+    (1 applied, 0 refused), or None where the C library has no mallopt.
+    Forked workers inherit the pin; a spawned worker must call this itself.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, 32 << 20),
+            mallopt(_M_TRIM_THRESHOLD, 128 << 20))
+
+
 def main(argv=None) -> int:
+    _pin_heap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {"generate": _cmd_generate, "run": _cmd_run,

@@ -3,8 +3,9 @@
 The segmentation model is a three-conv stack that ends at the per-pixel
 class logits; :func:`softmax` turns them into posteriors outside the
 network, because the training loss takes its gradient with respect to the
-logits. Its second ReLU activation (``FEATURE_ACT`` in the forward pass's
-activation list) is average-pooled into a 16-dim feature embedding. The
+logits. Its second ReLU activation, the output of its first ``FEATURE_ACT``
+layers, is average-pooled into a 16-dim feature embedding. Inference
+(:func:`seg_forward`) runs only the layers the wanted outputs read. The
 accuracy predictor consumes the input image concatenated with the
 segmentation probabilities and regresses one value in [0, 1] per
 foreground class. The two networks share no parameters, so training one
@@ -18,7 +19,8 @@ import numpy as np
 from .nn import Conv2D, Dense, GlobalAvgPool, Network, ReLU, Sigmoid
 
 FEATURE_DIM = 16
-# index in seg.forward's [input, out_0, ...] list of the second ReLU's output
+# the second ReLU's output: seg.layers[:FEATURE_ACT] produce it, and it sits
+# at this index of seg.forward's [input, out_0, ...] list
 FEATURE_ACT = 4
 
 
@@ -61,12 +63,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ez / ez.sum(axis=1, keepdims=True)
 
 
-def seg_forward(seg: Network, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel class probabilities plus the pooled 16-dim feature embedding."""
-    acts = seg.forward(images)
-    probs = softmax(acts[-1])
-    features = acts[FEATURE_ACT].mean(axis=(2, 3))
-    return probs, features
+def seg_forward(seg: Network, images: np.ndarray, *, probs: bool = True,
+                features: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Per-pixel class probabilities and the pooled 16-dim feature embedding.
+
+    An output not asked for comes back as None. The layers run one at a
+    time, so each activation is freed once the next layer has read it, and
+    without ``probs`` the run stops at the feature activation: the logits
+    conv, the dearest layer, and the softmax are skipped. Every output is
+    bit-identical to that of a full ``seg.forward`` on the same images.
+    """
+    x = images
+    for layer in seg.layers[:FEATURE_ACT]:
+        x = layer.forward(x)
+    pooled = x.mean(axis=(2, 3)) if features else None
+    if not probs:
+        return None, pooled
+    for layer in seg.layers[FEATURE_ACT:]:
+        x = layer.forward(x)
+    return softmax(x), pooled
 
 
 def concat_channels(images: np.ndarray, probs: np.ndarray) -> np.ndarray:

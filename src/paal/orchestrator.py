@@ -7,8 +7,11 @@ split, and then decides whether to query: strategies whose table entry sets
 ``on_stall`` fire once validation DSC has failed to improve for
 ``iq_patience`` consecutive epochs, the rest fire on a fixed epoch grid.
 Queried ids get their ground-truth masks (the stand-in for a human
-annotator) and move from the unlabeled pool to the labeled set. Everything
-is deterministic given the run seed.
+annotator) and move from the unlabeled pool to the labeled set. Inference
+over the validation split, the pool or the labeled set runs in chunks of
+``EVAL_PIXELS`` pixels and only through the layers its outputs read; no
+output depends on the chunk size. Everything is deterministic given the run
+seed.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from .strategies import STRATEGIES, QueryContext, select
 
 _POOL_OUTPUTS = ("probs", "features", "pred_acc", "actual")
 
-EVAL_BATCH = 32  # images per forward pass when nothing trains
+# pixels per forward pass when nothing trains: seg+AP inference cost per
+# pixel was lowest near 8K pixels per chunk at 16x16, 32x32 and 64x64 alike
+EVAL_PIXELS = 8192
 
 
 @dataclass
@@ -211,18 +216,27 @@ def evaluate(seg: Network, images_norm: np.ndarray, labels: np.ndarray,
 
 def _pool_inference(seg: Network, ap: Network | None, images_norm, labels, ids,
                     wanted, num_fg: int) -> dict[str, np.ndarray]:
-    """Batched model outputs over a set of ids (never trains anything).
+    """Model outputs over a set of ids, in chunks (never trains anything).
 
     Returns one (len(ids), ...) array for each name in ``wanted`` that is
     one of ``_POOL_OUTPUTS``: the posteriors, pooled features, AP-predicted
     per-class DSC, and actual per-class DSC against the ground truth. Other
     names are ignored; with none wanted, no model runs.
+
+    Only the layers the wanted outputs read run: features alone stop before
+    the logits conv, and features are pooled only when wanted. A chunk is
+    ``EVAL_PIXELS`` pixels' worth of images (at least one). Chunking splits
+    only the column axis of each conv's matmul, so every output is
+    bit-identical whatever the chunk size.
     """
     parts: dict[str, list] = {name: [] for name in _POOL_OUTPUTS if name in wanted}
-    for lo in range(0, len(ids) if parts else 0, EVAL_BATCH):
-        chunk = ids[lo:lo + EVAL_BATCH]
+    need_probs = bool(parts.keys() - {"features"})  # the rest read the posteriors
+    step = max(1, EVAL_PIXELS // (images_norm.shape[2] * images_norm.shape[3]))
+    for lo in range(0, len(ids) if parts else 0, step):
+        chunk = ids[lo:lo + step]
         x = images_norm[chunk]
-        probs, feats = seg_forward(seg, x)
+        probs, feats = seg_forward(seg, x, probs=need_probs,
+                                   features="features" in parts)
         out = {"probs": probs, "features": feats}
         if "pred_acc" in parts:
             out["pred_acc"] = ap_forward(ap, x, probs)

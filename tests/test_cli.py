@@ -3,14 +3,17 @@ and exit codes."""
 
 import csv
 import os
+import platform
 import struct
+import types
 
 import numpy as np
 import pytest
 
-from paal import experiment
+from paal import cli, experiment
 from paal.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from paal.data import ClassProfile, ClassSpec, Dataset, generate, write_dataset
+from paal.data import (ClassProfile, ClassSpec, Dataset, generate, read_dataset,
+                       write_dataset)
 from paal.strategies import STRATEGIES
 
 CSV_FILES = ("results.csv", "queries.csv", "calibration.csv", "annotations.csv")
@@ -275,3 +278,40 @@ def test_bad_dataset_file_exits_3_without_traceback(tmp_path, capsys,
     assert code == EXIT_IO
     assert err.startswith("i/o error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
+def test_the_heap_pin_is_applied_on_glibc():
+    # mallopt returns 0, and raises nothing, for a value it refuses
+    assert cli._pin_heap() == (1, 1)
+
+
+def test_main_pins_the_heap(tmp_path, monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert main(["report", "--out", str(tmp_path / "missing")]) == EXIT_IO
+    assert calls == [(-3, 32 << 20), (-1, 128 << 20)]  # mmap, then trim
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+def _libc_without_mallopt(name):
+    return object()
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, _libc_without_mallopt],
+                         ids=["cdll_raises", "no_mallopt"])
+def test_the_cli_runs_without_mallopt(tmp_path, monkeypatch, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._pin_heap() is None
+    assert main(["generate", "--n", "5", "--height", "8", "--width", "8",
+                 "--out", str(tmp_path / "d.bin")]) == EXIT_OK
+    assert len(read_dataset(tmp_path / "d.bin")) == 5

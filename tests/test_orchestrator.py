@@ -1,12 +1,16 @@
 """Query step and run loop: which inputs get computed, and pool bookkeeping."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from paal import orchestrator
 from paal.data import generate, split_folds
 from paal.models import build_ap_model, build_seg_model, normalize_images
-from paal.orchestrator import (TrainConfig, init_pool, query_step,
+from paal.nn import Conv2D
+from paal.orchestrator import (_POOL_OUTPUTS, TrainConfig, _pool_inference,
+                               evaluate, init_pool, query_step,
                                run_active_learning)
 from paal.strategies import STRATEGIES
 
@@ -51,6 +55,74 @@ def test_query_step_computes_exactly_the_declared_inputs(strategy, dataset,
         assert seg_calls == []
     assert len(record.selected) == 4
     state.assert_partition(np.arange(32))
+
+
+@pytest.fixture(scope="module")
+def inference_inputs(dataset):
+    num_fg = dataset.num_fg
+    return (build_seg_model(num_fg + 1, seed=1),
+            build_ap_model(num_fg + 1, seed=2),
+            normalize_images(dataset.images), dataset.masks.astype(np.int64),
+            num_fg)
+
+
+OUTPUT_SETS = [s for r in range(len(_POOL_OUTPUTS) + 1)
+               for s in combinations(_POOL_OUTPUTS, r)]
+
+
+@pytest.mark.parametrize("wanted", OUTPUT_SETS,
+                         ids=lambda s: "+".join(s) or "nothing")
+def test_pool_inference_does_not_depend_on_the_chunk_size(
+        wanted, inference_inputs, monkeypatch):
+    seg, ap, images, labels, num_fg = inference_inputs
+    ids = np.arange(3, 40)  # 37 ids: two default 16x16 chunks, the last short
+    pixels = images.shape[2] * images.shape[3]
+
+    def run(eval_pixels):
+        monkeypatch.setattr(orchestrator, "EVAL_PIXELS", eval_pixels)
+        return (_pool_inference(seg, ap, images, labels, ids, wanted, num_fg),
+                evaluate(seg, images, labels, ids, num_fg))
+
+    default, default_eval = run(orchestrator.EVAL_PIXELS)
+    assert sorted(default) == sorted(wanted)
+    for eval_pixels in (pixels, len(ids) * pixels):
+        outputs, evaluated = run(eval_pixels)
+        assert outputs.keys() == default.keys()
+        for name, array in outputs.items():
+            assert array.dtype == default[name].dtype
+            assert array.tobytes() == default[name].tobytes(), name
+        assert evaluated[0] == default_eval[0]
+        assert evaluated[1].tobytes() == default_eval[1].tobytes()
+
+
+def test_features_alone_skip_the_logits_conv(inference_inputs, monkeypatch):
+    seg, ap, images, labels, num_fg = inference_inputs
+    ids = np.arange(40)
+    conv_out_ch, chunks = [], []
+    real_conv_forward = Conv2D.forward
+    real_seg_forward = orchestrator.seg_forward
+
+    def counting_conv_forward(layer, x, train=False):
+        conv_out_ch.append(layer.out_ch)
+        return real_conv_forward(layer, x, train)
+
+    def counting_seg_forward(seg, images, *args, **kwargs):
+        chunks.append(len(images))
+        return real_seg_forward(seg, images, *args, **kwargs)
+
+    monkeypatch.setattr(Conv2D, "forward", counting_conv_forward)
+    monkeypatch.setattr(orchestrator, "seg_forward", counting_seg_forward)
+    monkeypatch.setattr(orchestrator, "EVAL_PIXELS", 12 * images[0].size)
+    lazy = _pool_inference(seg, ap, images, labels, ids, ("features",),
+                           num_fg)["features"]
+    assert chunks == [12, 12, 12, 4]  # the tracer counts pool images here
+    assert conv_out_ch and num_fg + 1 not in conv_out_ch
+
+    conv_out_ch.clear()
+    full = _pool_inference(seg, ap, images, labels, ids, _POOL_OUTPUTS,
+                           num_fg)["features"]
+    assert conv_out_ch.count(num_fg + 1) == 4
+    assert lazy.tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("corruption", ["overlap", "lost_id"])
