@@ -64,7 +64,7 @@ def default_profile() -> ClassProfile:
     ))
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     images: np.ndarray  # (n, h, w) u8
     masks: np.ndarray   # (n, h, w) u8
@@ -76,13 +76,6 @@ class Dataset:
 
     def __len__(self):
         return len(self.images)
-
-    def __eq__(self, other):
-        return (isinstance(other, Dataset)
-                and self.num_fg == other.num_fg
-                and self.images.shape == other.images.shape
-                and np.array_equal(self.images, other.images)
-                and np.array_equal(self.masks, other.masks))
 
 
 def generate(seed: int, n: int, h: int = 32, w: int = 32,

@@ -17,8 +17,7 @@ import numpy as np
 class ClusterModel:
     centroids: np.ndarray    # (k, dim)
     assignments: np.ndarray  # (n,) int, nearest centroid per point
-    inertia: float
-    inertia_history: tuple[float, ...] = ()
+    inertia_history: tuple[float, ...] = ()  # the last entry is the fit's
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -75,10 +74,8 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
             break
     d2 = _sq_dists(pts, centroids)
     assign = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(n), assign].sum())
-    history.append(inertia)
-    return ClusterModel(centroids, assign.astype(np.int64), inertia,
-                        tuple(history))
+    history.append(float(d2[np.arange(n), assign].sum()))
+    return ClusterModel(centroids, assign.astype(np.int64), tuple(history))
 
 
 def _plus_plus_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

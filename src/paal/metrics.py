@@ -89,22 +89,27 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 def uncertainty_scores(kind: str, probs: np.ndarray) -> np.ndarray:
     """Per-sample uncertainty from per-pixel posteriors (B, C, H, W) -> (B,).
 
-    Scores are pixel averages; higher always means more uncertain.
+    Scores are pixel averages; higher always means more uncertain. Only
+    entropy needs a float64 copy of the posteriors; the other kinds pick
+    float32 values and widen those.
     """
     if kind not in UNCERTAINTY_KINDS:
         raise ValueError(f"unknown uncertainty kind {kind!r}")
-    p = probs.astype(np.float64)
-    b = p.shape[0]
+    b = probs.shape[0]
     if kind == "max_entropy":
-        ent = -np.where(p > 0, p * np.log(np.maximum(p, 1e-300)), 0.0).sum(axis=1)
-        return ent.reshape(b, -1).mean(axis=1)
+        # p * log(p) in one buffer; a zero p gives -0.0, which adds as 0
+        plogp = np.maximum(probs, 1e-300, dtype=np.float64)
+        np.log(plogp, out=plogp)
+        plogp *= probs
+        return (-plogp.sum(axis=1)).reshape(b, -1).mean(axis=1)
     if kind == "least_conf":
-        return (1.0 - p.max(axis=1)).reshape(b, -1).mean(axis=1)
+        top = probs.max(axis=1).astype(np.float64)
+        return (1.0 - top).reshape(b, -1).mean(axis=1)
     if kind == "margin":
-        sp = np.sort(p, axis=1)
-        return -(sp[:, -1] - sp[:, -2]).reshape(b, -1).mean(axis=1)
+        top2 = np.sort(probs, axis=1)[:, -2:].astype(np.float64)
+        return -(top2[:, 1] - top2[:, 0]).reshape(b, -1).mean(axis=1)
     # var_ratio: fraction of pixels whose winning probability lacks majority
-    confident = p.max(axis=1) > 0.5
+    confident = probs.max(axis=1) > 0.5
     return 1.0 - confident.reshape(b, -1).mean(axis=1)
 
 

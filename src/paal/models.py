@@ -3,13 +3,13 @@
 The segmentation model is a three-conv stack that ends at the per-pixel
 class logits; :func:`softmax` turns them into posteriors outside the
 network, because the training loss takes its gradient with respect to the
-logits. Its second ReLU activation, the output of its first ``FEATURE_ACT``
-layers, is average-pooled into a 16-dim feature embedding. Inference
-(:func:`seg_forward`) runs only the layers the wanted outputs read. The
-accuracy predictor consumes the input image concatenated with the
-segmentation probabilities and regresses one value in [0, 1] per
-foreground class. The two networks share no parameters, so training one
-can never move the other.
+logits. It has two stages: a trunk (the first two convs and their ReLUs),
+whose output is average-pooled into a 16-dim feature embedding, and a head
+(the logits conv). Inference (:func:`seg_forward`) runs only the stages
+the wanted outputs read. The accuracy predictor consumes the input image
+concatenated with the segmentation probabilities and regresses one value
+in [0, 1] per foreground class. The two networks share no parameters, so
+training one can never move the other.
 """
 
 from __future__ import annotations
@@ -19,23 +19,20 @@ import numpy as np
 from .nn import Conv2D, Dense, GlobalAvgPool, Network, ReLU, Sigmoid
 
 FEATURE_DIM = 16
-# the second ReLU's output: seg.layers[:FEATURE_ACT] produce it, and it sits
-# at this index of seg.forward's [input, out_0, ...] list
-FEATURE_ACT = 4
 
 
 def build_seg_model(num_classes: int, seed: int) -> Network:
-    """Segmentation net: conv(1->8)+ReLU, conv(8->16)+ReLU (pooled into the
-    features), conv(16->C) logits."""
+    """Segmentation net ``[trunk, head]``: the trunk is conv(1->8)+ReLU,
+    conv(8->16)+ReLU (pooled into the features), the head conv(16->C)
+    logits."""
     rng = np.random.default_rng([seed, 0x5E6])
-    layers = [
+    trunk = Network([
         Conv2D(1, 8, rng=rng),
         ReLU(),
         Conv2D(8, FEATURE_DIM, rng=rng),
         ReLU(),
-        Conv2D(FEATURE_DIM, num_classes, rng=rng),
-    ]
-    return Network(layers)
+    ])
+    return Network([trunk, Conv2D(FEATURE_DIM, num_classes, rng=rng)])
 
 
 def build_ap_model(num_classes: int, seed: int) -> Network:
@@ -67,31 +64,17 @@ def seg_forward(seg: Network, images: np.ndarray, *, probs: bool = True,
                 features: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Per-pixel class probabilities and the pooled 16-dim feature embedding.
 
-    An output not asked for comes back as None. The layers run one at a
-    time, so each activation is freed once the next layer has read it, and
-    without ``probs`` the run stops at the feature activation: the logits
-    conv, the dearest layer, and the softmax are skipped. Every output is
-    bit-identical to that of a full ``seg.forward`` on the same images.
+    An output not asked for comes back as None. Without ``probs`` only the
+    trunk runs: the head, the dearest conv, and the softmax are skipped.
+    Every output is bit-identical to that of a full ``seg.forward`` on the
+    same images.
     """
-    x = images
-    for layer in seg.layers[:FEATURE_ACT]:
-        x = layer.forward(x)
+    trunk, head = seg.layers
+    x = trunk.forward(images)
     pooled = x.mean(axis=(2, 3)) if features else None
     if not probs:
         return None, pooled
-    for layer in seg.layers[FEATURE_ACT:]:
-        x = layer.forward(x)
-    return softmax(x), pooled
-
-
-def concat_channels(images: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Stack image channels (scaled to [0,1]) in front of probability channels."""
-    if images.ndim != 4 or probs.ndim != 4:
-        raise ValueError("concat_channels expects (B, C, H, W) arrays")
-    if images.shape[0] != probs.shape[0] or images.shape[2:] != probs.shape[2:]:
-        raise ValueError(
-            f"image batch/spatial dims {images.shape} do not match probs {probs.shape}")
-    return np.concatenate([images, probs], axis=1)
+    return softmax(head.forward(x)), pooled
 
 
 def ap_forward(ap: Network, images: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -100,4 +83,4 @@ def ap_forward(ap: Network, images: np.ndarray, probs: np.ndarray) -> np.ndarray
     ``probs`` is consumed as a constant: no gradient path back into the
     segmentation model exists.
     """
-    return ap.forward(concat_channels(images, probs))[-1]
+    return ap.forward(np.concatenate([images, probs], axis=1))

@@ -67,7 +67,11 @@ class Layer:
 
 
 class Conv2D(Layer):
-    """Same-padded stride-1 correlation, implemented as im2col + one matmul."""
+    """Same-padded stride-1 correlation, implemented as im2col + one matmul.
+
+    The weight is kept as the (k*k*C, O) matrix the matmuls read, rows in
+    the patch matrix's (tap, channel) order.
+    """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int = 3, *,
                  rng: np.random.Generator):
@@ -77,8 +81,9 @@ class Conv2D(Layer):
         self.out_ch = out_ch
         self.kernel = kernel
         fan = kernel * kernel
-        self.weight = Param(glorot_uniform(
-            (out_ch, in_ch, kernel, kernel), in_ch * fan, out_ch * fan, rng))
+        w = glorot_uniform((out_ch, in_ch, kernel, kernel), in_ch * fan,
+                           out_ch * fan, rng)
+        self.weight = Param(w.transpose(2, 3, 1, 0).reshape(-1, out_ch))
         self.bias = Param(np.zeros(out_ch, dtype=np.float32))
         self._cache = None
 
@@ -108,18 +113,12 @@ class Conv2D(Layer):
                 cols[di * k + dj] = xt[:, :, off:off + span]
         return cols.reshape(k * k * c, b * span), wp
 
-    def _w2d(self, dtype) -> np.ndarray:
-        # (O, C, k, k) -> (O, k*k*C) matching the im2col row order
-        return np.ascontiguousarray(
-            self.weight.value.transpose(2, 3, 1, 0)).reshape(
-                -1, self.out_ch).T.astype(dtype, copy=False)
-
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             self._shape_error(x.shape, f"(B, {self.in_ch}, H, W)")
         b, _, h, w = x.shape
         cols, wp = self._im2col(x)
-        wide = self._w2d(x.dtype) @ cols
+        wide = self.weight.value.T @ cols
         out = wide.reshape(self.out_ch, b, h, wp)[:, :, :, :w] \
             + self.bias.value[:, None, None, None]
         if train:
@@ -138,9 +137,8 @@ class Conv2D(Layer):
         gwide[:, :, :, :w] = grad_out.transpose(1, 0, 2, 3)
         g2d = gwide.reshape(self.out_ch, b * span)
         self.bias.grad += grad_out.sum(axis=(0, 2, 3))
-        gw2d = (g2d @ cols.T).reshape(self.out_ch, k, k, c)
-        self.weight.grad += gw2d.transpose(0, 3, 1, 2)
-        gcols = (self._w2d(g2d.dtype).T @ g2d).reshape(k * k, c, b, span)
+        self.weight.grad += (g2d @ cols.T).T
+        gcols = (self.weight.value @ g2d).reshape(k * k, c, b, span)
         gxt = np.zeros((c, b, (h + 2 * p) * wp + k), dtype=gcols.dtype)
         for di in range(k):
             for dj in range(k):
@@ -180,13 +178,16 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
+    """Rectifier that overwrites its input: in both nets that input is a
+    conv's fresh output, which nothing else holds."""
+
     def __init__(self):
         self._cache = None
 
     def forward(self, x, train=False):
         if train:
             self._cache = x > 0
-        return np.maximum(x, 0)
+        return np.maximum(x, 0, out=x)
 
     def backward(self, grad_out):
         mask = self._require_cache(self._cache)
@@ -235,8 +236,8 @@ class GlobalAvgPool(Layer):
         return np.broadcast_to(g[:, :, None, None], (b, c, h, w)).copy()
 
 
-class Network:
-    """An ordered layer stack."""
+class Network(Layer):
+    """An ordered layer stack, itself a layer, so stacks nest."""
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
@@ -244,13 +245,10 @@ class Network:
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
 
-    def forward(self, x: np.ndarray, train: bool = False) -> list[np.ndarray]:
-        """Run the stack, returning [input, out_0, ..., out_last]."""
-        activations = [x]
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x, train=train)
-            activations.append(x)
-        return activations
+        return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backpropagate from the last layer down to the input.

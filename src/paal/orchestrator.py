@@ -25,7 +25,7 @@ import numpy as np
 from .data import Dataset
 from .metrics import dice_ce_loss, dsc_per_class_batch, mse_loss
 from .models import (ap_forward, build_ap_model, build_seg_model,
-                     concat_channels, normalize_images, seg_forward, softmax)
+                     normalize_images, seg_forward, softmax)
 from .nn import Network, adamw_step, cosine_lr
 from .strategies import STRATEGIES, QueryContext, select
 
@@ -185,7 +185,7 @@ def train_epoch(seg: Network, ap: Network, images_norm: np.ndarray,
         x = images_norm[batch]
         y = labels[batch]
 
-        probs = softmax(seg.forward(x, train=True)[-1])
+        probs = softmax(seg.forward(x, train=True))
         loss, glogits = dice_ce_loss(probs, y)
         seg.zero_grad()
         seg.backward(glogits)
@@ -195,7 +195,7 @@ def train_epoch(seg: Network, ap: Network, images_norm: np.ndarray,
 
         if train_ap:
             targets = dsc_per_class_batch(probs.argmax(axis=1), y, num_fg)
-            pred = ap.forward(concat_channels(x, probs), train=True)[-1]
+            pred = ap.forward(np.concatenate([x, probs], axis=1), train=True)
             ap_loss, gpred = mse_loss(pred, targets.astype(np.float32))
             ap.zero_grad()
             ap.backward(gpred)
@@ -311,7 +311,7 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
     num_fg = dataset.num_fg
 
     images_norm = normalize_images(dataset.images)
-    labels = dataset.masks.astype(np.int64)
+    labels = dataset.masks
 
     state = init_pool(train_ids, cfg.init_ratio, budget, iterations,
                       seed=[cfg.seed, fold_index, 0xD1])

@@ -1,12 +1,11 @@
 """Static guards on the package source: every name a module imports is used
 in that module, every module-level private name is read somewhere in the
-package, and every public module-level name or class method is read
-somewhere in the package outside ``__init__.py``.
+package, every public module-level name or class method is read somewhere
+in the package, and every dataclass field is read somewhere in the package
+or by the benchmark's tracer.
 
 No linter ships with the toolchain, so these are the unused-import and
-dead-code checks. ``__init__.py`` is skipped by the import check because
-its imports are the package's re-exports, and its reads do not count for
-public names, because a re-export alone keeps nothing in use.
+dead-code checks.
 """
 
 import ast
@@ -14,9 +13,11 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "paal"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "paal"
 SOURCES = sorted(PACKAGE.glob("*.py"))
-MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+# reads fields of the package's results (ClusterModel.inertia_history)
+TRACING = ROOT / "benchmarks" / "tracing.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -78,13 +79,41 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
 
 def unread_public_names(sources: dict[str, str]) -> list[str]:
     """Public module-level names and class methods that no module of
-    ``sources`` but ``__init__.py`` reads, by name or as an attribute."""
+    ``sources`` reads, by name or as an attribute."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set().union(*(read_names(tree) for module, tree in trees.items()
-                         if module != "__init__.py"))
+    read = set().union(*map(read_names, trees.values()))
     return [f"{module}: {name}" for module, tree in trees.items()
             for name in module_names(tree) + method_names(tree)
             if not name.startswith("_") and name not in read]
+
+
+def dataclass_fields(tree: ast.Module) -> list[str]:
+    """``Class.field`` for every annotated field of the module's dataclasses."""
+    def is_dataclass(node):  # ``@dataclass`` or ``@dataclass(...)``
+        return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                   for d in node.decorator_list)
+    return [f"{node.name}.{item.target.id}" for node in tree.body
+            if isinstance(node, ast.ClassDef) and is_dataclass(node)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """Dataclass fields that no module of ``sources`` loads as an attribute
+    or spells as a string constant."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read |= {node.value for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return [f"{module}: {field}" for module, tree in trees.items()
+            for field in dataclass_fields(tree)
+            if field.split(".")[1] not in read]
+
+
+def field_sources() -> dict[str, str]:
+    """The package's modules plus the tracer, by file name."""
+    return {p.name: p.read_text(encoding="utf-8") for p in SOURCES + [TRACING]}
 
 
 def test_guard_flags_an_unused_import():
@@ -125,7 +154,16 @@ def test_guard_flags_an_unread_public_name():
     assert unread_public_names(sources) == ["nn.py: finite_diff_check"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_guard_flags_a_restored_inertia_field():
+    sources = field_sources()
+    kept = "    assignments: np.ndarray"
+    assert kept in sources["kmeans.py"]
+    sources["kmeans.py"] = sources["kmeans.py"].replace(
+        kept, "    inertia: float\n" + kept)
+    assert unread_fields(sources) == ["kmeans.py: ClusterModel.inertia"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -138,3 +176,7 @@ def test_no_unread_private_names():
 def test_no_unread_public_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
     assert unread_public_names(sources) == []
+
+
+def test_no_unread_dataclass_fields():
+    assert unread_fields(field_sources()) == []

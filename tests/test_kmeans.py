@@ -35,7 +35,7 @@ def test_k_equals_n_gives_zero_inertia():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(12, 3))
     model = kmeans_fit(pts, 12, seed=3)
-    assert model.inertia == pytest.approx(0.0, abs=1e-20)
+    assert model.inertia_history[-1] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_invalid_k_rejected():
@@ -53,7 +53,7 @@ def test_deterministic_bit_for_bit():
     b = kmeans_fit(pts, 5, seed=11)
     assert a.centroids.tobytes() == b.centroids.tobytes()
     np.testing.assert_array_equal(a.assignments, b.assignments)
-    assert a.inertia == b.inertia
+    assert a.inertia_history == b.inertia_history
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8))
@@ -77,4 +77,4 @@ def test_duplicate_points_still_fit():
     pts = np.zeros((10, 2))
     pts[5:] = 1.0
     model = kmeans_fit(pts, 2, seed=0)
-    assert model.inertia == pytest.approx(0.0, abs=1e-20)
+    assert model.inertia_history[-1] == pytest.approx(0.0, abs=1e-20)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paal.metrics import (dice_ce_loss, dsc_per_class_batch, mse_loss,
-                          pearson_r, uncertainty_scores)
+from paal.metrics import (UNCERTAINTY_KINDS, dice_ce_loss, dsc_per_class_batch,
+                          mse_loss, pearson_r, uncertainty_scores)
 from paal.models import softmax
 
 
@@ -51,6 +51,23 @@ def brute_force_dice_ce(probs, labels, smooth=1e-5):
 
 def random_probs(rng, shape):
     return softmax(rng.normal(size=shape))
+
+
+def uncertainty_reference(kind, probs):
+    """The scores as first written, on a float64 copy of every posterior:
+    kept as the oracle for the leaner ``uncertainty_scores``."""
+    p = probs.astype(np.float64)
+    b = p.shape[0]
+    if kind == "max_entropy":
+        ent = -np.where(p > 0, p * np.log(np.maximum(p, 1e-300)), 0.0).sum(axis=1)
+        return ent.reshape(b, -1).mean(axis=1)
+    if kind == "least_conf":
+        return (1.0 - p.max(axis=1)).reshape(b, -1).mean(axis=1)
+    if kind == "margin":
+        sp = np.sort(p, axis=1)
+        return -(sp[:, -1] - sp[:, -2]).reshape(b, -1).mean(axis=1)
+    confident = p.max(axis=1) > 0.5
+    return 1.0 - confident.reshape(b, -1).mean(axis=1)
 
 
 class TestDSC:
@@ -211,6 +228,24 @@ class TestUncertainty:
             np.testing.assert_allclose(uncertainty_scores(kind, probs),
                                        uncertainty_scores(kind, shuffled),
                                        atol=1e-12)
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_scores_match_the_float64_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        b, c, h, w = rng.integers(1, 5), rng.integers(2, 6), *rng.integers(1, 6, 2)
+        scale = rng.choice([1.0, 10.0, 60.0])  # 60 underflows some p to 0
+        probs = softmax((scale * rng.normal(size=(b, c, h, w))).astype(np.float32))
+        # one-hot pixels hold exact 0s and 1s; a sample of them scores 0
+        hard = rng.random((b, 1, h, w)) < rng.random()
+        onehot = np.arange(c)[None, :, None, None] == rng.integers(0, c, (b, 1, h, w))
+        probs = np.where(hard, onehot.astype(np.float32), probs)
+        probs[rng.integers(b)] = onehot[0].astype(np.float32)
+        for kind in UNCERTAINTY_KINDS:
+            got = uncertainty_scores(kind, probs)
+            want = uncertainty_reference(kind, probs)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), kind
 
 
 def test_pearson_r_basics():

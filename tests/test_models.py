@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from paal.metrics import mse_loss
-from paal.models import (FEATURE_ACT, FEATURE_DIM, ap_forward, build_ap_model,
-                         build_seg_model, concat_channels, normalize_images,
-                         seg_forward)
-from paal.nn import ReLU
+from paal.models import (FEATURE_DIM, ap_forward, build_ap_model,
+                         build_seg_model, normalize_images, seg_forward, softmax)
+from paal.nn import Conv2D, Network, ReLU
 
 
 @pytest.fixture
@@ -40,35 +39,13 @@ def test_identical_images_give_identical_features(images):
 
 def test_features_are_pooled_tap_activations(images):
     seg = build_seg_model(4, seed=3)
-    acts = seg.forward(images)
-    assert isinstance(seg.layers[FEATURE_ACT - 1], ReLU)
-    assert acts[FEATURE_ACT].shape[1] == FEATURE_DIM
-    _, features = seg_forward(seg, images)
-    np.testing.assert_allclose(features, acts[FEATURE_ACT].mean(axis=(2, 3)),
-                               atol=1e-7)
-
-
-class TestConcatChannels:
-    def test_channel_arithmetic(self, images):
-        probs = np.zeros((3, 4, 16, 16), dtype=np.float32)
-        out = concat_channels(images, probs)
-        assert out.shape == (3, 5, 16, 16)
-
-    def test_zero_probs_block_stays_zero(self, images):
-        probs = np.zeros((3, 4, 16, 16), dtype=np.float32)
-        out = concat_channels(images, probs)
-        np.testing.assert_array_equal(out[:, 1:], 0.0)
-
-    def test_round_trip_slicing_recovers_inputs(self, images):
-        rng = np.random.default_rng(1)
-        probs = rng.uniform(size=(3, 4, 16, 16)).astype(np.float32)
-        out = concat_channels(images, probs)
-        np.testing.assert_array_equal(out[:, :1], images)
-        np.testing.assert_array_equal(out[:, 1:], probs)
-
-    def test_mismatched_shapes_rejected(self, images):
-        with pytest.raises(ValueError, match="do not match"):
-            concat_channels(images, np.zeros((3, 4, 8, 8), dtype=np.float32))
+    trunk, head = seg.layers
+    assert isinstance(trunk, Network) and isinstance(trunk.layers[-1], ReLU)
+    assert isinstance(head, Conv2D) and head.in_ch == FEATURE_DIM
+    acts = trunk.forward(images)
+    probs, features = seg_forward(seg, images)
+    np.testing.assert_array_equal(features, acts.mean(axis=(2, 3)))
+    np.testing.assert_array_equal(probs, softmax(seg.forward(images)))
 
 
 def test_ap_forward_range_and_shape(images):
@@ -107,7 +84,8 @@ class TestGradientIsolation:
         rng = np.random.default_rng(8)
         targets = rng.uniform(size=(3, 3)).astype(np.float32)
         for _ in range(3):
-            pred = ap.forward(concat_channels(images, probs_before), train=True)[-1]
+            pred = ap.forward(np.concatenate([images, probs_before], axis=1),
+                              train=True)
             _, grad = mse_loss(pred, targets)
             ap.zero_grad()
             ap.backward(grad)
@@ -120,7 +98,7 @@ class TestGradientIsolation:
         seg = build_seg_model(4, seed=9)
         ap = build_ap_model(4, seed=10)
         probs, _ = seg_forward(seg, images)
-        pred = ap.forward(concat_channels(images, probs), train=True)[-1]
+        pred = ap.forward(np.concatenate([images, probs], axis=1), train=True)
         _, grad = mse_loss(pred, np.zeros_like(pred))
         seg.zero_grad()
         ap.zero_grad()

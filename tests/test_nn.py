@@ -35,13 +35,12 @@ def finite_diff_check(net: Network, x: np.ndarray, loss_fn,
     net64 = astype(net, np.float64)
     x64 = x.astype(np.float64)
 
-    acts = net64.forward(x64, train=True)
-    _, gout = loss_fn(acts[-1])
+    _, gout = loss_fn(net64.forward(x64, train=True))
     net64.zero_grad()
     net64.backward(np.asarray(gout, dtype=np.float64))
 
     def loss_at():
-        return float(loss_fn(net64.forward(x64)[-1])[0])
+        return float(loss_fn(net64.forward(x64))[0])
 
     worst = 0.0
     for p in net64.params():
@@ -74,6 +73,45 @@ def sum_loss(y):
 def test_relu_definition():
     out = ReLU().forward(np.array([-1.0, 0.0, 2.0], dtype=np.float32))
     np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])
+
+
+def correlate(x, kernel, bias):
+    """Direct same-padded correlation: out[n, o, i, j] = bias[o] + the sum
+    of kernel[o, c, di, dj] * x[n, c, i + di - p, j + dj - p] over the
+    taps that land inside the image."""
+    n, c, h, w = x.shape
+    o, _, k, _ = kernel.shape
+    p = k // 2
+    out = np.empty((n, o, h, w))
+    for b, oc, i, j in np.ndindex(n, o, h, w):
+        acc = float(bias[oc])
+        for ci, di, dj in np.ndindex(c, k, k):
+            ii, jj = i + di - p, j + dj - p
+            if 0 <= ii < h and 0 <= jj < w:
+                acc += float(kernel[oc, ci, di, dj]) * float(x[b, ci, ii, jj])
+        out[b, oc, i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("cin,cout,k,h,w", [(2, 3, 3, 5, 7), (1, 2, 5, 6, 4),
+                                            (3, 2, 1, 3, 3)])
+def test_conv_is_a_same_padded_correlation(cin, cout, k, h, w):
+    rng = np.random.default_rng(41)
+    conv = Conv2D(cin, cout, k, rng=rng)
+    bias = rng.normal(size=cout).astype(np.float32)
+    # probe the kernel, whatever its storage layout: with no bias, an
+    # impulse at the centre of a k x k plane returns the flipped taps
+    conv.bias.value = np.zeros(cout, dtype=np.float32)
+    p = k // 2
+    kernel = np.empty((cout, cin, k, k))
+    for c in range(cin):
+        impulse = np.zeros((1, cin, k, k), dtype=np.float32)
+        impulse[0, c, p, p] = 1.0
+        kernel[:, c] = conv.forward(impulse)[0, :, ::-1, ::-1]
+    conv.bias.value = bias
+    x = rng.normal(size=(2, cin, h, w)).astype(np.float32)
+    np.testing.assert_allclose(conv.forward(x), correlate(x, kernel, bias),
+                               rtol=1e-5, atol=1e-6)
 
 
 def test_dense_identity_passthrough():
@@ -121,9 +159,9 @@ def test_dense_weight_grad_is_input_column_sums():
     layer = Dense(2, 2, rng=np.random.default_rng(0))
     net = Network([layer])
     x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
-    acts = net.forward(x, train=True)
+    out = net.forward(x, train=True)
     net.zero_grad()
-    net.backward(np.ones_like(acts[-1]))
+    net.backward(np.ones_like(out))
     np.testing.assert_allclose(layer.weight.grad, [[4.0, 4.0], [6.0, 6.0]])
     np.testing.assert_allclose(layer.bias.grad, [2.0, 2.0])
 
@@ -172,9 +210,9 @@ def test_dead_relu_path_has_exactly_zero_grads():
     conv.bias.value[:] = -100.0  # relu kills every activation
     net = Network([conv, ReLU(), GlobalAvgPool(), Dense(3, 2, rng=rng)])
     x = rng.uniform(0, 1, size=(2, 1, 4, 4)).astype(np.float32)
-    acts = net.forward(x, train=True)
+    out = net.forward(x, train=True)
     net.zero_grad()
-    net.backward(np.ones_like(acts[-1]))
+    net.backward(np.ones_like(out))
     np.testing.assert_array_equal(conv.weight.grad, 0.0)
     assert finite_diff_check(net, x, sum_loss, eps=1e-3) < 1e-6
 
@@ -185,9 +223,9 @@ def test_backward_is_bit_identical_across_runs():
     x = rng.normal(size=(3, 1, 5, 5)).astype(np.float32)
     grads = []
     for _ in range(2):
-        acts = net.forward(x, train=True)
+        out = net.forward(x, train=True)
         net.zero_grad()
-        net.backward(np.ones_like(acts[-1]))
+        net.backward(np.ones_like(out))
         grads.append([p.grad.copy() for p in net.params()])
     for a, b in zip(*grads):
         assert a.tobytes() == b.tobytes()

@@ -44,7 +44,7 @@ def test_query_step_computes_exactly_the_declared_inputs(strategy, dataset,
     record = query_step(
         state, build_seg_model(num_fg + 1, seed=1),
         build_ap_model(num_fg + 1, seed=2), strategy,
-        normalize_images(dataset.images), dataset.masks.astype(np.int64),
+        normalize_images(dataset.images), dataset.masks,
         num_fg, query_seed=5)
 
     needs = STRATEGIES[strategy].needs
@@ -62,7 +62,7 @@ def inference_inputs(dataset):
     num_fg = dataset.num_fg
     return (build_seg_model(num_fg + 1, seed=1),
             build_ap_model(num_fg + 1, seed=2),
-            normalize_images(dataset.images), dataset.masks.astype(np.int64),
+            normalize_images(dataset.images), dataset.masks,
             num_fg)
 
 
