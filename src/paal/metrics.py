@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .nn import NumericalError
@@ -9,6 +11,9 @@ from .nn import NumericalError
 DICE_SMOOTH = 1e-5
 
 UNCERTAINTY_KINDS = ("max_entropy", "least_conf", "margin", "var_ratio")
+
+# size of entropy's float64 buffer: it holds whole samples, about this many bytes
+_F64_BLOCK_BYTES = 1 << 20
 
 
 def dsc_per_class_batch(pred_labels: np.ndarray, true_labels: np.ndarray,
@@ -90,23 +95,30 @@ def uncertainty_scores(kind: str, probs: np.ndarray) -> np.ndarray:
     """Per-sample uncertainty from per-pixel posteriors (B, C, H, W) -> (B,).
 
     Scores are pixel averages; higher always means more uncertain. Only
-    entropy needs a float64 copy of the posteriors; the other kinds pick
-    float32 values and widen those.
+    entropy needs float64 posteriors, which it widens one block of samples
+    at a time; the other kinds pick float32 values and widen those.
     """
     if kind not in UNCERTAINTY_KINDS:
         raise ValueError(f"unknown uncertainty kind {kind!r}")
     b = probs.shape[0]
     if kind == "max_entropy":
-        # p * log(p) in one buffer; a zero p gives -0.0, which adds as 0
-        plogp = np.maximum(probs, 1e-300, dtype=np.float64)
-        np.log(plogp, out=plogp)
-        plogp *= probs
-        return (-plogp.sum(axis=1)).reshape(b, -1).mean(axis=1)
+        # p * log(p) in one buffer per block; a zero p gives -0.0, which adds
+        # as 0. Each score reduces only its own sample, so blocks keep the bits.
+        scores = np.empty(b)
+        step = max(1, _F64_BLOCK_BYTES // (8 * max(1, math.prod(probs.shape[1:]))))
+        for lo in range(0, b, step):
+            block = probs[lo:lo + step]
+            plogp = np.maximum(block, 1e-300, dtype=np.float64)
+            np.log(plogp, out=plogp)
+            plogp *= block
+            ent = -plogp.sum(axis=1)
+            scores[lo:lo + step] = ent.reshape(len(block), -1).mean(axis=1)
+        return scores
     if kind == "least_conf":
         top = probs.max(axis=1).astype(np.float64)
         return (1.0 - top).reshape(b, -1).mean(axis=1)
     if kind == "margin":
-        top2 = np.sort(probs, axis=1)[:, -2:].astype(np.float64)
+        top2 = np.partition(probs, -2, axis=1)[:, -2:].astype(np.float64)
         return -(top2[:, 1] - top2[:, 0]).reshape(b, -1).mean(axis=1)
     # var_ratio: fraction of pixels whose winning probability lacks majority
     confident = probs.max(axis=1) > 0.5

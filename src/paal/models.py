@@ -60,6 +60,21 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ez / ez.sum(axis=1, keepdims=True)
 
 
+def channel_argmax(probs: np.ndarray) -> np.ndarray:
+    """Per-pixel label of the largest channel, (B, C, H, W) -> (B, H, W) uint8.
+
+    Equal to ``probs.argmax(axis=1)`` on NaN-free input (the first maximum
+    wins), but one contiguous pass per channel instead of a strided scan.
+    Labels come out in the masks' dtype, so C is at most 256.
+    """
+    best = probs[:, 0].copy()
+    labels = np.zeros(best.shape, dtype=np.uint8)
+    for j in range(1, probs.shape[1]):
+        labels[probs[:, j] > best] = j
+        np.maximum(best, probs[:, j], out=best)
+    return labels
+
+
 def seg_forward(seg: Network, images: np.ndarray, *, probs: bool = True,
                 features: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Per-pixel class probabilities and the pooled 16-dim feature embedding.

@@ -50,7 +50,10 @@ class Layer:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate parameter gradients; return the input gradient, or
+        None without computing it when ``input_grad`` is False."""
         raise NotImplementedError
 
     def _require_cache(self, cache):
@@ -69,8 +72,10 @@ class Layer:
 class Conv2D(Layer):
     """Same-padded stride-1 correlation, implemented as im2col + one matmul.
 
-    The weight is kept as the (k*k*C, O) matrix the matmuls read, rows in
-    the patch matrix's (tap, channel) order.
+    Backward takes the weight gradient from the cached patch matrix, frees
+    it, and builds the input gradient one tap at a time. The weight is kept
+    as the (k*k*C, O) matrix the matmuls read, rows in the patch matrix's
+    (tap, channel) order.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int = 3, *,
@@ -125,7 +130,7 @@ class Conv2D(Layer):
             self._cache = (cols, x.shape, wp)
         return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         cols, x_shape, wp = self._require_cache(self._cache)
         self._cache = None
         b, c, h, w = x_shape
@@ -138,12 +143,17 @@ class Conv2D(Layer):
         g2d = gwide.reshape(self.out_ch, b * span)
         self.bias.grad += grad_out.sum(axis=(0, 2, 3))
         self.weight.grad += (g2d @ cols.T).T
-        gcols = (self.weight.value @ g2d).reshape(k * k, c, b, span)
-        gxt = np.zeros((c, b, (h + 2 * p) * wp + k), dtype=gcols.dtype)
-        for di in range(k):
-            for dj in range(k):
-                off = di * wp + dj
-                gxt[:, :, off:off + span] += gcols[di * k + dj]
+        del cols  # the patch matrix is the largest buffer: free it first
+        if not input_grad:
+            return None
+        # input gradient one tap at a time: the rows of weight @ g2d that
+        # tap scatters, added in tap order, with no (k*k*C, B*span) buffer
+        gxt = np.zeros((c, b, (h + 2 * p) * wp + k),
+                       dtype=np.result_type(self.weight.value, g2d))
+        for tap in range(k * k):
+            off = (tap // k) * wp + tap % k
+            gxt[:, :, off:off + span] += (
+                self.weight.value[tap * c:(tap + 1) * c] @ g2d).reshape(c, b, span)
         gx = gxt[:, :, :(h + 2 * p) * wp].reshape(c, b, h + 2 * p, wp)[
             :, :, p:p + h, p:p + w]
         return np.ascontiguousarray(gx.transpose(1, 0, 2, 3))
@@ -169,12 +179,12 @@ class Dense(Layer):
             self._cache = x
         return x @ self.weight.value + self.bias.value
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         x = self._require_cache(self._cache)
         self._cache = None
         self.weight.grad += x.T @ grad_out
         self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.value.T
+        return grad_out @ self.weight.value.T if input_grad else None
 
 
 class ReLU(Layer):
@@ -189,10 +199,10 @@ class ReLU(Layer):
             self._cache = x > 0
         return np.maximum(x, 0, out=x)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         mask = self._require_cache(self._cache)
         self._cache = None
-        return grad_out * mask
+        return grad_out * mask if input_grad else None
 
 
 class Sigmoid(Layer):
@@ -210,10 +220,10 @@ class Sigmoid(Layer):
             self._cache = out
         return out
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         y = self._require_cache(self._cache)
         self._cache = None
-        return grad_out * y * (1.0 - y)
+        return grad_out * y * (1.0 - y) if input_grad else None
 
 
 class GlobalAvgPool(Layer):
@@ -229,9 +239,11 @@ class GlobalAvgPool(Layer):
             self._cache = x.shape
         return x.mean(axis=(2, 3))
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         b, c, h, w = self._require_cache(self._cache)
         self._cache = None
+        if not input_grad:
+            return None
         g = grad_out / (h * w)
         return np.broadcast_to(g[:, :, None, None], (b, c, h, w)).copy()
 
@@ -250,16 +262,18 @@ class Network(Layer):
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
         """Backpropagate from the last layer down to the input.
 
         Accumulates into each Param.grad; the caller is responsible for
-        zeroing gradients between steps.
+        zeroing gradients between steps. ``input_grad`` goes to the first
+        layer only, so in nested stacks it reaches the innermost first layer.
         """
         g = grad_out
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             g = layer.backward(g)
-        return g
+        return self.layers[0].backward(g, input_grad=input_grad)
 
     def zero_grad(self):
         for p in self.params():

@@ -25,7 +25,7 @@ import numpy as np
 from .data import Dataset
 from .metrics import dice_ce_loss, dsc_per_class_batch, mse_loss
 from .models import (ap_forward, build_ap_model, build_seg_model,
-                     normalize_images, seg_forward, softmax)
+                     channel_argmax, normalize_images, seg_forward, softmax)
 from .nn import Network, adamw_step, cosine_lr
 from .strategies import STRATEGIES, QueryContext, select
 
@@ -188,17 +188,17 @@ def train_epoch(seg: Network, ap: Network, images_norm: np.ndarray,
         probs = softmax(seg.forward(x, train=True))
         loss, glogits = dice_ce_loss(probs, y)
         seg.zero_grad()
-        seg.backward(glogits)
+        seg.backward(glogits, input_grad=False)
         adamw_step(seg.params(), lr, weight_decay=cfg.weight_decay)
         seg_total += loss * len(batch)
         count += len(batch)
 
         if train_ap:
-            targets = dsc_per_class_batch(probs.argmax(axis=1), y, num_fg)
+            targets = dsc_per_class_batch(channel_argmax(probs), y, num_fg)
             pred = ap.forward(np.concatenate([x, probs], axis=1), train=True)
             ap_loss, gpred = mse_loss(pred, targets.astype(np.float32))
             ap.zero_grad()
-            ap.backward(gpred)
+            ap.backward(gpred, input_grad=False)
             adamw_step(ap.params(), lr, weight_decay=cfg.weight_decay)
             ap_total += ap_loss * len(batch)
     return seg_total / count, (ap_total / count) if train_ap else None
@@ -240,12 +240,15 @@ def _pool_inference(seg: Network, ap: Network | None, images_norm, labels, ids,
         out = {"probs": probs, "features": feats}
         if "pred_acc" in parts:
             out["pred_acc"] = ap_forward(ap, x, probs)
-        if "actual" in parts:
-            out["actual"] = dsc_per_class_batch(probs.argmax(axis=1),
-                                                labels[chunk], num_fg)
+        if "actual" in parts:  # the labels; scored in one call below
+            out["actual"] = channel_argmax(probs)
         for name, acc in parts.items():
             acc.append(out[name])
-    return {name: np.concatenate(acc, axis=0) for name, acc in parts.items()}
+    outputs = {name: np.concatenate(acc, axis=0) for name, acc in parts.items()}
+    if "actual" in outputs:
+        outputs["actual"] = dsc_per_class_batch(outputs["actual"], labels[ids],
+                                                num_fg)
+    return outputs
 
 
 def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paal import metrics
 from paal.metrics import (UNCERTAINTY_KINDS, dice_ce_loss, dsc_per_class_batch,
                           mse_loss, pearson_r, uncertainty_scores)
 from paal.models import softmax
@@ -246,6 +247,30 @@ class TestUncertainty:
             want = uncertainty_reference(kind, probs)
             assert got.dtype == want.dtype == np.float64
             assert got.tobytes() == want.tobytes(), kind
+
+
+    @pytest.mark.parametrize("c", [2, 3, 4, 7])
+    def test_margin_matches_the_full_channel_sort_bit_for_bit(self, c):
+        rng = np.random.default_rng(c)
+        probs = softmax(rng.normal(size=(6, c, 9, 8)).astype(np.float32))
+        # a sample of exact ties in the top two, one of one-hot pixels
+        probs[0] = np.round(probs[0] * 4) / 4
+        probs[1] = np.arange(c)[:, None, None] == rng.integers(0, c, (1, 9, 8))
+        # the sort the partition replaced, as the oracle
+        top2 = np.sort(probs, axis=1)[:, -2:].astype(np.float64)
+        want = -(top2[:, 1] - top2[:, 0]).reshape(6, -1).mean(axis=1)
+        assert uncertainty_scores("margin", probs).tobytes() == want.tobytes()
+
+    def test_entropy_blocks_keep_the_bits_with_a_short_last_block(self):
+        c, h, w = 4, 32, 32
+        block = metrics._F64_BLOCK_BYTES // (8 * c * h * w)
+        assert block > 1
+        rng = np.random.default_rng(61)
+        logits = 30.0 * rng.normal(size=(2 * block + 3, c, h, w))
+        probs = softmax(logits.astype(np.float32))  # some p underflow to 0
+        got = uncertainty_scores("max_entropy", probs)
+        want = uncertainty_reference("max_entropy", probs)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_pearson_r_basics():

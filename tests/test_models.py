@@ -5,7 +5,8 @@ import pytest
 
 from paal.metrics import mse_loss
 from paal.models import (FEATURE_DIM, ap_forward, build_ap_model,
-                         build_seg_model, normalize_images, seg_forward, softmax)
+                         build_seg_model, channel_argmax, normalize_images,
+                         seg_forward, softmax)
 from paal.nn import Conv2D, Network, ReLU
 
 
@@ -63,6 +64,23 @@ def test_ap_forward_larger_batch_shape():
     imgs = rng.uniform(size=(7, 1, 16, 16)).astype(np.float32)
     probs = rng.uniform(size=(7, 4, 16, 16)).astype(np.float32)
     assert ap_forward(ap, imgs, probs).shape == (7, 3)
+
+
+@pytest.mark.parametrize("c", [1, 2, 4, 9])
+def test_channel_argmax_is_numpy_argmax(c):
+    rng = np.random.default_rng(c)
+    shape = (5, c, 7, 6)
+    probs = softmax(rng.normal(size=shape).astype(np.float32))
+    # exact ties: a pixel's values drawn from a few levels, so maxima repeat
+    ties = rng.integers(0, 3, size=shape).astype(np.float32) / 4
+    # one-hot pixels: exact 0s and 1s
+    onehot = (np.arange(c)[None, :, None, None]
+              == rng.integers(0, c, size=(5, 1, 7, 6))).astype(np.float32)
+    everywhere_equal = np.full(shape, 0.25, dtype=np.float32)
+    for p in (probs, ties, onehot, everywhere_equal, probs.astype(np.float64)):
+        got = channel_argmax(p)
+        assert got.dtype == np.uint8 and got.shape == (5, 7, 6)
+        np.testing.assert_array_equal(got, p.argmax(axis=1))
 
 
 def test_normalize_images_scales_and_adds_channel():

@@ -4,11 +4,12 @@ The finite-difference gradient checker lives here: only the tests run it.
 """
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from paal.models import softmax
+from paal.models import build_ap_model, build_seg_model, softmax
 from paal.nn import (Conv2D, Dense, GlobalAvgPool, Network, NumericalError,
                      Param, ReLU, ShapeError, Sigmoid, adamw_step, cosine_lr)
 
@@ -229,6 +230,139 @@ def test_backward_is_bit_identical_across_runs():
         grads.append([p.grad.copy() for p in net.params()])
     for a, b in zip(*grads):
         assert a.tobytes() == b.tobytes()
+
+
+def gcols_backward(conv: Conv2D, grad_out: np.ndarray) -> np.ndarray:
+    """``Conv2D.backward`` as first written, kept as the oracle for the
+    per-tap input gradient: the whole (k*k*C, B*span) input-gradient patch
+    matrix from one matmul, then scattered tap by tap."""
+    cols, (b, c, h, w), wp = conv._cache
+    conv._cache = None
+    k = conv.kernel
+    p = k // 2
+    span = h * wp
+    gwide = np.zeros((conv.out_ch, b, h, wp), dtype=grad_out.dtype)
+    gwide[:, :, :, :w] = grad_out.transpose(1, 0, 2, 3)
+    g2d = gwide.reshape(conv.out_ch, b * span)
+    conv.bias.grad += grad_out.sum(axis=(0, 2, 3))
+    conv.weight.grad += (g2d @ cols.T).T
+    gcols = (conv.weight.value @ g2d).reshape(k * k, c, b, span)
+    gxt = np.zeros((c, b, (h + 2 * p) * wp + k), dtype=gcols.dtype)
+    for di in range(k):
+        for dj in range(k):
+            off = di * wp + dj
+            gxt[:, :, off:off + span] += gcols[di * k + dj]
+    gx = gxt[:, :, :(h + 2 * p) * wp].reshape(c, b, h + 2 * p, wp)[
+        :, :, p:p + h, p:p + w]
+    return np.ascontiguousarray(gx.transpose(1, 0, 2, 3))
+
+
+def backward_both_ways(cin, cout, b, h, w, seed=43):
+    """(per-tap conv, oracle conv, per-tap input grad, oracle input grad)
+    for twin convs run forward on the same input."""
+    rng = np.random.default_rng([seed, cin, cout, b, h, w])
+    conv = Conv2D(cin, cout, rng=rng)
+    conv.bias.value = rng.normal(size=cout).astype(np.float32)
+    twin = copy.deepcopy(conv)
+    x = rng.normal(size=(b, cin, h, w)).astype(np.float32)
+    g = rng.normal(size=(b, cout, h, w)).astype(np.float32)
+    conv.forward(x, train=True)
+    twin.forward(x, train=True)
+    return conv, twin, conv.backward(g), gcols_backward(twin, g)
+
+
+@pytest.mark.parametrize("h,w", [(5, 7), (16, 16), (32, 32)])
+@pytest.mark.parametrize("b", [1, 3, 16])
+@pytest.mark.parametrize("cout", [2, 4, 16])
+@pytest.mark.parametrize("cin", [2, 5, 8, 16])
+def test_conv_backward_matches_the_gcols_oracle_bit_for_bit(cin, cout, b, h, w):
+    conv, twin, gx, want = backward_both_ways(cin, cout, b, h, w)
+    assert gx.dtype == want.dtype and gx.shape == want.shape == (b, cin, h, w)
+    assert gx.tobytes() == want.tobytes()
+    assert conv.weight.grad.tobytes() == twin.weight.grad.tobytes()
+    assert conv.bias.grad.tobytes() == twin.bias.grad.tobytes()
+
+
+@pytest.mark.parametrize("cout,b", [(4, 3), (8, 16)])
+def test_single_channel_conv_backward_matches_the_oracle_closely(cout, b):
+    # with one input channel each tap's product is a (1, O) @ (O, N) vector
+    # product, which BLAS may sum in another order than the matmul's rows;
+    # no net asks a 1-channel conv for its input gradient
+    conv, twin, gx, want = backward_both_ways(1, cout, b, 16, 16)
+    np.testing.assert_allclose(gx, want, rtol=1e-5, atol=1e-6)
+    assert conv.weight.grad.tobytes() == twin.weight.grad.tobytes()
+
+
+def param_grads(net, x, g, **kwargs):
+    net.forward(x, train=True)
+    net.zero_grad()
+    out = net.backward(g, **kwargs)
+    return out, [p.grad.copy() for p in net.params()]
+
+
+@pytest.mark.parametrize("make_net,shape", [
+    (lambda rng: Network([Conv2D(3, 4, rng=rng)]), (2, 3, 6, 5)),
+    (lambda rng: Network([Dense(4, 3, rng=rng), Sigmoid()]), (3, 4)),
+    (lambda rng: Network([ReLU(), Conv2D(3, 2, rng=rng)]), (2, 3, 4, 4)),
+    (lambda rng: Network([GlobalAvgPool(), Dense(3, 2, rng=rng)]), (2, 3, 4, 4)),
+    (lambda rng: Network([Sigmoid(), Dense(4, 2, rng=rng)]), (3, 4)),
+])
+def test_input_grad_stop_returns_none_and_keeps_param_grads(make_net, shape):
+    rng = np.random.default_rng(47)
+    net = make_net(rng)
+    x = rng.normal(size=shape).astype(np.float32)
+    g = rng.normal(size=net.forward(x.copy()).shape).astype(np.float32)
+    gx, full = param_grads(net, x.copy(), g)
+    assert gx.shape == x.shape
+    none, stopped = param_grads(net, x.copy(), g, input_grad=False)
+    assert none is None
+    for a, b in zip(full, stopped):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("build,channels", [
+    (lambda: build_seg_model(4, seed=3), 1),
+    (lambda: build_ap_model(4, seed=3), 5),
+])
+def test_input_grad_stop_reaches_the_first_conv_of_each_net(build, channels):
+    net = build()
+    rng = np.random.default_rng(53)
+    x = rng.uniform(size=(3, channels, 8, 8)).astype(np.float32)
+    g = rng.normal(size=net.forward(x).shape).astype(np.float32)
+    first = net.layers[0]
+    while isinstance(first, Network):  # the seg net nests its trunk
+        first = first.layers[0]
+    seen = []
+    backward = first.backward
+    first.backward = lambda grad, **kw: seen.append(kw) or backward(grad, **kw)
+    _, full = param_grads(net, x, g)
+    none, stopped = param_grads(net, x, g, input_grad=False)
+    assert seen == [{"input_grad": True}, {"input_grad": False}]
+    assert none is None
+    for a, b in zip(full, stopped):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_conv_backward_frees_the_patch_matrix_before_the_input_grad():
+    # the 16->4 logits conv at a training batch: its patch matrix is by far
+    # the largest buffer, and no other buffer of its size may join it
+    rng = np.random.default_rng(59)
+    conv = Conv2D(16, 4, rng=rng)
+    x = rng.normal(size=(16, 16, 32, 32)).astype(np.float32)
+    g = rng.normal(size=(16, 4, 32, 32)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        conv.forward(x, train=True)
+        cols_nbytes = conv._cache[0].nbytes
+        del x
+        live, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        conv.backward(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cols_nbytes == 144 * 16 * 32 * 34 * 4
+    assert peak - live < cols_nbytes / 2
 
 
 def test_forward_shape_error_names_layer():

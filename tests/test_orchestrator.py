@@ -125,6 +125,25 @@ def test_features_alone_skip_the_logits_conv(inference_inputs, monkeypatch):
     assert lazy.tobytes() == full.tobytes()
 
 
+def test_actual_dsc_is_one_call_on_the_argmax_labels(inference_inputs,
+                                                     monkeypatch):
+    seg, ap, images, labels, num_fg = inference_inputs
+    ids = np.arange(3, 40)  # two default 16x16 chunks
+    scored = []
+    real_dsc = orchestrator.dsc_per_class_batch
+
+    def counting_dsc(pred, true, k):
+        scored.append(len(pred))
+        return real_dsc(pred, true, k)
+
+    monkeypatch.setattr(orchestrator, "dsc_per_class_batch", counting_dsc)
+    out = _pool_inference(seg, ap, images, labels, ids, ("probs", "actual"),
+                          num_fg)
+    assert scored == [len(ids)]
+    want = real_dsc(out["probs"].argmax(axis=1), labels[ids], num_fg)
+    assert out["actual"].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("corruption", ["overlap", "lost_id"])
 def test_corrupted_pool_after_a_query_raises(corruption, dataset, monkeypatch):
     real_query_step = orchestrator.query_step
