@@ -1,10 +1,11 @@
 """Experiment campaigns: flat config files, per-cell runs, CSV aggregation.
 
 A campaign is the cross product strategies x budgets x seeds x folds. Every
-cell runs independently, writes its own CSV fragments under
-``<out>/cells/<run_id>/`` (its results.csv, written last, marks the cell done,
-so interrupted campaigns resume), and the runner concatenates the fragments
-into the top-level results/queries/calibration files in a fixed order.
+cell runs independently and writes the rows its run returns, behind the
+cell's own columns, as CSV fragments under ``<out>/cells/<run_id>/`` (its
+results.csv, written last, marks the cell done, so interrupted campaigns
+resume); the runner concatenates the fragments into the top-level
+results/queries/calibration/annotations files in a fixed order.
 ``results.csv`` has one ``val_dsc_c<k>`` column per foreground class of the
 dataset, ``k = 1 .. num_fg``.
 
@@ -15,18 +16,19 @@ The config's required ``dataset`` key names a dataset file written by
 from __future__ import annotations
 
 import csv
-import io
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
+from fractions import Fraction
 from itertools import repeat
 
 import numpy as np
 
 from . import data as data_mod
 from .metrics import pearson_r
-from .orchestrator import RunReport, TrainConfig, run_active_learning
+from .orchestrator import (CALIBRATION_COLUMNS, EPOCH_COLUMNS, QUERY_COLUMNS,
+                           TrainConfig, run_active_learning)
 from .strategies import STRATEGIES
 
 
@@ -34,11 +36,7 @@ class ConfigError(ValueError):
     """Bad experiment configuration (unknown keys, bad values, missing inputs)."""
 
 
-RESULTS_HEADER = ("run_id,strategy,budget,seed,fold,epoch,iteration,"
-                  "labeled_count,labeled_ratio,seg_loss,ap_loss,val_dsc_mean")
-QUERIES_HEADER = "run_id,iteration,sample_id,cluster,weight,query_time_ms"
-CALIBRATION_HEADER = "run_id,sample_id,class,predicted_dsc,actual_dsc"
-ANNOTATIONS_HEADER = "run_id,strategy,budget,seed,fold,class,annotated_count"
+_CELL_COLUMNS = ("run_id", "strategy", "budget", "seed", "fold")
 
 # training key -> the type of its TrainConfig default, which parses its value
 _TRAIN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)
@@ -62,7 +60,8 @@ class ExperimentConfig:
         bad = [s for s in self.strategies if s not in STRATEGIES]
         if bad:
             raise ConfigError(f"unknown strategies: {', '.join(bad)}")
-        if not self.budgets or any(not 0.0 < b <= 1.0 - self.train.init_ratio
+        left = 1 - Fraction(str(self.train.init_ratio))  # 0.93 fits beside 0.07
+        if not self.budgets or any(not (0.0 < b < 1.0 and Fraction(str(b)) <= left)
                                    for b in self.budgets):
             raise ConfigError("budgets must be ratios in (0, 1 - init_ratio], "
                               "the share left after the initial labeled set")
@@ -159,43 +158,15 @@ def campaign_cells(config: ExperimentConfig) -> list[Cell]:
     return cells
 
 
-def _cell_rows(cell: Cell, report: RunReport) -> tuple[str, ...]:
-    """Render one run's report into the four CSV fragments."""
-    bufs = [io.StringIO() for _ in _CELL_FILES]
-    results, queries, calibration, annotations = (
-        csv.writer(buf, lineterminator="\n") for buf in bufs)
-    budget = f"{cell.budget:g}"
-    for rec in report.epochs:
-        results.writerow([cell.run_id, cell.strategy, budget, cell.seed,
-                          cell.fold, rec.epoch, rec.iteration, rec.labeled_count,
-                          rec.labeled_count / report.pool_size, rec.seg_loss,
-                          rec.ap_loss, rec.val_dsc_mean, *rec.val_dsc_class])
-
-    for q in report.queries:
-        for i, sid in enumerate(q.selected):
-            cluster = int(q.clusters[i]) if q.clusters is not None else -1
-            weight = float(q.weights[i]) if q.weights is not None else None
-            queries.writerow([cell.run_id, q.iteration, int(sid), cluster,
-                              weight, q.time_ms])
-
-    if report.calibration_ids is not None:
-        for i, sid in enumerate(report.calibration_ids):
-            for j in range(report.calibration_pred.shape[1]):
-                calibration.writerow([cell.run_id, int(sid), j + 1,
-                                      float(report.calibration_pred[i, j]),
-                                      float(report.calibration_actual[i, j])])
-
-    totals: dict[int, int] = {}
-    for q in report.queries:
-        for c, n in q.class_counts.items():
-            totals[c] = totals.get(c, 0) + n
-    for c in sorted(totals):
-        annotations.writerow([cell.run_id, cell.strategy, budget, cell.seed,
-                              cell.fold, c, totals[c]])
-    return tuple(buf.getvalue() for buf in bufs)
-
-
-_CELL_FILES = ("results.csv", "queries.csv", "calibration.csv", "annotations.csv")
+def _headers(num_fg: int) -> dict[str, tuple[str, ...]]:
+    """Each campaign CSV's columns: the cell's own, then the run's."""
+    return {
+        "results.csv": (*_CELL_COLUMNS, *EPOCH_COLUMNS,
+                        *(f"val_dsc_c{k}" for k in range(1, num_fg + 1))),
+        "queries.csv": ("run_id", *QUERY_COLUMNS),
+        "calibration.csv": ("run_id", *CALIBRATION_COLUMNS),
+        "annotations.csv": (*_CELL_COLUMNS, "class", "annotated_count"),
+    }
 
 
 def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
@@ -209,24 +180,34 @@ def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
     if os.path.exists(done_marker):
         with open(done_marker, "r", encoding="utf-8", newline="") as fh:
             row = next(csv.reader(fh), [])
-        if row and len(row) != RESULTS_HEADER.count(",") + 1 + dataset.num_fg:
+        if row and len(row) != len(_headers(dataset.num_fg)["results.csv"]):
             raise ConfigError(f"{done_marker} was run on data with another "
                               "class count; use a new --out")
         return cell.run_id
     train_ids, val_ids = split
-    budget_count = int(cell.budget * len(train_ids))
+    # counted from the budget's decimal value, so 0.29 of 100 spends 29
+    budget_count = int(Fraction(str(cell.budget)) * len(train_ids))
     report = run_active_learning(dataset, train_ids, val_ids, cell.strategy,
                                  budget_count, cell.iterations,
                                  replace(config.train, seed=cell.seed),
                                  fold_index=cell.fold)
+    # each picked sample counts once, under its highest class label
+    picked = [row[1] for row in report.queries]  # the sample_id column
+    counts = (np.bincount(dataset.masks[picked].max(axis=(1, 2)),
+                          minlength=dataset.num_fg + 1) if picked else ())
+    own = [cell.run_id, cell.strategy, f"{cell.budget:g}", cell.seed, cell.fold]
+    fragments = {
+        "queries.csv": [[cell.run_id, *row] for row in report.queries],
+        "calibration.csv": [[cell.run_id, *row] for row in report.calibration],
+        "annotations.csv": [[*own, c, int(n)] for c, n in enumerate(counts)],
+        "results.csv": [[*own, *row] for row in report.epochs],
+    }
     os.makedirs(cell_dir, exist_ok=True)
-    fragments = _cell_rows(cell, report)
-    # the done marker, results.csv, comes first in _CELL_FILES: write it
-    # last, so a cell cut short in here is rerun in full
-    for name, content in reversed(tuple(zip(_CELL_FILES, fragments))):
+    # the done marker, results.csv, goes last: a cell cut short is rerun
+    for name, rows in fragments.items():
         tmp = os.path.join(cell_dir, name + ".tmp")
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(content)
+            csv.writer(fh, lineterminator="\n").writerows(rows)
         os.replace(tmp, os.path.join(cell_dir, name))
     return cell.run_id
 
@@ -251,14 +232,11 @@ def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[
         for cell, split in zip(cells, splits):
             run_cell(config, cell, out_dir, dataset, split)
 
-    class_columns = "".join(f",val_dsc_c{k}" for k in range(1, dataset.num_fg + 1))
-    headers = (RESULTS_HEADER + class_columns, QUERIES_HEADER,
-               CALIBRATION_HEADER, ANNOTATIONS_HEADER)
-    for name, header in zip(_CELL_FILES, headers):
+    for name, header in _headers(dataset.num_fg).items():
         out_path = os.path.join(out_dir, name)
         tmp = out_path + ".tmp"
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n")
+            fh.write(",".join(header) + "\n")
             for cell in cells:
                 frag = os.path.join(out_dir, "cells", cell.run_id, name)
                 with open(frag, "r", encoding="utf-8") as src:

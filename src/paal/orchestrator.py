@@ -12,6 +12,10 @@ over the validation split, the pool or the labeled set runs in chunks of
 ``EVAL_PIXELS`` pixels and only through the layers its outputs read; no
 output depends on the chunk size. Everything is deterministic given the run
 seed.
+
+A run returns its CSV rows (``RunReport``): per epoch, per queried sample,
+and the predictor's calibration on the final pool, each in the column order
+named beside it; the campaign puts the cell's own columns in front.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -103,35 +108,19 @@ class PoolState:
             raise AssertionError("labeled+unlabeled do not partition the train ids")
 
 
-@dataclass
-class EpochRecord:
-    epoch: int
-    iteration: int
-    labeled_count: int
-    seg_loss: float
-    ap_loss: float | None
-    val_dsc_mean: float
-    val_dsc_class: tuple[float, ...]
-
-
-@dataclass
-class QueryRecord:
-    iteration: int
-    selected: np.ndarray
-    weights: np.ndarray | None
-    clusters: np.ndarray | None
-    class_counts: dict[int, int]
-    time_ms: float
+EPOCH_COLUMNS = ("epoch", "iteration", "labeled_count", "labeled_ratio",
+                 "seg_loss", "ap_loss", "val_dsc_mean")
+QUERY_COLUMNS = ("iteration", "sample_id", "cluster", "weight", "query_time_ms")
+CALIBRATION_COLUMNS = ("sample_id", "class", "predicted_dsc", "actual_dsc")
 
 
 @dataclass
 class RunReport:
-    pool_size: int
-    epochs: list[EpochRecord] = field(default_factory=list)
-    queries: list[QueryRecord] = field(default_factory=list)
-    calibration_ids: np.ndarray | None = None
-    calibration_pred: np.ndarray | None = None
-    calibration_actual: np.ndarray | None = None
+    """One run's CSV rows in the ``*_COLUMNS`` order (epoch rows end with one
+    DSC per foreground class); ``None`` is written as an empty cell."""
+    epochs: list[list] = field(default_factory=list)
+    queries: list[list] = field(default_factory=list)
+    calibration: list[list] = field(default_factory=list)
 
 
 def _subseed(*parts) -> int:
@@ -145,7 +134,7 @@ def init_pool(train_ids: np.ndarray, init_ratio: float, budget: int,
     n = len(train_ids)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    m = int(np.ceil(init_ratio * n))
+    m = math.ceil(Fraction(str(init_ratio)) * n)  # the decimal: 0.07 of 100 is 7
     if budget < 0 or budget > n - m:
         raise ValueError(f"budget {budget} exceeds pool of {n - m} unlabeled samples")
     rng = np.random.default_rng(seed)
@@ -253,11 +242,12 @@ def _pool_inference(seg: Network, ap: Network | None, images_norm, labels, ids,
 
 def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
                images_norm: np.ndarray, labels: np.ndarray, num_fg: int,
-               query_seed: int) -> QueryRecord:
+               query_seed: int) -> list[list]:
     """Select, 'annotate' (ground-truth lookup) and absorb one query batch.
 
-    Runs the models only for the inputs the strategy's entry declares; the
-    caller ensures the pool is not empty.
+    Returns one ``QUERY_COLUMNS`` row per picked sample, in id order. Runs
+    the models only for the inputs the strategy's entry declares; the caller
+    ensures the pool is not empty.
     """
     t0 = time.perf_counter()
     pool = state.unlabeled
@@ -275,26 +265,17 @@ def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     # the pool is sorted, so sorted positions give the ids in sorted order
     pos = np.sort(pos)
+    rows = [[state.t, int(pool[p]),
+             -1 if cluster is None else int(cluster[p]),
+             None if weight is None else float(weight[p]), elapsed_ms]
+            for p in pos]
     selected = pool[pos]
-
-    # bucket each sample once, by its highest (rarest, under the default
-    # profile) class label, so the distribution conserves the queried total
-    counts: dict[int, int] = {c: 0 for c in range(num_fg + 1)}
-    for sid in selected:
-        counts[int(labels[sid].max())] += 1
-
-    record = QueryRecord(
-        iteration=state.t, selected=selected,
-        weights=None if weight is None else weight[pos],
-        clusters=None if cluster is None else cluster[pos],
-        class_counts=counts, time_ms=elapsed_ms)
-
     state.labeled = np.union1d(state.labeled, selected)
     state.unlabeled = np.setdiff1d(state.unlabeled, selected)
     state.queried += len(selected)
     state.t += 1
     state.iq_counter = 0
-    return record
+    return rows
 
 
 def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
@@ -321,7 +302,7 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
     seg = build_seg_model(num_fg + 1, seed=_subseed(cfg.seed, fold_index, 1))
     ap = build_ap_model(num_fg + 1, seed=_subseed(cfg.seed, fold_index, 2))
 
-    report = RunReport(pool_size=len(train_ids))
+    report = RunReport()
 
     for epoch in range(cfg.max_epochs):
         lr = cosine_lr(epoch, cfg.max_epochs, cfg.warmup, cfg.lr0, cfg.lr_min)
@@ -337,15 +318,14 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
         else:
             trigger = epoch > 0 and epoch % cfg.query_interval == 0
         if trigger and state.can_query:
-            report.queries.append(query_step(
+            report.queries += query_step(
                 state, seg, ap, strategy, images_norm, labels, num_fg,
-                query_seed=_subseed(cfg.seed, fold_index, 4, state.t)))
+                query_seed=_subseed(cfg.seed, fold_index, 4, state.t))
             state.assert_partition(train_ids)
 
-        report.epochs.append(EpochRecord(
-            epoch=epoch, iteration=state.t, labeled_count=len(state.labeled),
-            seg_loss=seg_loss, ap_loss=ap_loss, val_dsc_mean=val_mean,
-            val_dsc_class=tuple(float(v) for v in val_class)))
+        report.epochs.append([epoch, state.t, len(state.labeled),
+                              len(state.labeled) / len(train_ids), seg_loss,
+                              ap_loss, val_mean, *(float(v) for v in val_class)])
 
         if not state.can_query and state.iq_counter >= cfg.early_stop:
             break
@@ -353,7 +333,8 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
     if len(state.unlabeled):
         out = _pool_inference(seg, ap, images_norm, labels, state.unlabeled,
                               ("pred_acc", "actual"), num_fg)
-        report.calibration_ids = state.unlabeled.copy()
-        report.calibration_pred = out["pred_acc"]
-        report.calibration_actual = out["actual"]
+        pred, actual = out["pred_acc"], out["actual"]
+        report.calibration = [
+            [int(sid), j + 1, float(pred[i, j]), float(actual[i, j])]
+            for i, sid in enumerate(state.unlabeled) for j in range(num_fg)]
     return report

@@ -117,6 +117,8 @@ def assert_config_error(code, capsys):
 
 BAD_CONFIGS = {
     "budget_beyond_pool": "budgets = 1.0",
+    "nan_budget": "budgets = nan",
+    "inf_budget": "budgets = inf",
     "warmup_not_below_max_epochs": "warmup = 4",
     "silent_period_not_below_max_epochs": "silent_period = 4",
     "zero_iterations": "iterations = 0",
@@ -226,10 +228,14 @@ def test_class_columns_follow_the_dataset(tmp_path, num_fg):
     path = write_file(tmp_path, generate(7, 60, 16, 16, profile=profile))
     code, out = paal_run(tmp_path, "run", path)
     assert code == EXIT_OK
-    with open(out / "results.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
+    tables = {}
+    for name in CSV_FILES:
+        with open(out / name, newline="") as fh:
+            tables[name] = list(csv.reader(fh))
+        header, *rows = tables[name]
+        assert rows, name
+        assert {len(row) for row in rows} == {len(header)}, name
+    header, *rows = tables["results.csv"]
     classes = [f"val_dsc_c{k}" for k in range(1, num_fg + 1)]
     assert header[header.index("val_dsc_mean") + 1:] == classes
     assert len(rows) == 2 * 4
@@ -238,6 +244,59 @@ def test_class_columns_follow_the_dataset(tmp_path, num_fg):
         assert float(values["val_dsc_mean"]) == pytest.approx(
             np.mean([float(values[c]) for c in classes]), rel=1e-12, abs=1e-15)
     assert main(["report", "--out", str(out)]) == EXIT_OK
+
+
+# A random cell's picks come only from its RNG and the epoch grid, so its
+# queries (less the wall-clock query_time_ms) and annotation counts are the
+# same bytes whatever the float arithmetic does.
+RANDOM_QUERIES = """\
+random_b0.3_s0_f0,1,2,-1,
+random_b0.3_s0_f0,1,8,-1,
+random_b0.3_s0_f0,1,9,-1,
+random_b0.3_s0_f0,1,17,-1,
+random_b0.3_s0_f0,1,31,-1,
+random_b0.3_s0_f0,1,42,-1,
+random_b0.3_s0_f0,1,47,-1,
+random_b0.3_s0_f0,2,4,-1,
+random_b0.3_s0_f0,2,7,-1,
+random_b0.3_s0_f0,2,11,-1,
+random_b0.3_s0_f0,2,21,-1,
+random_b0.3_s0_f0,2,23,-1,
+random_b0.3_s0_f0,2,46,-1,
+random_b0.3_s0_f0,2,49,-1,
+"""
+RANDOM_ANNOTATIONS = """\
+random_b0.3_s0_f0,random,0.3,0,0,0,0
+random_b0.3_s0_f0,random,0.3,0,0,1,4
+random_b0.3_s0_f0,random,0.3,0,0,2,10
+random_b0.3_s0_f0,random,0.3,0,0,3,0
+"""
+
+
+@pytest.mark.parametrize("extra,queries,annotations", [
+    ("", RANDOM_QUERIES, RANDOM_ANNOTATIONS),
+    ("max_epochs = 1\nwarmup = 0\nsilent_period = 0\n", "", ""),
+], ids=["two_queries", "no_query"])
+def test_a_random_cell_writes_the_pinned_fragments(tmp_path, data_file, extra,
+                                                   queries, annotations):
+    code, out = paal_run(tmp_path, "run", data_file, strategies="random",
+                         extra=extra)
+    assert code == EXIT_OK
+    cell = out / "cells" / "random_b0.3_s0_f0"
+    written = (cell / "queries.csv").read_text().splitlines()
+    assert "".join(line.rsplit(",", 1)[0] + "\n" for line in written) == queries
+    assert (cell / "annotations.csv").read_text() == annotations
+
+
+def test_the_budget_is_counted_from_its_decimal_value(tmp_path):
+    # 0.29 * 100 is 28.999999999999996 in floats
+    path = write_file(tmp_path, generate(7, 125, 16, 16))  # 100 train ids
+    code, out = paal_run(tmp_path, "run", path, strategies="random",
+                         extra="budgets = 0.29\niterations = 1\n")
+    assert code == EXIT_OK
+    with open(out / "annotations.csv", newline="") as fh:
+        counts = [int(row["annotated_count"]) for row in csv.DictReader(fh)]
+    assert sum(counts) == 29
 
 
 def test_rerun_on_a_different_class_count_is_refused(tmp_path, capsys):

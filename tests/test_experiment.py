@@ -55,6 +55,17 @@ def test_training_checks_exit_through_config_error():
         parse_config_text(BASE + "init_ratio = 1.5\n")
 
 
+@pytest.mark.parametrize("budget,accepted", [("0.93", True), ("0.94", False)])
+def test_the_budget_limit_is_one_minus_init_ratio_in_decimals(budget, accepted):
+    # 1 - 0.07 is 0.9299999999999999 in floats
+    text = BASE + f"init_ratio = 0.07\nbudgets = {budget}\n"
+    if accepted:
+        assert parse_config_text(text).budgets == [float(budget)]
+    else:
+        with pytest.raises(ConfigError, match="budgets must be ratios"):
+            parse_config_text(text)
+
+
 def test_folds_follow_the_fold_count():
     assert parse_config_text(BASE).folds == list(range(NUM_FOLDS))
     with pytest.raises(ConfigError, match=f"indices in 0..{NUM_FOLDS - 1}"):

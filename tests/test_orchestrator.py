@@ -41,7 +41,7 @@ def test_query_step_computes_exactly_the_declared_inputs(strategy, dataset,
     monkeypatch.setattr(orchestrator, "select", capturing_select)
     num_fg = dataset.num_fg
     state = init_pool(np.arange(32), 0.25, budget=8, iterations=2, seed=0)
-    record = query_step(
+    rows = query_step(
         state, build_seg_model(num_fg + 1, seed=1),
         build_ap_model(num_fg + 1, seed=2), strategy,
         normalize_images(dataset.images), dataset.masks,
@@ -53,8 +53,14 @@ def test_query_step_computes_exactly_the_declared_inputs(strategy, dataset,
         assert seg_calls
     else:
         assert seg_calls == []
-    assert len(record.selected) == 4
+    assert len(rows) == 4
     state.assert_partition(np.arange(32))
+
+
+def test_the_initial_count_is_the_ratio_in_decimals():
+    # 0.07 * 100 is 7.000000000000001 in floats
+    state = init_pool(np.arange(100), 0.07, budget=93, iterations=1, seed=0)
+    assert len(state.labeled) == 7
 
 
 @pytest.fixture(scope="module")
@@ -183,4 +189,4 @@ def test_early_stopping_epoch_counts(strategy, early_stop, iq_patience, lr0,
                                  budget=int(0.3 * len(train_ids)), iterations=3,
                                  cfg=cfg)
     assert len(report.epochs) == epochs
-    assert len(report.queries) == 3
+    assert len({row[0] for row in report.queries}) == 3  # iterations
