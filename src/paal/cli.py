@@ -55,8 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    if args.n < 0 or min(args.height, args.width) < 1:
-        raise ConfigError("--n must be >= 0, --height and --width >= 1")
+    if min(args.n, args.seed) < 0 or min(args.height, args.width) < 1:
+        raise ConfigError("--n and --seed must be >= 0, --height and --width >= 1")
     ds = data_mod.generate(args.seed, args.n, args.height, args.width)
     data_mod.write_dataset(args.out, ds)
     print(f"wrote {len(ds)} samples ({args.height}x{args.width}) to {args.out}")

@@ -151,8 +151,8 @@ def read_dataset(path) -> Dataset:
         raise DatasetFormatError("truncated file")
     if len(data) > expected:
         raise DatasetFormatError("trailing bytes after records")
-    if num_fg < 1:
-        raise DatasetFormatError(f"num_fg must be >= 1, got {num_fg}")
+    if not 1 <= num_fg <= 255:
+        raise DatasetFormatError(f"num_fg must be in 1..255 (u8 masks), got {num_fg}")
     records = np.frombuffer(data, np.uint8, offset=_HEADER.size).reshape(n, 2, h, w)
     images, masks = records[:, 0], records[:, 1]
     if n and masks.max() > num_fg:

@@ -9,6 +9,13 @@ results/queries/calibration/annotations files in a fixed order.
 ``results.csv`` has one ``val_dsc_c<k>`` column per foreground class of the
 dataset, ``k = 1 .. num_fg``.
 
+``paal report`` reads those files into one row per run and writes group-bys:
+``summary.csv`` by (strategy, budget), ``curves.csv`` by (strategy,
+labeled_ratio), ``calibration_summary.csv`` by run_id, and ``distribution.csv``
+by (strategy, class) over the annotation rows of the largest budget present.
+Fragments and report files go to ``<name>.tmp``, then are renamed over
+``<name>``, so an interrupted write never leaves half a file.
+
 The config's required ``dataset`` key names a dataset file written by
 ``paal generate``; the results directory is ``paal run --out``.
 """
@@ -22,6 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -205,10 +213,7 @@ def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
     os.makedirs(cell_dir, exist_ok=True)
     # the done marker, results.csv, goes last: a cell cut short is rerun
     for name, rows in fragments.items():
-        tmp = os.path.join(cell_dir, name + ".tmp")
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-        os.replace(tmp, os.path.join(cell_dir, name))
+        _write_rows(os.path.join(cell_dir, name), rows)
     return cell.run_id
 
 
@@ -250,89 +255,80 @@ def _read_csv(path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _write_csv(path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header.split(","))
-        writer.writerows(rows)
+def _write_rows(path, rows) -> None:
+    """Write CSV rows to ``<path>.tmp``, then move that onto ``path``."""
+    with open(path + ".tmp", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    os.replace(path + ".tmp", path)
+
+
+def _group(items, key) -> dict:
+    """``{key(item): [item, ...]}``, keys in first-seen order."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups
 
 
 def write_report(results_dir: str) -> None:
-    """Aggregate a results directory into summary/distribution/curves/calibration CSVs."""
-    results_path = os.path.join(results_dir, "results.csv")
-    if not os.path.exists(results_path):
-        raise FileNotFoundError(f"{results_path} not found; run a campaign first")
-    rows = _read_csv(results_path)
-    queries = _read_csv(os.path.join(results_dir, "queries.csv"))
-    calibration = _read_csv(os.path.join(results_dir, "calibration.csv"))
-    annotations = _read_csv(os.path.join(results_dir, "annotations.csv"))
+    """Aggregate a results directory into the report files the module names."""
+    def path(name):
+        return os.path.join(results_dir, name)
 
-    # best validation DSC per run, over the run and at each labeled ratio
-    run_meta: dict[str, tuple[str, str]] = {}
-    best_dsc: dict[str, float] = {}
-    per_ratio: dict[tuple[str, str], dict[str, float]] = {}
-    for r in rows:
-        rid = r["run_id"]
-        run_meta[rid] = (r["strategy"], r["budget"])
-        v = float(r["val_dsc_mean"])
-        best_dsc[rid] = max(best_dsc.get(rid, v), v)
-        runs = per_ratio.setdefault((r["strategy"], r["labeled_ratio"]), {})
-        runs[rid] = max(runs.get(rid, v), v)
+    def by_number(group):  # a (strategy, number) key, the number by value
+        return group[0][0], float(group[0][1])
 
-    # one time per query event: every row of a (run, iteration) carries it
-    event_time: dict[tuple[str, str], float] = {}
-    for q in queries:
-        event_time.setdefault((q["run_id"], q["iteration"]),
-                              float(q["query_time_ms"]))
+    if not os.path.exists(path("results.csv")):
+        raise FileNotFoundError(f"{path('results.csv')} not found; "
+                                "run a campaign first")
+    queries = _group(_read_csv(path("queries.csv")), itemgetter("run_id"))
+    calibration = _group(_read_csv(path("calibration.csv")), itemgetter("run_id"))
+    annotations = _read_csv(path("annotations.csv"))
 
-    groups: dict[tuple[str, str], list[str]] = {}
-    for rid, meta in run_meta.items():
-        groups.setdefault(meta, []).append(rid)
+    # one row per run: best val DSC over the run and at each labeled ratio,
+    # one time per query event (every row of an iteration carries it), and
+    # per-sample (predicted, actual) DSC pairs, each a mean over classes
+    runs = {}
+    for rid, rows in _group(_read_csv(path("results.csv")), itemgetter("run_id")).items():
+        events = _group(queries.get(rid, ()), itemgetter("iteration"))
+        samples = _group(calibration.get(rid, ()), lambda c: int(c["sample_id"]))
+        runs[rid] = {
+            "setting": (rows[-1]["strategy"], rows[-1]["budget"]),
+            "best": max(float(r["val_dsc_mean"]) for r in rows),
+            "at_ratio": {ratio: max(float(r["val_dsc_mean"]) for r in at) for ratio, at
+                         in _group(rows, itemgetter("labeled_ratio")).items()},
+            "times": [float(events[it][0]["query_time_ms"]) for it in sorted(events)],
+            "pairs": [[float(np.mean([float(c[col]) for c in samples[s]]))
+                       for col in ("predicted_dsc", "actual_dsc")]
+                      for s in sorted(samples)]}
+
     summary = []
-    for (strategy, budget) in sorted(groups, key=lambda m: (m[0], float(m[1]))):
-        rids = sorted(groups[(strategy, budget)])
-        finals = [best_dsc[r] for r in rids]
-        times = [t for (rid, _), t in sorted(event_time.items()) if rid in rids]
-        summary.append([strategy, budget, float(np.mean(finals)),
-                        float(np.std(finals)),
+    settings = _group(sorted(runs), lambda rid: runs[rid]["setting"])
+    for setting, rids in sorted(settings.items(), key=by_number):
+        finals = [runs[r]["best"] for r in rids]
+        times = [t for r in rids for t in runs[r]["times"]]
+        summary.append([*setting, float(np.mean(finals)), float(np.std(finals)),
                         float(np.mean(times)) if times else None])
-    _write_csv(os.path.join(results_dir, "summary.csv"),
-               "strategy,budget,dsc_mean,dsc_std,query_time_mean", summary)
-
-    # annotation distribution at the largest budget present
-    max_budget = max((float(a["budget"]) for a in annotations), default=None)
-    dist: dict[tuple[str, int], int] = {}
-    for a in annotations:
-        if float(a["budget"]) != max_budget:
-            continue
-        key = (a["strategy"], int(a["class"]))
-        dist[key] = dist.get(key, 0) + int(a["annotated_count"])
-    distribution = []
-    for (strategy, cls), count in sorted(dist.items()):
-        ref = dist.get(("random", cls))
-        distribution.append([strategy, cls, count, count / ref if ref else None])
-    _write_csv(os.path.join(results_dir, "distribution.csv"),
-               "strategy,class,annotated_count,ratio_vs_random", distribution)
-
-    # DSC as a function of labeled ratio, averaged over runs
-    _write_csv(os.path.join(results_dir, "curves.csv"),
-               "strategy,labeled_ratio,dsc_mean",
-               [[strategy, ratio, float(np.mean(list(runs.values())))]
-                for (strategy, ratio), runs in sorted(
-                    per_ratio.items(), key=lambda kv: (kv[0][0], float(kv[0][1])))])
-
-    # accuracy-predictor calibration per run (per-sample mean over classes)
-    per_run: dict[str, dict[int, list[tuple[float, float]]]] = {}
-    for c in calibration:
-        per_run.setdefault(c["run_id"], {}).setdefault(
-            int(c["sample_id"]), []).append(
-                (float(c["predicted_dsc"]), float(c["actual_dsc"])))
-    calibration_rows = []
-    for rid in sorted(per_run):
-        pairs = per_run[rid]
-        pred = [float(np.mean([p for p, _ in pairs[s]])) for s in sorted(pairs)]
-        act = [float(np.mean([a for _, a in pairs[s]])) for s in sorted(pairs)]
-        r = pearson_r(pred, act) if len(pred) >= 2 else 0.0
-        calibration_rows.append([rid, *run_meta.get(rid, ("", "")), len(pred), r])
-    _write_csv(os.path.join(results_dir, "calibration_summary.csv"),
-               "run_id,strategy,budget,n_samples,pearson_r", calibration_rows)
+    curves = _group(((run["setting"][0], ratio, dsc) for run in runs.values()
+                     for ratio, dsc in run["at_ratio"].items()), itemgetter(0, 1))
+    # annotations per class at the largest budget present
+    top = max((float(a["budget"]) for a in annotations), default=None)
+    at_top = _group((a for a in annotations if float(a["budget"]) == top),
+                    lambda a: (a["strategy"], int(a["class"])))
+    counts = {key: sum(int(a["annotated_count"]) for a in rows)
+              for key, rows in sorted(at_top.items())}
+    reports = {
+        "summary.csv": ("strategy,budget,dsc_mean,dsc_std,query_time_mean", summary),
+        "distribution.csv": ("strategy,class,annotated_count,ratio_vs_random", (
+            [strategy, cls, n, n / ref if (ref := counts.get(("random", cls))) else None]
+            for (strategy, cls), n in counts.items())),
+        "curves.csv": ("strategy,labeled_ratio,dsc_mean", (
+            [*key, float(np.mean([dsc for *_, dsc in group]))]
+            for key, group in sorted(curves.items(), key=by_number))),
+        "calibration_summary.csv": ("run_id,strategy,budget,n_samples,pearson_r", (
+            [rid, *run["setting"], len(run["pairs"]),
+             pearson_r(*zip(*run["pairs"])) if len(run["pairs"]) >= 2 else 0.0]
+            for rid, run in sorted(runs.items()) if run["pairs"])),
+    }
+    for name, (header, body) in reports.items():
+        _write_rows(path(name), [header.split(","), *body])

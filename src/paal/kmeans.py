@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_MAX_ITER, _TOL = 100, 1e-6  # Lloyd step cap; converged below this shift
+
 
 @dataclass
 class ClusterModel:
@@ -37,8 +39,7 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-def kmeans_fit(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
-               tol: float = 1e-6) -> ClusterModel:
+def kmeans_fit(points: np.ndarray, k: int, seed: int) -> ClusterModel:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("points must be (n, dim)")
@@ -51,7 +52,7 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
 
     centroids = _plus_plus_init(pts, k, rng)
     history = []
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         d2 = _sq_dists(pts, centroids)
         assign = d2.argmin(axis=1)
         history.append(float(d2[np.arange(n), assign].sum()))
@@ -70,7 +71,7 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
                 dist_own[far] = -1.0
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
-        if shift < tol:
+        if shift < _TOL:
             break
     d2 = _sq_dists(pts, centroids)
     assign = d2.argmin(axis=1)

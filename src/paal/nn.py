@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+_BETA1, _BETA2 = 0.9, 0.999  # Adam's moment decay rates
+
 
 class ShapeError(ValueError):
     """Input shape does not match what a layer expects."""
@@ -35,10 +37,10 @@ class Param:
         self.step = 0
 
 
-def glorot_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator,
-                   dtype=np.float32) -> np.ndarray:
+def glorot_uniform(shape, fan_in: int, fan_out: int,
+                   rng: np.random.Generator) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 class Layer:
@@ -280,8 +282,7 @@ class Network(Layer):
             p.grad[...] = 0
 
 
-def adamw_step(params: list[Param], lr: float, beta1: float = 0.9,
-               beta2: float = 0.999, eps: float = 1e-8,
+def adamw_step(params: list[Param], lr: float, eps: float = 1e-8,
                weight_decay: float = 1e-4) -> None:
     """One decoupled-weight-decay Adam update; leaves gradients untouched."""
     for p in params:
@@ -289,10 +290,10 @@ def adamw_step(params: list[Param], lr: float, beta1: float = 0.9,
             raise NumericalError("non-finite gradient in adamw_step")
         p.step += 1
         g = p.grad
-        p.m += (1.0 - beta1) * (g - p.m)
-        p.v += (1.0 - beta2) * (g * g - p.v)
-        mhat = p.m / (1.0 - beta1 ** p.step)
-        vhat = p.v / (1.0 - beta2 ** p.step)
+        p.m += (1.0 - _BETA1) * (g - p.m)
+        p.v += (1.0 - _BETA2) * (g * g - p.v)
+        mhat = p.m / (1.0 - _BETA1 ** p.step)
+        vhat = p.v / (1.0 - _BETA2 ** p.step)
         p.value -= (lr * mhat / (np.sqrt(vhat) + eps)
                     + lr * weight_decay * p.value).astype(p.value.dtype, copy=False)
 

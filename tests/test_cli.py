@@ -183,8 +183,10 @@ def test_a_dataset_too_small_for_five_folds_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [["generate", "--n", "-1"],
                                   ["generate", "--n", "5", "--height", "0"],
+                                  ["generate", "--n", "5", "--seed", "-1"],
                                   ["run", "--config", "-", "--jobs", "0"]],
-                         ids=["negative_n", "zero_height", "zero_jobs"])
+                         ids=["negative_n", "zero_height", "negative_seed",
+                              "zero_jobs"])
 def test_a_bad_command_line_number_exits_2(tmp_path, capsys, args):
     code = main(args + ["--out", str(tmp_path / "out")])
     err = assert_config_error(code, capsys)
@@ -328,8 +330,14 @@ def label_above_class_count_file(tmp_path):
     return write_file(tmp_path, Dataset(ds.images, ds.masks, num_fg=2))
 
 
+def more_classes_than_u8_masks_hold_file(tmp_path):
+    ds = generate(7, 60, 8, 8)
+    return write_file(tmp_path, Dataset(ds.images, ds.masks, num_fg=300))
+
+
 @pytest.mark.parametrize("make_file", [old_format_file,
-                                       label_above_class_count_file])
+                                       label_above_class_count_file,
+                                       more_classes_than_u8_masks_hold_file])
 def test_bad_dataset_file_exits_3_without_traceback(tmp_path, capsys,
                                                     make_file):
     code, _ = paal_run(tmp_path, "bad", make_file(tmp_path))

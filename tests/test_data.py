@@ -158,6 +158,13 @@ class TestDatasetFile:
         with pytest.raises(DatasetFormatError, match="num_fg"):
             read_dataset(path)
 
+    def test_more_classes_than_u8_masks_hold_rejected(self, tmp_path):
+        ds = generate(7, 4)
+        path = tmp_path / "wide.bin"
+        write_dataset(path, Dataset(ds.images, ds.masks, num_fg=256))
+        with pytest.raises(DatasetFormatError, match="num_fg.*u8 masks"):
+            read_dataset(path)
+
     def test_label_above_class_count_rejected(self, tmp_path):
         ds = generate(7, 20)
         path = tmp_path / "labels.bin"

@@ -74,7 +74,12 @@ def test_folds_follow_the_fold_count():
 
 # a hand-made results directory: two random seeds and two paal_full budgets,
 # a ratio with no random count, a query group with no timings, and a
-# one-sample calibration run
+# one-sample calibration run. Each mean's summation order is pinned: the
+# coreset runs (best val DSC 0.1, 0.2, 0.3) are listed by seed 2, 10, 1, so
+# summing them in sorted run_id order (summary) and in results.csv order
+# (curves) gives different last bits, as do random seed 1's query iterations
+# 1, 2, 10 taken in sorted string order and coreset seed 2's calibration
+# samples 2, 10, 1 taken in sorted id order
 REPORT_INPUTS = {
     "results.csv": """\
 run_id,strategy,budget,seed,fold,epoch,iteration,labeled_count,labeled_ratio,seg_loss,ap_loss,val_dsc_mean,val_dsc_c1,val_dsc_c2
@@ -86,12 +91,16 @@ random_b0.3_s1_f0,random,0.3,1,0,1,2,6,0.15,0.8,,0.2,0.1,0.3
 paal_full_b0.3_s0_f0,paal_full,0.3,0,0,0,1,4,0.1,0.9,0.05,0.6,0.5,0.7
 paal_full_b0.3_s0_f0,paal_full,0.3,0,0,1,2,6,0.15,0.8,0.04,0.9,0.8,1.0
 paal_full_b0.2_s0_f0,paal_full,0.2,0,0,0,1,4,0.1,0.9,0.05,0.4,0.3,0.5
+coreset_b0.3_s2_f0,coreset,0.3,2,0,0,1,4,0.1,0.9,,0.1,0.0,0.2
+coreset_b0.3_s10_f0,coreset,0.3,10,0,0,1,4,0.1,0.9,,0.2,0.1,0.3
+coreset_b0.3_s1_f0,coreset,0.3,1,0,0,1,4,0.1,0.9,,0.3,0.2,0.4
 """,
     "queries.csv": """\
 run_id,iteration,sample_id,cluster,weight,query_time_ms
 random_b0.3_s0_f0,1,3,-1,,1.5
 random_b0.3_s0_f0,1,8,-1,,1.5
 random_b0.3_s1_f0,1,2,-1,,2.25
+random_b0.3_s1_f0,2,6,-1,,0.3
 random_b0.3_s1_f0,10,5,-1,,0.1
 paal_full_b0.3_s0_f0,1,4,0,0.5,3.0
 paal_full_b0.3_s0_f0,1,9,1,0.25,3.0
@@ -106,6 +115,9 @@ random_b0.3_s0_f0,5,1,0.2,0.1
 random_b0.3_s0_f0,5,2,0.2,0.4
 paal_full_b0.3_s0_f0,6,1,0.3,0.3
 paal_full_b0.3_s0_f0,6,2,0.3,0.5
+coreset_b0.3_s2_f0,2,1,0.9,0.1
+coreset_b0.3_s2_f0,10,1,0.7,0.5
+coreset_b0.3_s2_f0,1,1,0.3,0.8
 """,
     "annotations.csv": """\
 run_id,strategy,budget,seed,fold,class,annotated_count
@@ -121,9 +133,10 @@ paal_full_b0.2_s0_f0,paal_full,0.2,0,0,2,5
 REPORT_OUTPUTS = {
     "summary.csv": """\
 strategy,budget,dsc_mean,dsc_std,query_time_mean
+coreset,0.3,0.19999999999999998,0.0816496580927726,
 paal_full,0.2,0.4,0.0,
 paal_full,0.3,0.9,0.0,3.0
-random,0.3,0.5,0.19999999999999998,1.2833333333333334
+random,0.3,0.5,0.19999999999999998,1.0375
 """,
     "distribution.csv": """\
 strategy,class,annotated_count,ratio_vs_random
@@ -134,6 +147,7 @@ random,1,5,1.0
 """,
     "curves.csv": """\
 strategy,labeled_ratio,dsc_mean
+coreset,0.1,0.20000000000000004
 paal_full,0.1,0.5
 paal_full,0.15,0.9
 random,0.1,0.2
@@ -141,6 +155,7 @@ random,0.15,0.44999999999999996
 """,
     "calibration_summary.csv": """\
 run_id,strategy,budget,n_samples,pearson_r
+coreset_b0.3_s2_f0,coreset,0.3,3,-0.9631231373018599
 paal_full_b0.3_s0_f0,paal_full,0.3,1,0.0
 random_b0.3_s0_f0,random,0.3,3,0.996615895540124
 """,

@@ -1,8 +1,9 @@
 """Static guards on the package source: every name a module imports is used
 in that module, every module-level private name is read somewhere in the
 package, every public module-level name or class method is read somewhere
-in the package, and every dataclass field is read somewhere in the package
-or by the benchmark's tracer.
+in the package, every dataclass field is read somewhere in the package
+or by the benchmark's tracer, and every parameter default is overridden by
+some call in the package or its tests.
 
 No linter ships with the toolchain, so these are the unused-import and
 dead-code checks.
@@ -18,6 +19,7 @@ PACKAGE = ROOT / "src" / "paal"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 # reads fields of the package's results (ClusterModel.inertia_history)
 TRACING = ROOT / "benchmarks" / "tracing.py"
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -116,6 +118,48 @@ def field_sources() -> dict[str, str]:
     return {p.name: p.read_text(encoding="utf-8") for p in SOURCES + [TRACING]}
 
 
+def _overrides(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether ``call`` passes ``param``: by keyword, through ``**kwargs``,
+    or, for a positional parameter at ``index``, by enough (or starred)
+    positional arguments."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index or any(
+        isinstance(a, ast.Starred) for a in call.args))
+
+
+def single_value_parameters(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """``def(param)`` for every parameter default of a ``def`` in ``sources``
+    that no call in ``callers`` overrides. Calls match by name; a method
+    skips ``self``, and a call to a class is a call to its ``__init__``."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    flagged = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        owner = {id(item): node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            method = id(node) in owner
+            args = node.args
+            positional = [(a.arg, i - method) for i, a in
+                          enumerate(args.posonlyargs + args.args)]
+            params = positional[len(positional) - len(args.defaults):] + [
+                (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None]
+            name = owner[id(node)] if node.name == "__init__" else node.name
+            flagged += [f"{module}: {node.name}({param})" for param, index in params
+                        if not any(_overrides(call, param, index)
+                                   for call in calls.get(name, []))]
+    return flagged
+
+
 def test_guard_flags_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import numpy as np\n"
@@ -163,6 +207,21 @@ def test_guard_flags_a_restored_inertia_field():
     assert unread_fields(sources) == ["kmeans.py: ClusterModel.inertia"]
 
 
+def test_guard_flags_a_never_passed_default():
+    sources = {
+        "nn.py": ("class Conv2D:\n"
+                  "    def __init__(self, c, k=3, *, bias=True):\n        pass\n"
+                  "    def forward(self, x, train=False):\n        return x\n"
+                  "def adamw_step(params, lr, beta1=0.9, eps=1e-8):\n"
+                  "    pass\n"),
+    }
+    callers = [sources["nn.py"],
+               "conv = Conv2D(1, 5)\nconv.forward(0, True)\n"
+               "adamw_step([], 0.1, eps=0.0)\n",
+               "Conv2D(1, **{'bias': False})\n"]
+    assert single_value_parameters(sources, callers) == ["nn.py: adamw_step(beta1)"]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -180,3 +239,9 @@ def test_no_unread_public_names():
 
 def test_no_unread_dataclass_fields():
     assert unread_fields(field_sources()) == []
+
+
+def test_no_single_value_parameters():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    callers = [p.read_text(encoding="utf-8") for p in SOURCES + TESTS]
+    assert single_value_parameters(sources, callers) == []
