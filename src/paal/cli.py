@@ -5,8 +5,8 @@ its required ``dataset`` key; `paal run` and `paal report` take the results
 directory as the required ``--out``.
 
 Exit codes: 0 success, 2 configuration or usage error (bad config value,
-bad command-line number, missing option), 3 I/O error, 4 numerical failure
-(NaN/Inf detected during training).
+bad command-line number, missing option), 3 I/O error or a malformed dataset
+or results file, 4 numerical failure (NaN/Inf detected during training).
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ import argparse
 import ctypes
 import sys
 
-import numpy as np
-
 from . import data as data_mod
-from .experiment import ConfigError, load_config, run_campaign, write_report
+from .experiment import (ConfigError, ResultsFormatError, load_config,
+                         run_campaign, write_report)
 from .nn import NumericalError
 
 EXIT_OK = 0
@@ -62,7 +61,7 @@ def _cmd_generate(args) -> int:
     print(f"wrote {len(ds)} samples ({args.height}x{args.width}) to {args.out}")
     if len(ds):
         for c in range(1, ds.num_fg + 1):
-            rate = float(np.mean([(m == c).any() for m in ds.masks]))
+            rate = (ds.masks == c).any(axis=(1, 2)).mean()
             print(f"  class {c}: present in {rate:.1%} of images")
     return EXIT_OK
 
@@ -112,7 +111,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (data_mod.DatasetFormatError, OSError) as exc:
+    except (data_mod.DatasetFormatError, ResultsFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except NumericalError as exc:

@@ -44,6 +44,10 @@ class ConfigError(ValueError):
     """Bad experiment configuration (unknown keys, bad values, missing inputs)."""
 
 
+class ResultsFormatError(ValueError):
+    """A results file that ``paal report`` cannot read."""
+
+
 _CELL_COLUMNS = ("run_id", "strategy", "budget", "seed", "fold")
 
 # training key -> the type of its TrainConfig default, which parses its value
@@ -133,8 +137,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_config_text(text)
 
 
 @dataclass(frozen=True)
@@ -271,7 +279,8 @@ def _group(items, key) -> dict:
 
 
 def write_report(results_dir: str) -> None:
-    """Aggregate a results directory into the report files the module names."""
+    """Aggregate a results directory into the report files the module names;
+    a results file that lacks a column or a number raises ResultsFormatError."""
     def path(name):
         return os.path.join(results_dir, name)
 
@@ -281,54 +290,57 @@ def write_report(results_dir: str) -> None:
     if not os.path.exists(path("results.csv")):
         raise FileNotFoundError(f"{path('results.csv')} not found; "
                                 "run a campaign first")
-    queries = _group(_read_csv(path("queries.csv")), itemgetter("run_id"))
-    calibration = _group(_read_csv(path("calibration.csv")), itemgetter("run_id"))
-    annotations = _read_csv(path("annotations.csv"))
+    try:
+        queries = _group(_read_csv(path("queries.csv")), itemgetter("run_id"))
+        calibration = _group(_read_csv(path("calibration.csv")), itemgetter("run_id"))
+        annotations = _read_csv(path("annotations.csv"))
 
-    # one row per run: best val DSC over the run and at each labeled ratio,
-    # one time per query event (every row of an iteration carries it), and
-    # per-sample (predicted, actual) DSC pairs, each a mean over classes
-    runs = {}
-    for rid, rows in _group(_read_csv(path("results.csv")), itemgetter("run_id")).items():
-        events = _group(queries.get(rid, ()), itemgetter("iteration"))
-        samples = _group(calibration.get(rid, ()), lambda c: int(c["sample_id"]))
-        runs[rid] = {
-            "setting": (rows[-1]["strategy"], rows[-1]["budget"]),
-            "best": max(float(r["val_dsc_mean"]) for r in rows),
-            "at_ratio": {ratio: max(float(r["val_dsc_mean"]) for r in at) for ratio, at
-                         in _group(rows, itemgetter("labeled_ratio")).items()},
-            "times": [float(events[it][0]["query_time_ms"]) for it in sorted(events)],
-            "pairs": [[float(np.mean([float(c[col]) for c in samples[s]]))
-                       for col in ("predicted_dsc", "actual_dsc")]
-                      for s in sorted(samples)]}
+        # one row per run: best val DSC over the run and at each labeled ratio,
+        # one time per query event (every row of an iteration carries it), and
+        # per-sample (predicted, actual) DSC pairs, each a mean over classes
+        runs = {}
+        for rid, rows in _group(_read_csv(path("results.csv")), itemgetter("run_id")).items():
+            events = _group(queries.get(rid, ()), itemgetter("iteration"))
+            samples = _group(calibration.get(rid, ()), lambda c: int(c["sample_id"]))
+            runs[rid] = {
+                "setting": (rows[-1]["strategy"], rows[-1]["budget"]),
+                "best": max(float(r["val_dsc_mean"]) for r in rows),
+                "at_ratio": {ratio: max(float(r["val_dsc_mean"]) for r in at) for ratio, at
+                             in _group(rows, itemgetter("labeled_ratio")).items()},
+                "times": [float(events[it][0]["query_time_ms"]) for it in sorted(events)],
+                "pairs": [[float(np.mean([float(c[col]) for c in samples[s]]))
+                           for col in ("predicted_dsc", "actual_dsc")]
+                          for s in sorted(samples)]}
 
-    summary = []
-    settings = _group(sorted(runs), lambda rid: runs[rid]["setting"])
-    for setting, rids in sorted(settings.items(), key=by_number):
-        finals = [runs[r]["best"] for r in rids]
-        times = [t for r in rids for t in runs[r]["times"]]
-        summary.append([*setting, float(np.mean(finals)), float(np.std(finals)),
-                        float(np.mean(times)) if times else None])
-    curves = _group(((run["setting"][0], ratio, dsc) for run in runs.values()
-                     for ratio, dsc in run["at_ratio"].items()), itemgetter(0, 1))
-    # annotations per class at the largest budget present
-    top = max((float(a["budget"]) for a in annotations), default=None)
-    at_top = _group((a for a in annotations if float(a["budget"]) == top),
-                    lambda a: (a["strategy"], int(a["class"])))
-    counts = {key: sum(int(a["annotated_count"]) for a in rows)
-              for key, rows in sorted(at_top.items())}
-    reports = {
-        "summary.csv": ("strategy,budget,dsc_mean,dsc_std,query_time_mean", summary),
-        "distribution.csv": ("strategy,class,annotated_count,ratio_vs_random", (
-            [strategy, cls, n, n / ref if (ref := counts.get(("random", cls))) else None]
-            for (strategy, cls), n in counts.items())),
-        "curves.csv": ("strategy,labeled_ratio,dsc_mean", (
-            [*key, float(np.mean([dsc for *_, dsc in group]))]
-            for key, group in sorted(curves.items(), key=by_number))),
-        "calibration_summary.csv": ("run_id,strategy,budget,n_samples,pearson_r", (
-            [rid, *run["setting"], len(run["pairs"]),
-             pearson_r(*zip(*run["pairs"])) if len(run["pairs"]) >= 2 else 0.0]
-            for rid, run in sorted(runs.items()) if run["pairs"])),
-    }
+        summary = []
+        settings = _group(sorted(runs), lambda rid: runs[rid]["setting"])
+        for setting, rids in sorted(settings.items(), key=by_number):
+            finals = [runs[r]["best"] for r in rids]
+            times = [t for r in rids for t in runs[r]["times"]]
+            summary.append([*setting, float(np.mean(finals)), float(np.std(finals)),
+                            float(np.mean(times)) if times else None])
+        curves = _group(((run["setting"][0], ratio, dsc) for run in runs.values()
+                         for ratio, dsc in run["at_ratio"].items()), itemgetter(0, 1))
+        # annotations per class at the largest budget present
+        top = max((float(a["budget"]) for a in annotations), default=None)
+        at_top = _group((a for a in annotations if float(a["budget"]) == top),
+                        lambda a: (a["strategy"], int(a["class"])))
+        counts = {key: sum(int(a["annotated_count"]) for a in rows)
+                  for key, rows in sorted(at_top.items())}
+        reports = {
+            "summary.csv": ("strategy,budget,dsc_mean,dsc_std,query_time_mean", summary),
+            "distribution.csv": ("strategy,class,annotated_count,ratio_vs_random", (
+                [strategy, cls, n, n / ref if (ref := counts.get(("random", cls))) else None]
+                for (strategy, cls), n in counts.items())),
+            "curves.csv": ("strategy,labeled_ratio,dsc_mean", (
+                [*key, float(np.mean([dsc for *_, dsc in group]))]
+                for key, group in sorted(curves.items(), key=by_number))),
+            "calibration_summary.csv": ("run_id,strategy,budget,n_samples,pearson_r", (
+                [rid, *run["setting"], len(run["pairs"]),
+                 pearson_r(*zip(*run["pairs"])) if len(run["pairs"]) >= 2 else 0.0]
+                for rid, run in sorted(runs.items()) if run["pairs"])),
+        }
+    except (csv.Error, KeyError, TypeError, ValueError) as exc:
+        raise ResultsFormatError(f"malformed results in {results_dir}: {exc!r}") from exc
     for name, (header, body) in reports.items():
         _write_rows(path(name), [header.split(","), *body])

@@ -3,7 +3,8 @@
 Built by hand rather than borrowed so the contracts the query pipeline
 relies on are exact: bit-for-bit determinism under a fixed seed, lowest-index
 tie-breaking, and re-seeding of emptied clusters from the point farthest from
-its assigned centroid.
+its assigned centroid. :func:`sq_dists` is the package's one squared-distance
+kernel, for clustering and for the selection strategies alike.
 """
 
 from __future__ import annotations
@@ -22,19 +23,19 @@ class ClusterModel:
     inertia_history: tuple[float, ...] = ()  # the last entry is the fit's
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Exact (n, k) squared Euclidean distances, chunked to bound memory.
+def sq_dists(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Exact (n, m) squared Euclidean distances, chunked to bound memory.
 
     Computed as elementwise difference-square-sums so ties resolve the same
     way a naive per-pair scan would.
     """
     n = points.shape[0]
-    k = centroids.shape[0]
-    out = np.empty((n, k), dtype=np.float64)
-    step = max(1, 2_000_000 // max(1, k * points.shape[1]))
+    m = refs.shape[0]
+    out = np.empty((n, m), dtype=np.float64)
+    step = max(1, 2_000_000 // max(1, m * points.shape[1]))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        diff = points[lo:hi, None, :] - centroids[None, :, :]
+        diff = points[lo:hi, None, :] - refs[None, :, :]
         out[lo:hi] = np.einsum("nkd,nkd->nk", diff, diff)
     return out
 
@@ -53,27 +54,23 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int) -> ClusterModel:
     centroids = _plus_plus_init(pts, k, rng)
     history = []
     for _ in range(_MAX_ITER):
-        d2 = _sq_dists(pts, centroids)
+        d2 = sq_dists(pts, centroids)
         assign = d2.argmin(axis=1)
-        history.append(float(d2[np.arange(n), assign].sum()))
+        own = d2[np.arange(n), assign]
+        history.append(float(own.sum()))
         new_centroids = centroids.copy()
         counts = np.bincount(assign, minlength=k)
         for c in range(k):
             if counts[c] > 0:
                 new_centroids[c] = pts[assign == c].mean(axis=0)
         empties = np.flatnonzero(counts == 0)
-        if empties.size:
-            # hand each empty cluster the point currently worst served
-            dist_own = d2[np.arange(n), assign].copy()
-            for c in empties:
-                far = int(dist_own.argmax())
-                new_centroids[c] = pts[far]
-                dist_own[far] = -1.0
+        if empties.size:  # in index order, each takes the point worst served
+            new_centroids[empties] = pts[np.argsort(-own, kind="stable")[:empties.size]]
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         if shift < _TOL:
             break
-    d2 = _sq_dists(pts, centroids)
+    d2 = sq_dists(pts, centroids)
     assign = d2.argmin(axis=1)
     history.append(float(d2[np.arange(n), assign].sum()))
     return ClusterModel(centroids, assign.astype(np.int64), tuple(history))
@@ -83,10 +80,7 @@ def _plus_plus_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     n = pts.shape[0]
     centroids = np.empty((k, pts.shape[1]), dtype=np.float64)
     centroids[0] = pts[rng.integers(n)]
-    if k == 1:
-        return centroids
-    diff = pts - centroids[0]
-    d2 = np.einsum("nd,nd->n", diff, diff)
+    d2 = sq_dists(pts, centroids[:1])[:, 0]
     for i in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -96,7 +90,6 @@ def _plus_plus_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         else:
             pick = int(rng.integers(n))  # all remaining mass at chosen points
         centroids[i] = pts[pick]
-        diff = pts - centroids[i]
-        d2 = np.minimum(d2, np.einsum("nd,nd->n", diff, diff))
+        d2 = np.minimum(d2, sq_dists(pts, centroids[i:i + 1])[:, 0])
     return centroids
 

@@ -3,8 +3,8 @@
 The headline strategy turns predicted per-class accuracies into query
 weights (mean negative log), clusters the pool by pooled features, and polls
 the clusters round-robin for their highest-weight members. The rest are the
-usual uncertainty/diversity baselines. All tie-breaks go to the lowest
-sample id (and lowest cluster index) so selections are reproducible.
+usual uncertainty/diversity baselines. Every ranking breaks ties by the one
+rule stated at :func:`_top_by_score`, so selections are reproducible.
 
 Every fact about a strategy lives in its :class:`Strategy` entry: the
 ``QueryContext`` fields it reads (the orchestrator computes exactly those
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kmeans import kmeans_fit
+from .kmeans import kmeans_fit, sq_dists
 from .metrics import UNCERTAINTY_KINDS, uncertainty_scores
 
 ENTROPY_KMEANS_CANDIDATE_FACTOR = 4
@@ -73,7 +73,8 @@ def cluster_count(b: int) -> int:
 
 
 def _top_by_score(ids: np.ndarray, scores: np.ndarray, b: int) -> np.ndarray:
-    """Positions of the b highest scores; equal scores break toward the lower id."""
+    """Positions of the b highest scores. The package's one tie rule: equal
+    scores go to the lower sample id, and tied clusters to the lower index."""
     return np.lexsort((ids, -np.asarray(scores, dtype=np.float64)))[:b]
 
 
@@ -82,8 +83,7 @@ def weighted_polling(assignments: np.ndarray, weights: np.ndarray,
     """Positions of b samples polled round-robin over the clusters.
 
     Round r takes the r-th heaviest member of every cluster that has one,
-    visiting clusters in order of descending maximum member weight (ties:
-    lower cluster index first). Equal weights break toward the lower id.
+    visiting clusters in order of descending maximum member weight.
     """
     ids = np.asarray(ids, dtype=np.int64)
     n = len(ids)
@@ -109,60 +109,34 @@ def coreset_select(labeled_features: np.ndarray, unlabeled_features: np.ndarray,
     """Greedy k-center: positions of the points farthest from everything chosen."""
     ids = np.asarray(ids, dtype=np.int64)
     feats = np.asarray(unlabeled_features, dtype=np.float64)
-    n = len(ids)
-    if b > n:
-        raise ValueError(f"cannot select {b} from {n} samples")
-    labeled = np.asarray(labeled_features, dtype=np.float64).reshape(
-        -1, feats.shape[1])
-
-    if labeled.shape[0]:
-        min_d = _min_dists(feats, labeled)
-    else:
-        # nothing labeled yet: anchor on the pool centroid
-        min_d = _min_dists(feats, feats.mean(axis=0, keepdims=True))
-
-    chosen: list[int] = []
-    available = np.ones(n, dtype=bool)
-    for _ in range(b):
-        masked = np.where(available, min_d, -np.inf)
-        best = masked.max()
-        cand = np.flatnonzero((masked == best) & available)
-        pick = cand[np.argmin(ids[cand])]
-        chosen.append(int(pick))
-        available[pick] = False
-        min_d = np.minimum(min_d, _min_dists(feats, feats[pick:pick + 1]))
-    return np.asarray(chosen, dtype=np.int64)
-
-
-def _min_dists(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    best = np.full(points.shape[0], np.inf)
-    for r in refs:
-        diff = points - r
-        best = np.minimum(best, np.einsum("nd,nd->n", diff, diff))
-    return np.sqrt(best)
+    if b > len(ids):
+        raise ValueError(f"cannot select {b} from {len(ids)} samples")
+    refs = np.asarray(labeled_features, dtype=np.float64).reshape(-1, feats.shape[1])
+    if not refs.shape[0]:  # nothing labeled yet: anchor on the pool centroid
+        refs = feats.mean(axis=0, keepdims=True)
+    # roots, not squares: two squares can share a root, a tie the lower id wins
+    min_d = np.sqrt(sq_dists(feats, refs).min(axis=1))
+    chosen = np.empty(b, dtype=np.int64)
+    for i in range(b):
+        pick = chosen[i] = _top_by_score(ids, min_d, 1)[0]
+        min_d = np.minimum(min_d, np.sqrt(sq_dists(feats, feats[pick:pick + 1])[:, 0]))
+        min_d[pick] = -np.inf
+    return chosen
 
 
 def _kmeans_diversity(features: np.ndarray, ids: np.ndarray, b: int,
                       seed: int) -> np.ndarray:
     """K-means with one cluster per slot; positions of the most central members."""
-    model = kmeans_fit(np.asarray(features, dtype=np.float64), b, seed)
-    chosen: list[int] = []
-    taken = np.zeros(len(ids), dtype=bool)
-    for c in range(b):
-        members = np.flatnonzero((model.assignments == c) & ~taken)
-        if members.size == 0:
-            continue
-        diff = features[members] - model.centroids[c]
-        d = np.einsum("nd,nd->n", diff.astype(np.float64), diff.astype(np.float64))
-        order = np.lexsort((ids[members], d))
-        pick = members[order[0]]
-        chosen.append(int(pick))
-        taken[pick] = True
-    if len(chosen) < b:  # degenerate feature sets can empty clusters
-        leftovers = np.flatnonzero(~taken)
-        leftovers = leftovers[np.argsort(ids[leftovers])]
-        chosen.extend(int(i) for i in leftovers[:b - len(chosen)])
-    return np.asarray(chosen, dtype=np.int64)
+    feats = np.asarray(features, dtype=np.float64)
+    model = kmeans_fit(feats, b, seed)
+    assign = model.assignments
+    d = sq_dists(feats, model.centroids)[np.arange(len(ids)), assign]
+    # each cluster's member nearest its centroid, by cluster; the slots of
+    # clusters a degenerate feature set emptied go to the rest by lowest id
+    order = np.lexsort((ids, d, assign))
+    head = np.r_[True, np.diff(assign[order]) != 0]
+    rest = order[~head]
+    return np.r_[order[head], rest[np.argsort(ids[rest])]][:b]
 
 
 def _pick_random(ctx: QueryContext) -> Selection:
@@ -232,7 +206,8 @@ class Strategy:
     ``coreset_select`` and ``weighted_polling`` by their names in this
     module at call time, never through a binding made at import (such as
     ``functools.partial(coreset_select, ...)``): the per-layer benchmark
-    tracer patches those module globals to time them.
+    tracer patches those module globals to time them. For the same reason
+    those names get no new call sites, which would change what they time.
     """
     needs: tuple[str, ...]
     on_stall: bool

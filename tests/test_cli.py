@@ -156,6 +156,16 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, data_file,
     assert_config_error(code, capsys)
 
 
+def test_a_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys,
+                                                         data_file):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(f"dataset = {data_file}\nstrategies = random\n".encode()
+                       + CAMPAIGN.encode() + b"# caf\xe9 \xff\n")
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert str(config) in assert_config_error(code, capsys)
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_config_without_a_dataset_exits_2(tmp_path, capsys):
     config = tmp_path / "nodata.cfg"
     config.write_text("strategies = random\n" + CAMPAIGN)
@@ -345,6 +355,54 @@ def test_bad_dataset_file_exits_3_without_traceback(tmp_path, capsys,
     assert code == EXIT_IO
     assert err.startswith("i/o error:")
     assert "Traceback" not in err
+
+
+# one run with one query event, in the columns `paal report` reads
+REPORT_FILES = {
+    "results.csv": "run_id,strategy,budget,labeled_ratio,val_dsc_mean\n"
+                   "random_b0.3_s0_f0,random,0.3,0.1,0.5\n",
+    "queries.csv": "run_id,iteration,sample_id,query_time_ms\n"
+                   "random_b0.3_s0_f0,1,3,1.5\n",
+    "calibration.csv": "run_id,sample_id,class,predicted_dsc,actual_dsc\n",
+    "annotations.csv": "run_id,strategy,budget,class,annotated_count\n"
+                       "random_b0.3_s0_f0,random,0.3,1,3\n",
+}
+
+
+@pytest.mark.parametrize("name,old,new", [
+    ("results.csv", ",0.5\n", ",abc\n"),
+    ("queries.csv", ",query_time_ms\n", ",time_ms\n"),
+    ("annotations.csv", ",1,3\n", "\n"),
+], ids=["non_numeric_dsc", "missing_query_time_column", "short_row"])
+def test_a_malformed_results_file_exits_3_naming_the_directory(tmp_path, capsys,
+                                                               name, old, new):
+    for file, text in REPORT_FILES.items():
+        (tmp_path / file).write_text(text)
+    assert main(["report", "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    (tmp_path / name).write_text(REPORT_FILES[name].replace(old, new))
+    code = main(["report", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert err.startswith("i/o error:") and str(tmp_path) in err
+    assert "Traceback" not in err
+
+
+GENERATE_STDOUT = """\
+wrote 40 samples (16x16) to {out}
+  class 1: present in 90.0% of images
+  class 2: present in 50.0% of images
+  class 3: present in 7.5% of images
+"""
+
+
+def test_generate_prints_the_pinned_class_summary(tmp_path, capsys):
+    out = tmp_path / "g.bin"
+    assert main(["generate", "--n", "40", "--seed", "3", "--height", "16",
+                 "--width", "16", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == GENERATE_STDOUT.format(out=out)
+    assert main(["generate", "--n", "0", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote 0 samples (32x32) to {out}\n"
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")

@@ -1,5 +1,7 @@
 """Clustering invariants: nearest-centroid assignments, monotone inertia, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,18 @@ def test_deterministic_bit_for_bit():
     assert a.centroids.tobytes() == b.centroids.tobytes()
     np.testing.assert_array_equal(a.assignments, b.assignments)
     assert a.inertia_history == b.inertia_history
+
+
+def test_a_fit_with_duplicate_points_keeps_its_recorded_bits():
+    # three copies of each of 12 grid points plus 24 distinct ones; the
+    # hashes were recorded before the distance code was shared
+    rng = np.random.default_rng(5)
+    pts = np.repeat(rng.integers(-2, 3, size=(12, 3)).astype(np.float64), 3, axis=0)
+    model = kmeans_fit(np.vstack([pts, rng.normal(size=(24, 3))]), 7, seed=13)
+    assert hashlib.sha256(model.centroids.tobytes()).hexdigest() == (
+        "d2f378aaf20228f85580f01a28b4f6fdd0a286c9d516071165156f763c196d43")
+    assert hashlib.sha256(model.assignments.tobytes()).hexdigest() == (
+        "806d415726d751374e4ec370a8ed302cee46edd378a2a8509561a09a08838ce6")
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8))

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paal.strategies import (STRATEGIES, QueryContext, cluster_count,
-                             coreset_select, query_weights, select,
-                             weighted_polling)
+from paal.kmeans import kmeans_fit
+from paal.strategies import (STRATEGIES, QueryContext, _kmeans_diversity,
+                             cluster_count, coreset_select, query_weights,
+                             select, weighted_polling)
 
 INPUT_FIELDS = ("probs", "features", "pred_acc", "labeled_features")
 
@@ -178,6 +179,117 @@ class TestWeightedPolling:
         np.testing.assert_array_equal(
             ids[weighted_polling(assignments, weights, ids, b)],
             polling_reference(assignments, weights, ids, b))
+
+
+def coreset_reference(labeled_features, unlabeled_features, ids, b):
+    """Greedy k-center as an availability mask and a per-reference distance
+    loop: the code ``coreset_select`` replaced. Returns positions."""
+    def min_dists(points, refs):
+        best = np.full(points.shape[0], np.inf)
+        for r in refs:
+            diff = points - r
+            best = np.minimum(best, np.einsum("nd,nd->n", diff, diff))
+        return np.sqrt(best)
+
+    feats = np.asarray(unlabeled_features, dtype=np.float64)
+    labeled = np.asarray(labeled_features, dtype=np.float64).reshape(
+        -1, feats.shape[1])
+    if labeled.shape[0]:
+        min_d = min_dists(feats, labeled)
+    else:
+        min_d = min_dists(feats, feats.mean(axis=0, keepdims=True))
+    chosen = []
+    available = np.ones(len(ids), dtype=bool)
+    for _ in range(b):
+        masked = np.where(available, min_d, -np.inf)
+        best = masked.max()
+        cand = np.flatnonzero((masked == best) & available)
+        pick = cand[np.argmin(ids[cand])]
+        chosen.append(int(pick))
+        available[pick] = False
+        min_d = np.minimum(min_d, min_dists(feats, feats[pick:pick + 1]))
+    return np.asarray(chosen, dtype=np.int64)
+
+
+def kmeans_diversity_reference(features, ids, b, seed):
+    """K-means diversity as a loop over clusters: the code the one sort in
+    ``_kmeans_diversity`` replaced. Returns positions."""
+    model = kmeans_fit(np.asarray(features, dtype=np.float64), b, seed)
+    chosen = []
+    taken = np.zeros(len(ids), dtype=bool)
+    for c in range(b):
+        members = np.flatnonzero((model.assignments == c) & ~taken)
+        if members.size == 0:
+            continue
+        diff = features[members] - model.centroids[c]
+        d = np.einsum("nd,nd->n", diff.astype(np.float64), diff.astype(np.float64))
+        order = np.lexsort((ids[members], d))
+        pick = members[order[0]]
+        chosen.append(int(pick))
+        taken[pick] = True
+    if len(chosen) < b:
+        leftovers = np.flatnonzero(~taken)
+        leftovers = leftovers[np.argsort(ids[leftovers])]
+        chosen.extend(int(i) for i in leftovers[:b - len(chosen)])
+    return np.asarray(chosen, dtype=np.int64)
+
+
+@st.composite
+def grid_problems(draw, max_labeled=6):
+    """Features on a coarse integer grid, so ties, duplicate points and
+    emptied clusters are common; ids unique but in no particular order."""
+    n = draw(st.integers(1, 30))
+    dim = draw(st.integers(1, 3))
+    b = draw(st.integers(1, n))
+    top = draw(st.integers(0, 3))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+
+    def grid(rows):
+        return np.array(draw(st.lists(st.integers(-top, top), min_size=rows * dim,
+                                      max_size=rows * dim)),
+                        dtype=dtype).reshape(rows, dim)
+    ids = np.array(draw(st.lists(st.integers(0, 999), min_size=n, max_size=n,
+                                 unique=True)), dtype=np.int64)
+    labeled = grid(draw(st.integers(0, max_labeled)))
+    return grid(n), labeled, ids, b, draw(st.integers(0, 2 ** 31 - 1))
+
+
+class TestSelectionsMatchTheLoops:
+    """Each selection helper returns the positions its loop reference
+    returns, in the same order."""
+
+    @given(grid_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_coreset(self, problem):
+        feats, labeled, ids, b, _ = problem
+        np.testing.assert_array_equal(coreset_select(labeled, feats, ids, b),
+                                      coreset_reference(labeled, feats, ids, b))
+
+    @given(grid_problems(max_labeled=0))
+    @settings(max_examples=200, deadline=None)
+    def test_kmeans_diversity(self, problem):
+        feats, _, ids, b, seed = problem
+        np.testing.assert_array_equal(
+            _kmeans_diversity(feats, ids, b, seed),
+            kmeans_diversity_reference(feats, ids, b, seed))
+
+    @pytest.mark.parametrize("m", [0, 3], ids=["empty_labeled", "three_labeled"])
+    def test_all_zero_features(self, m):
+        feats, ids = np.zeros((12, 4)), np.arange(30, 18, -1)
+        for b in (1, 5, 12):
+            np.testing.assert_array_equal(
+                coreset_select(np.zeros((m, 4)), feats, ids, b),
+                coreset_reference(np.zeros((m, 4)), feats, ids, b))
+            np.testing.assert_array_equal(
+                _kmeans_diversity(feats, ids, b, 3),
+                kmeans_diversity_reference(feats, ids, b, 3))
+
+    def test_empty_labeled_on_random_features(self):
+        rng = np.random.default_rng(17)
+        feats, ids = rng.normal(size=(40, 5)), rng.permutation(40) + 100
+        np.testing.assert_array_equal(
+            coreset_select(np.zeros((0, 5)), feats, ids, 9),
+            coreset_reference(np.zeros((0, 5)), feats, ids, 9))
 
 
 class TestCoreset:
