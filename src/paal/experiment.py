@@ -201,10 +201,8 @@ def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
                               "class count; use a new --out")
         return cell.run_id
     train_ids, val_ids = split
-    # counted from the budget's decimal value, so 0.29 of 100 spends 29
-    budget_count = int(Fraction(str(cell.budget)) * len(train_ids))
     report = run_active_learning(dataset, train_ids, val_ids, cell.strategy,
-                                 budget_count, cell.iterations,
+                                 cell.budget, cell.iterations,
                                  replace(config.train, seed=cell.seed),
                                  fold_index=cell.fold)
     # each picked sample counts once, under its highest class label

@@ -46,6 +46,8 @@ def glorot_uniform(shape, fan_in: int, fan_out: int,
 class Layer:
     """Base layer: forward caches whatever backward needs when train=True."""
 
+    _cache = None
+
     def params(self) -> list[Param]:
         return []
 
@@ -58,7 +60,9 @@ class Layer:
         None without computing it when ``input_grad`` is False."""
         raise NotImplementedError
 
-    def _require_cache(self, cache):
+    def _take_cache(self):
+        """Return and clear the forward pass's cache; raise if there is none."""
+        cache, self._cache = self._cache, None
         if cache is None:
             raise RuntimeError(
                 f"{type(self).__name__}: backward called without "
@@ -92,7 +96,6 @@ class Conv2D(Layer):
                            out_ch * fan, rng)
         self.weight = Param(w.transpose(2, 3, 1, 0).reshape(-1, out_ch))
         self.bias = Param(np.zeros(out_ch, dtype=np.float32))
-        self._cache = None
 
     def params(self):
         return [self.weight, self.bias]
@@ -133,8 +136,7 @@ class Conv2D(Layer):
         return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
     def backward(self, grad_out, input_grad=True):
-        cols, x_shape, wp = self._require_cache(self._cache)
-        self._cache = None
+        cols, x_shape, wp = self._take_cache()
         b, c, h, w = x_shape
         k = self.kernel
         p = k // 2
@@ -169,7 +171,6 @@ class Dense(Layer):
         self.out_dim = out_dim
         self.weight = Param(glorot_uniform((in_dim, out_dim), in_dim, out_dim, rng))
         self.bias = Param(np.zeros(out_dim, dtype=np.float32))
-        self._cache = None
 
     def params(self):
         return [self.weight, self.bias]
@@ -182,8 +183,7 @@ class Dense(Layer):
         return x @ self.weight.value + self.bias.value
 
     def backward(self, grad_out, input_grad=True):
-        x = self._require_cache(self._cache)
-        self._cache = None
+        x = self._take_cache()
         self.weight.grad += x.T @ grad_out
         self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.value.T if input_grad else None
@@ -193,24 +193,17 @@ class ReLU(Layer):
     """Rectifier that overwrites its input: in both nets that input is a
     conv's fresh output, which nothing else holds."""
 
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train=False):
         if train:
             self._cache = x > 0
         return np.maximum(x, 0, out=x)
 
     def backward(self, grad_out, input_grad=True):
-        mask = self._require_cache(self._cache)
-        self._cache = None
+        mask = self._take_cache()
         return grad_out * mask if input_grad else None
 
 
 class Sigmoid(Layer):
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train=False):
         # split by sign for numerical stability
         out = np.empty_like(x)
@@ -223,16 +216,12 @@ class Sigmoid(Layer):
         return out
 
     def backward(self, grad_out, input_grad=True):
-        y = self._require_cache(self._cache)
-        self._cache = None
+        y = self._take_cache()
         return grad_out * y * (1.0 - y) if input_grad else None
 
 
 class GlobalAvgPool(Layer):
     """Spatial mean per channel: (B, C, H, W) -> (B, C)."""
-
-    def __init__(self):
-        self._cache = None
 
     def forward(self, x, train=False):
         if x.ndim != 4:
@@ -242,8 +231,7 @@ class GlobalAvgPool(Layer):
         return x.mean(axis=(2, 3))
 
     def backward(self, grad_out, input_grad=True):
-        b, c, h, w = self._require_cache(self._cache)
-        self._cache = None
+        b, c, h, w = self._take_cache()
         if not input_grad:
             return None
         g = grad_out / (h * w)
@@ -282,8 +270,8 @@ class Network(Layer):
             p.grad[...] = 0
 
 
-def adamw_step(params: list[Param], lr: float, eps: float = 1e-8,
-               weight_decay: float = 1e-4) -> None:
+def adamw_step(params: list[Param], lr: float, weight_decay: float,
+               eps: float = 1e-8) -> None:
     """One decoupled-weight-decay Adam update; leaves gradients untouched."""
     for p in params:
         if not np.all(np.isfinite(p.grad)):
@@ -298,8 +286,8 @@ def adamw_step(params: list[Param], lr: float, eps: float = 1e-8,
                     + lr * weight_decay * p.value).astype(p.value.dtype, copy=False)
 
 
-def cosine_lr(epoch: int, total_epochs: int, warmup: int = 10,
-              lr0: float = 1e-3, lr_min: float = 1e-6) -> float:
+def cosine_lr(epoch: int, total_epochs: int, warmup: int, lr0: float,
+              lr_min: float) -> float:
     """Linear 0 -> lr0 ramp over ``warmup`` epochs, then cosine decay to lr_min."""
     if total_epochs <= warmup:
         raise ValueError(f"total_epochs ({total_epochs}) must exceed warmup ({warmup})")

@@ -85,19 +85,14 @@ class TrainConfig:
 class PoolState:
     labeled: np.ndarray
     unlabeled: np.ndarray
-    budget: int
-    iterations: int
-    batch: int
+    schedule: tuple[int, ...]  # query t labels schedule[t - 1] samples
     t: int = 1
     iq_counter: int = 0
     best_val_dsc: float = float("-inf")
-    queried: int = 0
 
     @property
     def can_query(self) -> bool:
-        """Iterations and budget are left, and the pool is not empty."""
-        return (self.t <= self.iterations and self.queried < self.budget
-                and len(self.unlabeled) > 0)
+        return self.t <= len(self.schedule)
 
     def assert_partition(self, all_train_ids: np.ndarray):
         both = np.intersect1d(self.labeled, self.unlabeled)
@@ -127,22 +122,30 @@ def _subseed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def init_pool(train_ids: np.ndarray, init_ratio: float, budget: int,
+def init_pool(train_ids: np.ndarray, init_ratio: float, budget: float,
               iterations: int, seed) -> PoolState:
-    """Seeded initial labeled/unlabeled split plus per-iteration batch size."""
+    """Seeded initial labeled/unlabeled split plus every query's size.
+
+    Both ratios count from their decimal value (0.07 of 100 is 7). The
+    budget splits into ``iterations`` equal queries, or one-label queries
+    when it is smaller, and the remainder goes unspent. It fits in the
+    pool, so no query finds the pool short.
+    """
     train_ids = np.asarray(train_ids, dtype=np.int64)
     n = len(train_ids)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    m = math.ceil(Fraction(str(init_ratio)) * n)  # the decimal: 0.07 of 100 is 7
-    if budget < 0 or budget > n - m:
-        raise ValueError(f"budget {budget} exceeds pool of {n - m} unlabeled samples")
+    m = math.ceil(Fraction(str(init_ratio)) * n)
+    count = int(Fraction(str(budget)) * n)
+    if count < 0 or count > n - m:
+        raise ValueError(f"budget {count} exceeds pool of {n - m} unlabeled samples")
+    batch = count // iterations
+    schedule = (batch,) * iterations if batch else (1,) * count
     rng = np.random.default_rng(seed)
     picks = rng.choice(n, size=m, replace=False)
     labeled = np.sort(train_ids[picks])
     unlabeled = np.setdiff1d(train_ids, labeled)
-    return PoolState(labeled, unlabeled, budget, iterations,
-                     batch=max(budget // iterations, 1))
+    return PoolState(labeled, unlabeled, schedule)
 
 
 def iq_update(state: PoolState, val_dsc: float) -> None:
@@ -247,11 +250,10 @@ def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
 
     Returns one ``QUERY_COLUMNS`` row per picked sample, in id order. Runs
     the models only for the inputs the strategy's entry declares; the caller
-    ensures the pool is not empty.
+    ensures ``state.can_query``.
     """
     t0 = time.perf_counter()
     pool = state.unlabeled
-    take = min(state.batch, state.budget - state.queried, len(pool))
 
     needs = STRATEGIES[strategy].needs
     inputs = _pool_inference(seg, ap, images_norm, labels, pool, needs, num_fg)
@@ -260,7 +262,8 @@ def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
             seg, ap, images_norm, labels, state.labeled, ("features",),
             num_fg)["features"]
 
-    ctx = QueryContext(ids=pool, b=take, seed=query_seed, **inputs)
+    ctx = QueryContext(ids=pool, b=state.schedule[state.t - 1],
+                       seed=query_seed, **inputs)
     pos, weight, cluster = select(strategy, ctx)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     # the pool is sorted, so sorted positions give the ids in sorted order
@@ -272,14 +275,12 @@ def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
     selected = pool[pos]
     state.labeled = np.union1d(state.labeled, selected)
     state.unlabeled = np.setdiff1d(state.unlabeled, selected)
-    state.queried += len(selected)
     state.t += 1
-    state.iq_counter = 0
     return rows
 
 
 def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
-                        val_ids: np.ndarray, strategy: str, budget: int,
+                        val_ids: np.ndarray, strategy: str, budget: float,
                         iterations: int, cfg: TrainConfig,
                         fold_index: int = 0) -> RunReport:
     """Algorithm: train, evaluate, update the trigger, maybe query; repeat.
@@ -321,6 +322,7 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
             report.queries += query_step(
                 state, seg, ap, strategy, images_norm, labels, num_fg,
                 query_seed=_subseed(cfg.seed, fold_index, 4, state.t))
+            state.iq_counter = 0
             state.assert_partition(train_ids)
 
         report.epochs.append([epoch, state.t, len(state.labeled),

@@ -55,13 +55,13 @@ class QueryContext:
             raise ValueError(f"batch size {self.b} exceeds pool size {len(self.ids)}")
 
 
-def query_weights(pred_acc: np.ndarray, eps: float = WEIGHT_CLIP_EPS) -> np.ndarray:
-    """Mean negative log of predicted per-class accuracy, clipped to [eps, 1].
+def query_weights(pred_acc: np.ndarray) -> np.ndarray:
+    """Mean negative log of predicted per-class accuracy, clipped to [WEIGHT_CLIP_EPS, 1].
 
     Low predicted accuracy on any class drives the weight up; the log mean
     amplifies classes the model is expected to get badly wrong.
     """
-    p = np.clip(np.asarray(pred_acc, dtype=np.float64), eps, 1.0)
+    p = np.clip(np.asarray(pred_acc, dtype=np.float64), WEIGHT_CLIP_EPS, 1.0)
     return (-np.log(p)).mean(axis=1)
 
 

@@ -2,8 +2,8 @@
 in that module, every module-level private name is read somewhere in the
 package, every public module-level name or class method is read somewhere
 in the package, every dataclass field is read somewhere in the package
-or by the benchmark's tracer, and every parameter default is overridden by
-some call in the package or its tests.
+or by the benchmark's tracer, and every parameter default is overridden with
+another value by some call in the package or its tests.
 
 No linter ships with the toolchain, so these are the unused-import and
 dead-code checks.
@@ -118,20 +118,48 @@ def field_sources() -> dict[str, str]:
     return {p.name: p.read_text(encoding="utf-8") for p in SOURCES + [TRACING]}
 
 
-def _overrides(call: ast.Call, param: str, index: int | None) -> bool:
-    """Whether ``call`` passes ``param``: by keyword, through ``**kwargs``,
-    or, for a positional parameter at ``index``, by enough (or starred)
-    positional arguments."""
-    if any(k.arg in (param, None) for k in call.keywords):
+_UNKNOWN = object()
+
+
+def _constant(node: ast.expr, constants: dict[str, object]) -> object:
+    """The value of a literal or of a module-level constant's name."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        return constants.get(node.id, _UNKNOWN)
+    return _UNKNOWN
+
+
+def _overrides(call: ast.Call, param: str, index: int | None, default: object,
+               constants: dict[str, object]) -> bool:
+    """Whether ``call`` passes ``param`` a value other than its ``default``:
+    by keyword, through ``**kwargs``, or, for a positional parameter at
+    ``index``, by enough (or starred) positional arguments."""
+    def differs(node):
+        value = _constant(node, constants)
+        return value is _UNKNOWN or value != default
+    for k in call.keywords:
+        if k.arg is None or (k.arg == param and differs(k.value)):
+            return True
+    if index is None:
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args):
         return True
-    return index is not None and (len(call.args) > index or any(
-        isinstance(a, ast.Starred) for a in call.args))
+    return len(call.args) > index and differs(call.args[index])
 
 
 def single_value_parameters(sources: dict[str, str], callers: list[str]) -> list[str]:
     """``def(param)`` for every parameter default of a ``def`` in ``sources``
-    that no call in ``callers`` overrides. Calls match by name; a method
-    skips ``self``, and a call to a class is a call to its ``__init__``."""
+    that no call in ``callers`` overrides with another value; passing the
+    default's own literal or constant does not count. Calls match by name;
+    a method skips ``self``, and a call to a class is a call to its
+    ``__init__``. Constants are the module-level names of ``sources`` bound
+    to a literal."""
+    constants = {target.id: node.value.value for source in sources.values()
+                 for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Constant)
+                 for target in node.targets if isinstance(target, ast.Name)}
     calls: dict[str, list[ast.Call]] = {}
     for source in callers:
         for node in ast.walk(ast.parse(source)):
@@ -150,12 +178,16 @@ def single_value_parameters(sources: dict[str, str], callers: list[str]) -> list
             args = node.args
             positional = [(a.arg, i - method) for i, a in
                           enumerate(args.posonlyargs + args.args)]
-            params = positional[len(positional) - len(args.defaults):] + [
-                (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                if d is not None]
+            params = [(param, index, d) for (param, index), d in zip(
+                positional[len(positional) - len(args.defaults):], args.defaults)]
+            params += [(a.arg, None, d) for a, d in
+                       zip(args.kwonlyargs, args.kw_defaults) if d is not None]
             name = owner[id(node)] if node.name == "__init__" else node.name
-            flagged += [f"{module}: {node.name}({param})" for param, index in params
-                        if not any(_overrides(call, param, index)
+            flagged += [f"{module}: {node.name}({param})"
+                        for param, index, default in params
+                        if not any(_overrides(call, param, index,
+                                              _constant(default, constants),
+                                              constants)
                                    for call in calls.get(name, []))]
     return flagged
 
@@ -220,6 +252,21 @@ def test_guard_flags_a_never_passed_default():
                "adamw_step([], 0.1, eps=0.0)\n",
                "Conv2D(1, **{'bias': False})\n"]
     assert single_value_parameters(sources, callers) == ["nn.py: adamw_step(beta1)"]
+
+
+def test_guard_flags_a_default_passed_only_its_own_value():
+    sources = {
+        "strategies.py": ("CLIP = 1e-6\n"
+                          "def query_weights(p, eps=CLIP, *, floor=0.0):\n"
+                          "    pass\n"
+                          "def cluster_count(b, scale=4):\n    pass\n"),
+    }
+    callers = [sources["strategies.py"],
+               "query_weights(0, 1e-6)\nquery_weights(0, eps=CLIP)\n"
+               "query_weights(0, floor=0.0)\n"
+               "cluster_count(1, 4)\ncluster_count(1, scale=SCALE)\n"]
+    assert single_value_parameters(sources, callers) == [
+        "strategies.py: query_weights(eps)", "strategies.py: query_weights(floor)"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

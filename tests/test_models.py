@@ -107,7 +107,7 @@ class TestGradientIsolation:
             _, grad = mse_loss(pred, targets)
             ap.zero_grad()
             ap.backward(grad)
-            adamw_step(ap.params(), 1e-2)
+            adamw_step(ap.params(), 1e-2, weight_decay=1e-4)
 
         probs_after, _ = seg_forward(seg, images)
         np.testing.assert_array_equal(probs_before, probs_after)

@@ -401,8 +401,8 @@ class TestAdamW:
     def test_step_counter_and_grad_untouched(self):
         p = Param(np.array([1.0], dtype=np.float32))
         p.grad[:] = 0.5
-        adamw_step([p], lr=1e-3)
-        adamw_step([p], lr=1e-3)
+        adamw_step([p], lr=1e-3, weight_decay=1e-4)
+        adamw_step([p], lr=1e-3, weight_decay=1e-4)
         assert p.step == 2
         np.testing.assert_array_equal(p.grad, [0.5])
 
@@ -410,26 +410,29 @@ class TestAdamW:
         p = Param(np.array([1.0], dtype=np.float32))
         p.grad[:] = np.nan
         with pytest.raises(NumericalError):
-            adamw_step([p], lr=1e-3)
+            adamw_step([p], lr=1e-3, weight_decay=1e-4)
+
+
+LR = (10, 1e-3, 1e-6)  # warmup, lr0, lr_min: TrainConfig's defaults
 
 
 class TestCosineLR:
     def test_warmup_end_hits_peak(self):
-        assert cosine_lr(10, 100) == pytest.approx(1e-3)
+        assert cosine_lr(10, 100, *LR) == pytest.approx(1e-3)
 
     def test_final_epoch_hits_minimum(self):
-        assert cosine_lr(100, 100) == pytest.approx(1e-6)
+        assert cosine_lr(100, 100, *LR) == pytest.approx(1e-6)
 
     def test_ramp_starts_at_zero(self):
-        assert cosine_lr(0, 100) == 0.0
+        assert cosine_lr(0, 100, *LR) == 0.0
 
     def test_ramp_is_linear(self):
-        assert cosine_lr(5, 100) == pytest.approx(0.5e-3)
+        assert cosine_lr(5, 100, *LR) == pytest.approx(0.5e-3)
 
     def test_decay_is_monotone(self):
-        lrs = [cosine_lr(e, 60) for e in range(10, 61)]
+        lrs = [cosine_lr(e, 60, *LR) for e in range(10, 61)]
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
     def test_total_not_exceeding_warmup_rejected(self):
         with pytest.raises(ValueError):
-            cosine_lr(3, 10, warmup=10)
+            cosine_lr(3, 10, *LR)

@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paal import orchestrator
 from paal.data import generate, split_folds
@@ -40,7 +42,7 @@ def test_query_step_computes_exactly_the_declared_inputs(strategy, dataset,
     monkeypatch.setattr(orchestrator, "seg_forward", counting_seg_forward)
     monkeypatch.setattr(orchestrator, "select", capturing_select)
     num_fg = dataset.num_fg
-    state = init_pool(np.arange(32), 0.25, budget=8, iterations=2, seed=0)
+    state = init_pool(np.arange(32), 0.25, budget=0.25, iterations=2, seed=0)
     rows = query_step(
         state, build_seg_model(num_fg + 1, seed=1),
         build_ap_model(num_fg + 1, seed=2), strategy,
@@ -59,8 +61,48 @@ def test_query_step_computes_exactly_the_declared_inputs(strategy, dataset,
 
 def test_the_initial_count_is_the_ratio_in_decimals():
     # 0.07 * 100 is 7.000000000000001 in floats
-    state = init_pool(np.arange(100), 0.07, budget=93, iterations=1, seed=0)
+    state = init_pool(np.arange(100), 0.07, budget=0.93, iterations=1, seed=0)
     assert len(state.labeled) == 7
+
+
+def _clamped_sizes(budget: int, iterations: int, pool: int) -> tuple[int, ...]:
+    """Query sizes as a loop that clamps each query to what is left would
+    spend them: at most ``budget // iterations`` (one when that is 0) per
+    query, while iterations, budget and pool last."""
+    batch, queried, sizes = max(budget // iterations, 1), 0, []
+    while len(sizes) < iterations and queried < budget and pool > 0:
+        take = min(batch, budget - queried, pool)
+        sizes.append(take)
+        queried += take
+        pool -= take
+    return tuple(sizes)
+
+
+@given(st.integers(5, 300), st.sampled_from([50, 70, 100, 250]),
+       st.data(), st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_the_schedule_is_what_a_clamping_loop_spends(n, init_permille, data,
+                                                     iterations):
+    # ratios in thousandths, whose str is their decimal: 0.293, not 0.29299…
+    budget_permille = data.draw(st.integers(0, 1000 - init_permille))
+    state = init_pool(np.arange(n), init_permille / 1000,
+                      budget_permille / 1000, iterations, seed=0)
+    budget = budget_permille * n // 1000
+    assert state.schedule == _clamped_sizes(budget, iterations,
+                                            len(state.unlabeled))
+
+
+# the remainder of budget // iterations goes unspent
+@pytest.mark.parametrize("n,budget,iterations,schedule", [
+    (240, 0.3, 5, (14,) * 5),    # ref_serial's cell: 70 of 72
+    (480, 0.1, 10, (4,) * 10),   # query_heavy's cell: 40 of 48
+    (100, 0.03, 5, (1,) * 3),    # a budget below the iterations
+    (100, 0.0, 5, ()),           # no budget, no query
+])
+def test_the_schedule_of_pinned_cells(n, budget, iterations, schedule):
+    state = init_pool(np.arange(n), 0.05, budget, iterations, seed=0)
+    assert state.schedule == schedule
+    assert state.can_query == bool(schedule)
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +209,7 @@ def test_corrupted_pool_after_a_query_raises(corruption, dataset, monkeypatch):
                       query_interval=1)
     with pytest.raises(AssertionError, match="overlap|partition"):
         run_active_learning(dataset, np.arange(32), np.arange(32, 40),
-                            "random", budget=8, iterations=2, cfg=cfg)
+                            "random", budget=0.25, iterations=2, cfg=cfg)
 
 
 # (strategy, early_stop, iq_patience, lr0) -> epochs run out of max_epochs=40;
@@ -186,7 +228,6 @@ def test_early_stopping_epoch_counts(strategy, early_stop, iq_patience, lr0,
                       iq_patience=iq_patience, warmup=2, silent_period=2,
                       query_interval=2, lr0=lr0)
     report = run_active_learning(dataset, train_ids, val_ids, strategy,
-                                 budget=int(0.3 * len(train_ids)), iterations=3,
-                                 cfg=cfg)
+                                 budget=0.3, iterations=3, cfg=cfg)
     assert len(report.epochs) == epochs
     assert len({row[0] for row in report.queries}) == 3  # iterations

@@ -37,7 +37,7 @@ class TestQueryWeights:
         assert w[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_zero_prediction_is_clipped(self):
-        w = query_weights(np.array([[0.0, 1.0]]), eps=1e-6)
+        w = query_weights(np.array([[0.0, 1.0]]))
         assert w[0] == pytest.approx(-math.log(1e-6) / 2, abs=1e-9)
 
     def test_matches_direct_evaluation(self):
