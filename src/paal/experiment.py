@@ -22,10 +22,10 @@ The config's required ``dataset`` key names a dataset file written by
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import repeat
@@ -233,10 +233,12 @@ def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[
         raise ConfigError(f"{config.dataset}: {exc}") from exc
     splits = [folds[cell.fold] for cell in cells]
     os.makedirs(out_dir, exist_ok=True)
-    # a fork pool starts every worker on the first submit: start no idle ones
+    # a fork pool starts every worker on the first submit: start no idle
+    # ones. concurrent.futures loads the pool, and with it multiprocessing,
+    # on first lookup, so a one-job run never loads either
     workers = min(jobs, len(cells))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_cell, repeat(config), cells, repeat(out_dir),
                           repeat(dataset), splits))
     else:

@@ -16,6 +16,9 @@ import math
 import numpy as np
 
 _BETA1, _BETA2 = 0.9, 0.999  # Adam's moment decay rates
+# images per block of a conv's input gradient: fastest at the nets' training
+# shapes (B=16, 32x32); the result does not depend on it
+_GRAD_BLOCK = 4
 
 
 class ShapeError(ValueError):
@@ -78,10 +81,11 @@ class Layer:
 class Conv2D(Layer):
     """Same-padded stride-1 correlation, implemented as im2col + one matmul.
 
-    Backward takes the weight gradient from the cached patch matrix, frees
-    it, and builds the input gradient one tap at a time. The weight is kept
-    as the (k*k*C, O) matrix the matmuls read, rows in the patch matrix's
-    (tap, channel) order.
+    Training caches the input, not its patch matrix, which is k*k times as
+    large. Backward rebuilds the patch matrix for the weight gradient, frees
+    it, and builds the input gradient one tap at a time, ``_GRAD_BLOCK``
+    images at once. The weight is kept as the (k*k*C, O) matrix the matmuls
+    read, rows in the patch matrix's (tap, channel) order.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int = 3, *,
@@ -132,35 +136,46 @@ class Conv2D(Layer):
         out = wide.reshape(self.out_ch, b, h, wp)[:, :, :, :w] \
             + self.bias.value[:, None, None, None]
         if train:
-            self._cache = (cols, x.shape, wp)
+            self._cache = x
         return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
     def backward(self, grad_out, input_grad=True):
-        cols, x_shape, wp = self._take_cache()
-        b, c, h, w = x_shape
+        x = self._take_cache()
+        b, c, h, w = x.shape
         k = self.kernel
         p = k // 2
+        cols, wp = self._im2col(x)
         span = h * wp
         # zero junk lanes so they contribute nothing to either gradient
         gwide = np.zeros((self.out_ch, b, h, wp), dtype=grad_out.dtype)
         gwide[:, :, :, :w] = grad_out.transpose(1, 0, 2, 3)
         g2d = gwide.reshape(self.out_ch, b * span)
         self.bias.grad += grad_out.sum(axis=(0, 2, 3))
-        self.weight.grad += (g2d @ cols.T).T
+        self.weight.grad += cols @ g2d.T
         del cols  # the patch matrix is the largest buffer: free it first
         if not input_grad:
             return None
         # input gradient one tap at a time: the rows of weight @ g2d that
-        # tap scatters, added in tap order, with no (k*k*C, B*span) buffer
-        gxt = np.zeros((c, b, (h + 2 * p) * wp + k),
-                       dtype=np.result_type(self.weight.value, g2d))
-        for tap in range(k * k):
-            off = (tap // k) * wp + tap % k
-            gxt[:, :, off:off + span] += (
-                self.weight.value[tap * c:(tap + 1) * c] @ g2d).reshape(c, b, span)
-        gx = gxt[:, :, :(h + 2 * p) * wp].reshape(c, b, h + 2 * p, wp)[
-            :, :, p:p + h, p:p + w]
-        return np.ascontiguousarray(gx.transpose(1, 0, 2, 3))
+        # tap scatters, added in tap order into a padded plane, for a block
+        # of images at once, with no (k*k*C, B*span) buffer
+        dtype = np.result_type(self.weight.value, g2d)
+        plane = (h + 2 * p) * wp
+        nb = min(_GRAD_BLOCK, b)
+        gx = np.empty((b, c, h, w), dtype=dtype)
+        gxt = np.empty((c, nb, plane + k), dtype=dtype)
+        prod = np.empty((c, nb * span), dtype=dtype)
+        for lo in range(0, b, nb):
+            m = min(nb, b - lo)
+            acc, tap_out = gxt[:, :m], prod[:, :m * span]
+            acc[...] = 0
+            for tap in range(k * k):
+                off = (tap // k) * wp + tap % k
+                np.matmul(self.weight.value[tap * c:(tap + 1) * c],
+                          g2d[:, lo * span:(lo + m) * span], out=tap_out)
+                acc[:, :, off:off + span] += tap_out.reshape(c, m, span)
+            gx[lo:lo + m] = acc[:, :, :plane].reshape(c, m, h + 2 * p, wp)[
+                :, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
+        return gx
 
 
 class Dense(Layer):

@@ -157,7 +157,7 @@ def iq_update(state: PoolState, val_dsc: float) -> None:
         state.iq_counter += 1
 
 
-def train_epoch(seg: Network, ap: Network, images_norm: np.ndarray,
+def train_epoch(seg: Network, ap: Network, images: np.ndarray,
                 labels: np.ndarray, labeled_ids: np.ndarray, epoch: int,
                 cfg: TrainConfig, lr: float, shuffle_rng: np.random.Generator,
                 num_fg: int) -> tuple[float, float | None]:
@@ -165,7 +165,8 @@ def train_epoch(seg: Network, ap: Network, images_norm: np.ndarray,
 
     The segmentation model always trains; the accuracy predictor joins in
     after the silent period, regressing the per-class DSC of the *current*
-    segmentation output, with the posteriors treated as constants.
+    segmentation output, with the posteriors treated as constants. Each
+    batch's u8 images are normalised as it is read.
     """
     order = labeled_ids[shuffle_rng.permutation(len(labeled_ids))]
     train_ap = epoch >= cfg.silent_period
@@ -174,7 +175,7 @@ def train_epoch(seg: Network, ap: Network, images_norm: np.ndarray,
     count = 0
     for lo in range(0, len(order), cfg.batch_size):
         batch = order[lo:lo + cfg.batch_size]
-        x = images_norm[batch]
+        x = normalize_images(images[batch])
         y = labels[batch]
 
         probs = softmax(seg.forward(x, train=True))
@@ -196,17 +197,17 @@ def train_epoch(seg: Network, ap: Network, images_norm: np.ndarray,
     return seg_total / count, (ap_total / count) if train_ap else None
 
 
-def evaluate(seg: Network, images_norm: np.ndarray, labels: np.ndarray,
+def evaluate(seg: Network, images: np.ndarray, labels: np.ndarray,
              val_ids: np.ndarray, num_fg: int) -> tuple[float, np.ndarray]:
     """Mean foreground DSC on the validation set (classes averaged, then samples)."""
     if len(val_ids) == 0:
         raise ValueError("validation set is empty")
-    dsc = _pool_inference(seg, None, images_norm, labels, val_ids,
+    dsc = _pool_inference(seg, None, images, labels, val_ids,
                           ("actual",), num_fg)["actual"]
     return float(dsc.mean(axis=1).mean()), dsc.mean(axis=0)
 
 
-def _pool_inference(seg: Network, ap: Network | None, images_norm, labels, ids,
+def _pool_inference(seg: Network, ap: Network | None, images, labels, ids,
                     wanted, num_fg: int) -> dict[str, np.ndarray]:
     """Model outputs over a set of ids, in chunks (never trains anything).
 
@@ -217,16 +218,16 @@ def _pool_inference(seg: Network, ap: Network | None, images_norm, labels, ids,
 
     Only the layers the wanted outputs read run: features alone stop before
     the logits conv, and features are pooled only when wanted. A chunk is
-    ``EVAL_PIXELS`` pixels' worth of images (at least one). Chunking splits
-    only the column axis of each conv's matmul, so every output is
-    bit-identical whatever the chunk size.
+    ``EVAL_PIXELS`` pixels' worth of the u8 images (at least one),
+    normalised as it is read. Chunking splits only the column axis of each
+    conv's matmul, so every output is bit-identical whatever the chunk size.
     """
     parts: dict[str, list] = {name: [] for name in _POOL_OUTPUTS if name in wanted}
     need_probs = bool(parts.keys() - {"features"})  # the rest read the posteriors
-    step = max(1, EVAL_PIXELS // (images_norm.shape[2] * images_norm.shape[3]))
+    step = max(1, EVAL_PIXELS // (images.shape[1] * images.shape[2]))
     for lo in range(0, len(ids) if parts else 0, step):
         chunk = ids[lo:lo + step]
-        x = images_norm[chunk]
+        x = normalize_images(images[chunk])
         probs, feats = seg_forward(seg, x, probs=need_probs,
                                    features="features" in parts)
         out = {"probs": probs, "features": feats}
@@ -244,7 +245,7 @@ def _pool_inference(seg: Network, ap: Network | None, images_norm, labels, ids,
 
 
 def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
-               images_norm: np.ndarray, labels: np.ndarray, num_fg: int,
+               images: np.ndarray, labels: np.ndarray, num_fg: int,
                query_seed: int) -> list[list]:
     """Select, 'annotate' (ground-truth lookup) and absorb one query batch.
 
@@ -256,10 +257,10 @@ def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
     pool = state.unlabeled
 
     needs = STRATEGIES[strategy].needs
-    inputs = _pool_inference(seg, ap, images_norm, labels, pool, needs, num_fg)
+    inputs = _pool_inference(seg, ap, images, labels, pool, needs, num_fg)
     if "labeled_features" in needs:
         inputs["labeled_features"] = _pool_inference(
-            seg, ap, images_norm, labels, state.labeled, ("features",),
+            seg, ap, images, labels, state.labeled, ("features",),
             num_fg)["features"]
 
     ctx = QueryContext(ids=pool, b=state.schedule[state.t - 1],
@@ -295,8 +296,7 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
     val_ids = np.asarray(val_ids, dtype=np.int64)
     num_fg = dataset.num_fg
 
-    images_norm = normalize_images(dataset.images)
-    labels = dataset.masks
+    images, labels = dataset.images, dataset.masks
 
     state = init_pool(train_ids, cfg.init_ratio, budget, iterations,
                       seed=[cfg.seed, fold_index, 0xD1])
@@ -309,9 +309,9 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
         lr = cosine_lr(epoch, cfg.max_epochs, cfg.warmup, cfg.lr0, cfg.lr_min)
         shuffle_rng = np.random.default_rng([cfg.seed, fold_index, 3, epoch])
         seg_loss, ap_loss = train_epoch(
-            seg, ap, images_norm, labels, state.labeled, epoch, cfg, lr,
+            seg, ap, images, labels, state.labeled, epoch, cfg, lr,
             shuffle_rng, num_fg)
-        val_mean, val_class = evaluate(seg, images_norm, labels, val_ids, num_fg)
+        val_mean, val_class = evaluate(seg, images, labels, val_ids, num_fg)
         iq_update(state, val_mean)
 
         if on_stall:
@@ -320,7 +320,7 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
             trigger = epoch > 0 and epoch % cfg.query_interval == 0
         if trigger and state.can_query:
             report.queries += query_step(
-                state, seg, ap, strategy, images_norm, labels, num_fg,
+                state, seg, ap, strategy, images, labels, num_fg,
                 query_seed=_subseed(cfg.seed, fold_index, 4, state.t))
             state.iq_counter = 0
             state.assert_partition(train_ids)
@@ -333,7 +333,7 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
             break
 
     if len(state.unlabeled):
-        out = _pool_inference(seg, ap, images_norm, labels, state.unlabeled,
+        out = _pool_inference(seg, ap, images, labels, state.unlabeled,
                               ("pred_acc", "actual"), num_fg)
         pred, actual = out["pred_acc"], out["actual"]
         report.calibration = [

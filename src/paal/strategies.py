@@ -74,8 +74,16 @@ def cluster_count(b: int) -> int:
 
 def _top_by_score(ids: np.ndarray, scores: np.ndarray, b: int) -> np.ndarray:
     """Positions of the b highest scores. The package's one tie rule: equal
-    scores go to the lower sample id, and tied clusters to the lower index."""
-    return np.lexsort((ids, -np.asarray(scores, dtype=np.float64)))[:b]
+    scores go to the lower sample id, and tied clusters to the lower index.
+
+    Only the scores at or above the b-th highest are sorted (NaN, which
+    sorts last, stays a candidate), so one pick is a linear pass.
+    """
+    key = -np.asarray(scores, dtype=np.float64)
+    cand = np.arange(len(key))
+    if 0 < b < len(key):
+        cand = np.flatnonzero(~(key > np.partition(key, b - 1)[b - 1]))
+    return cand[np.lexsort((ids[cand], key[cand]))[:b]]
 
 
 def weighted_polling(assignments: np.ndarray, weights: np.ndarray,

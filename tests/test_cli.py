@@ -1,16 +1,20 @@
 """End to end through `paal run`: reproducible CSVs, resume, class counts
 and exit codes."""
 
+import concurrent.futures
 import csv
 import os
 import platform
 import struct
+import subprocess
+import sys
 import types
 
 import numpy as np
 import pytest
 
-from paal import cli, experiment
+import paal
+from paal import cli
 from paal.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from paal.data import (ClassProfile, ClassSpec, Dataset, generate, read_dataset,
                        write_dataset)
@@ -101,10 +105,27 @@ def test_jobs_start_no_more_workers_than_cells(tmp_path, monkeypatch, data_file,
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     code, _ = paal_run(tmp_path, "run", data_file, jobs, strategies)
     assert code == EXIT_OK
     assert started == pools
+
+
+def test_a_one_job_campaign_never_loads_the_process_pool(tmp_path, data_file):
+    # multiprocessing alone adds about 2 MB to the process; --jobs 1 runs
+    # its cells in the process and has no use for it
+    config = tmp_path / "one.cfg"
+    config.write_text(f"dataset = {data_file}\nstrategies = random\n" + CAMPAIGN)
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out"),
+            "--jobs", "1"]
+    script = ("import sys\nfrom paal.cli import main\n"
+              f"code = main({argv!r})\n"
+              "print(code, 'multiprocessing' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(paal.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False", proc.stderr
 
 
 def assert_config_error(code, capsys):

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from paal import nn
 from paal.models import build_ap_model, build_seg_model, softmax
 from paal.nn import (Conv2D, Dense, GlobalAvgPool, Network, NumericalError,
                      Param, ReLU, ShapeError, Sigmoid, adamw_step, cosine_lr)
@@ -234,10 +235,12 @@ def test_backward_is_bit_identical_across_runs():
 
 def gcols_backward(conv: Conv2D, grad_out: np.ndarray) -> np.ndarray:
     """``Conv2D.backward`` as first written, kept as the oracle for the
-    per-tap input gradient: the whole (k*k*C, B*span) input-gradient patch
-    matrix from one matmul, then scattered tap by tap."""
-    cols, (b, c, h, w), wp = conv._cache
-    conv._cache = None
+    blocked per-tap input gradient and the weight gradient's product: the
+    whole (k*k*C, B*span) input-gradient patch matrix from one matmul, then
+    scattered tap by tap."""
+    x = conv._take_cache()
+    b, c, h, w = x.shape
+    cols, wp = conv._im2col(x)
     k = conv.kernel
     p = k // 2
     span = h * wp
@@ -343,26 +346,73 @@ def test_input_grad_stop_reaches_the_first_conv_of_each_net(build, channels):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("cin,cout,b", [(8, 16, 16), (16, 4, 7), (2, 3, 5)])
+def test_the_input_grad_does_not_depend_on_the_block_size(cin, cout, b,
+                                                          monkeypatch):
+    rng = np.random.default_rng([61, cin, cout, b])
+    conv = Conv2D(cin, cout, rng=rng)
+    x = rng.normal(size=(b, cin, 32, 32)).astype(np.float32)
+    g = rng.normal(size=(b, cout, 32, 32)).astype(np.float32)
+    blocks = (1, nn._GRAD_BLOCK, b)
+    grads = []
+    for block in blocks:
+        monkeypatch.setattr(nn, "_GRAD_BLOCK", block)
+        conv.forward(x, train=True)
+        grads.append(conv.backward(g).tobytes())
+    assert blocks[1] < b
+    assert grads[0] == grads[1] == grads[2]
+
+
+def test_a_training_conv_caches_its_input():
+    rng = np.random.default_rng(59)
+    conv = Conv2D(16, 4, rng=rng)
+    x = rng.normal(size=(16, 16, 32, 32)).astype(np.float32)
+    conv.forward(x, train=True)
+    assert isinstance(conv._cache, np.ndarray)
+    assert conv._cache.nbytes == x.nbytes
+
+
 def test_conv_backward_frees_the_patch_matrix_before_the_input_grad():
-    # the 16->4 logits conv at a training batch: its patch matrix is by far
-    # the largest buffer, and no other buffer of its size may join it
+    # the 16->4 logits conv at a training batch: the patch matrix backward
+    # rebuilds is by far its largest buffer, and the input-gradient buffers
+    # (one the size of x, the rest a block's) may not join it
     rng = np.random.default_rng(59)
     conv = Conv2D(16, 4, rng=rng)
     x = rng.normal(size=(16, 16, 32, 32)).astype(np.float32)
     g = rng.normal(size=(16, 4, 32, 32)).astype(np.float32)
+    conv.forward(x, train=True)
+    rebuilt = []
+    im2col = conv._im2col
+
+    def im2col_then_mark(inp):
+        cols, wp = im2col(inp)
+        rebuilt.append((cols.nbytes, tracemalloc.get_traced_memory()[0]))
+        tracemalloc.reset_peak()
+        return cols, wp
+
+    conv._im2col = im2col_then_mark
     tracemalloc.start()
     try:
-        conv.forward(x, train=True)
-        cols_nbytes = conv._cache[0].nbytes
-        del x
-        live, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
         conv.backward(g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    [(cols_nbytes, with_cols)] = rebuilt
     assert cols_nbytes == 144 * 16 * 32 * 34 * 4
-    assert peak - live < cols_nbytes / 2
+    assert peak - with_cols < x.nbytes / 2
+
+
+def test_a_training_forward_leaves_no_patch_matrix_in_the_seg_net():
+    # at B=16, 32x32 the three convs' patch matrices take 0.6 + 5.0 + 10.0 MB
+    # and their inputs 0.06 + 0.5 + 1.0 MB
+    seg = build_seg_model(4, seed=3)
+    x = np.random.default_rng(67).uniform(size=(16, 1, 32, 32)).astype(np.float32)
+    seg.forward(x, train=True)
+    trunk, head = seg.layers
+    convs = [trunk.layers[0], trunk.layers[2], head]
+    assert all(isinstance(conv, Conv2D) for conv in convs)
+    cached = sum(conv._cache.nbytes for conv in convs)
+    assert cached < 72 * 16 * 32 * 34 * 4  # the 8->16 conv's patch matrix
 
 
 def test_forward_shape_error_names_layer():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from paal import orchestrator
 from paal.data import generate, split_folds
-from paal.models import build_ap_model, build_seg_model, normalize_images
+from paal.models import build_ap_model, build_seg_model
 from paal.nn import Conv2D
 from paal.orchestrator import (_POOL_OUTPUTS, TrainConfig, _pool_inference,
                                evaluate, init_pool, query_step,
@@ -46,7 +46,7 @@ def test_query_step_computes_exactly_the_declared_inputs(strategy, dataset,
     rows = query_step(
         state, build_seg_model(num_fg + 1, seed=1),
         build_ap_model(num_fg + 1, seed=2), strategy,
-        normalize_images(dataset.images), dataset.masks,
+        dataset.images, dataset.masks,
         num_fg, query_seed=5)
 
     needs = STRATEGIES[strategy].needs
@@ -110,7 +110,7 @@ def inference_inputs(dataset):
     num_fg = dataset.num_fg
     return (build_seg_model(num_fg + 1, seed=1),
             build_ap_model(num_fg + 1, seed=2),
-            normalize_images(dataset.images), dataset.masks,
+            dataset.images, dataset.masks,
             num_fg)
 
 
@@ -124,7 +124,7 @@ def test_pool_inference_does_not_depend_on_the_chunk_size(
         wanted, inference_inputs, monkeypatch):
     seg, ap, images, labels, num_fg = inference_inputs
     ids = np.arange(3, 40)  # 37 ids: two default 16x16 chunks, the last short
-    pixels = images.shape[2] * images.shape[3]
+    pixels = images[0].size
 
     def run(eval_pixels):
         monkeypatch.setattr(orchestrator, "EVAL_PIXELS", eval_pixels)

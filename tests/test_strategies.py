@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from paal.kmeans import kmeans_fit
 from paal.strategies import (STRATEGIES, QueryContext, _kmeans_diversity,
-                             cluster_count, coreset_select, query_weights,
-                             select, weighted_polling)
+                             _top_by_score, cluster_count, coreset_select,
+                             query_weights, select, weighted_polling)
 
 INPUT_FIELDS = ("probs", "features", "pred_acc", "labeled_features")
 
@@ -25,6 +25,22 @@ def make_ctx(rng, n=20, b=5, classes=3, dim=4, seed=0, fields=INPUT_FIELDS):
         labeled_features=rng.normal(size=(7, dim)))
     return QueryContext(ids=np.arange(100, 100 + n), b=b, seed=seed,
                         **{f: inputs[f] for f in fields})
+
+
+# few distinct values, so most scores tie; NaN sorts last in a full sort
+TIED_SCORES = st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf,
+                                        np.nan]), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TIED_SCORES, st.data())
+def test_top_by_score_equals_the_full_sort(values, data):
+    n = len(values)
+    b = data.draw(st.integers(0, n))
+    ids = np.array(data.draw(st.permutations(range(100, 100 + n))), dtype=np.int64)
+    scores = np.array(values)
+    want = np.lexsort((ids, -scores))[:b]
+    assert _top_by_score(ids, scores, b).tolist() == want.tolist()
 
 
 class TestQueryWeights:
