@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import ctypes
+import glob
 import os
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -223,6 +225,29 @@ def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
     return cell.run_id
 
 
+# numpy's wheels bundle OpenBLAS here; the setter's name depends on the build
+_OPENBLAS_LIBS = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                              "numpy.libs", "*openblas*")
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                        "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Process-pool initializer: run this worker's OpenBLAS on one thread.
+
+    A forked worker inherits the parent's BLAS thread count, so ``--jobs``
+    workers would share the cores with each other's BLAS threads. The
+    parent keeps its threads. Does nothing where numpy bundles no OpenBLAS
+    exporting either setter.
+    """
+    for path in sorted(glob.glob(_OPENBLAS_LIBS)):
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_THREAD_SETTERS:
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+                return
+
+
 def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[str]:
     """Run every cell (resuming completed ones) and merge the fragments."""
     cells = campaign_cells(config)
@@ -238,7 +263,8 @@ def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[
     # on first lookup, so a one-job run never loads either
     workers = min(jobs, len(cells))
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_one_blas_thread) as pool:
             list(pool.map(run_cell, repeat(config), cells, repeat(out_dir),
                           repeat(dataset), splits))
     else:

@@ -18,8 +18,8 @@ _MAX_ITER, _TOL = 100, 1e-6  # Lloyd step cap; converged below this shift
 
 @dataclass
 class ClusterModel:
-    centroids: np.ndarray    # (k, dim)
-    assignments: np.ndarray  # (n,) int, nearest centroid per point
+    assignments: np.ndarray   # (n,) int, nearest centroid per point
+    own_sq_dists: np.ndarray  # (n,) squared distance to that centroid
     inertia_history: tuple[float, ...] = ()  # the last entry is the fit's
 
 
@@ -41,7 +41,18 @@ def sq_dists(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
 
 
 def kmeans_fit(points: np.ndarray, k: int, seed: int) -> ClusterModel:
+    """Assign each point to the nearest of the fit's ``k`` centroids."""
     pts = np.asarray(points, dtype=np.float64)
+    centroids, history = _lloyd(pts, k, seed)
+    d2 = sq_dists(pts, centroids)
+    assign = d2.argmin(axis=1)
+    own = d2[np.arange(len(pts)), assign]
+    return ClusterModel(assign.astype(np.int64), own,
+                        (*history, float(own.sum())))
+
+
+def _lloyd(pts: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, list[float]]:
+    """The fit's (k, dim) centroids, and the inertia before each Lloyd step."""
     if pts.ndim != 2:
         raise ValueError("points must be (n, dim)")
     n = pts.shape[0]
@@ -70,10 +81,7 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int) -> ClusterModel:
         centroids = new_centroids
         if shift < _TOL:
             break
-    d2 = sq_dists(pts, centroids)
-    assign = d2.argmin(axis=1)
-    history.append(float(d2[np.arange(n), assign].sum()))
-    return ClusterModel(centroids, assign.astype(np.int64), tuple(history))
+    return centroids, history
 
 
 def _plus_plus_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -37,7 +37,11 @@ from .strategies import STRATEGIES, QueryContext, select
 _POOL_OUTPUTS = ("probs", "features", "pred_acc", "actual")
 
 # pixels per forward pass when nothing trains: seg+AP inference cost per
-# pixel was lowest near 8K pixels per chunk at 16x16, 32x32 and 64x64 alike
+# pixel was lowest near 8K pixels per chunk at 16x16, 32x32 and 64x64 alike.
+# With the per-image logits conv, a 452-image 32x32 pool pass (posteriors
+# and features; medians of 3 runs of 15-25 interleaved repeats, 2-core
+# Xeon) took 124-136 ms at 4K pixels, 108-127 ms at 8K and 111-134 ms at
+# 16K, with tracemalloc peaks of 9.5, 11.5 and 15.5 MB
 EVAL_PIXELS = 8192
 
 
@@ -219,25 +223,30 @@ def _pool_inference(seg: Network, ap: Network | None, images, labels, ids,
     Only the layers the wanted outputs read run: features alone stop before
     the logits conv, and features are pooled only when wanted. A chunk is
     ``EVAL_PIXELS`` pixels' worth of the u8 images (at least one),
-    normalised as it is read. Chunking splits only the column axis of each
-    conv's matmul, so every output is bit-identical whatever the chunk size.
+    normalised as it is read, and its outputs go straight into arrays sized
+    for every id, so no output exists twice. Chunking splits only the column
+    axis of each conv's matmul, so every output is bit-identical whatever
+    the chunk size.
     """
-    parts: dict[str, list] = {name: [] for name in _POOL_OUTPUTS if name in wanted}
-    need_probs = bool(parts.keys() - {"features"})  # the rest read the posteriors
+    names = [name for name in _POOL_OUTPUTS if name in wanted]
+    need_probs = bool(set(names) - {"features"})  # the rest read the posteriors
+    outputs: dict[str, np.ndarray] = {}
     step = max(1, EVAL_PIXELS // (images.shape[1] * images.shape[2]))
-    for lo in range(0, len(ids) if parts else 0, step):
+    for lo in range(0, len(ids) if names else 0, step):
         chunk = ids[lo:lo + step]
         x = normalize_images(images[chunk])
         probs, feats = seg_forward(seg, x, probs=need_probs,
-                                   features="features" in parts)
+                                   features="features" in names)
         out = {"probs": probs, "features": feats}
-        if "pred_acc" in parts:
+        if "pred_acc" in names:
             out["pred_acc"] = ap_forward(ap, x, probs)
-        if "actual" in parts:  # the labels; scored in one call below
+        if "actual" in names:  # the labels; scored in one call below
             out["actual"] = channel_argmax(probs)
-        for name, acc in parts.items():
-            acc.append(out[name])
-    outputs = {name: np.concatenate(acc, axis=0) for name, acc in parts.items()}
+        for name in names:
+            if name not in outputs:  # shapes and dtypes from the first chunk
+                outputs[name] = np.empty((len(ids), *out[name].shape[1:]),
+                                         dtype=out[name].dtype)
+            outputs[name][lo:lo + len(chunk)] = out[name]
     if "actual" in outputs:
         outputs["actual"] = dsc_per_class_batch(outputs["actual"], labels[ids],
                                                 num_fg)

@@ -135,13 +135,11 @@ def coreset_select(labeled_features: np.ndarray, unlabeled_features: np.ndarray,
 def _kmeans_diversity(features: np.ndarray, ids: np.ndarray, b: int,
                       seed: int) -> np.ndarray:
     """K-means with one cluster per slot; positions of the most central members."""
-    feats = np.asarray(features, dtype=np.float64)
-    model = kmeans_fit(feats, b, seed)
+    model = kmeans_fit(features, b, seed)
     assign = model.assignments
-    d = sq_dists(feats, model.centroids)[np.arange(len(ids)), assign]
     # each cluster's member nearest its centroid, by cluster; the slots of
     # clusters a degenerate feature set emptied go to the rest by lowest id
-    order = np.lexsort((ids, d, assign))
+    order = np.lexsort((ids, model.own_sq_dists, assign))
     head = np.r_[True, np.diff(assign[order]) != 0]
     rest = order[~head]
     return np.r_[order[head], rest[np.argsort(ids[rest])]][:b]
@@ -188,7 +186,7 @@ def _pick_paal_full(ctx: QueryContext) -> Selection:
     """Predicted-accuracy weights polled round-robin over feature clusters."""
     weights = query_weights(ctx.pred_acc)
     k = min(cluster_count(ctx.b), len(ctx.ids))
-    model = kmeans_fit(np.asarray(ctx.features, dtype=np.float64), k, ctx.seed)
+    model = kmeans_fit(ctx.features, k, ctx.seed)
     pos = weighted_polling(model.assignments, weights, ctx.ids, ctx.b)
     return pos, weights, model.assignments
 

@@ -3,6 +3,8 @@ and exit codes."""
 
 import concurrent.futures
 import csv
+import ctypes
+import glob
 import os
 import platform
 import struct
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import paal
-from paal import cli
+from paal import cli, experiment
 from paal.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from paal.data import (ClassProfile, ClassSpec, Dataset, generate, read_dataset,
                        write_dataset)
@@ -93,7 +95,7 @@ def test_jobs_start_no_more_workers_than_cells(tmp_path, monkeypatch, data_file,
     class RecordingPool:
         """Records its worker count and runs the cells in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             started.append(max_workers)
 
         def __enter__(self):
@@ -126,6 +128,49 @@ def test_a_one_job_campaign_never_loads_the_process_pool(tmp_path, data_file):
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False", proc.stderr
+
+
+def blas_thread_getter() -> str | None:
+    """The ``get_num_threads`` matching the setter the pool initializer
+    finds in numpy's bundled OpenBLAS, as ``"<library path>:<symbol>"``."""
+    for path in sorted(glob.glob(experiment._OPENBLAS_LIBS)):
+        lib = ctypes.CDLL(path)
+        for name in experiment._BLAS_THREAD_SETTERS:
+            if hasattr(lib, name):
+                return f"{path}:{name.replace('_set_', '_get_')}"
+    return None
+
+
+def test_jobs_workers_run_one_blas_thread(tmp_path, data_file):
+    getter = blas_thread_getter()
+    if getter is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
+    config = tmp_path / "two.cfg"
+    config.write_text(f"dataset = {data_file}\nstrategies = random,max_entropy\n"
+                      + CAMPAIGN)
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out"),
+            "--jobs", "2"]
+    # each cell prints its worker's BLAS thread count; the forked workers
+    # find the wrapper in __main__ by name
+    script = (
+        "import ctypes\nfrom paal import experiment\nfrom paal.cli import main\n"
+        f"path, name = {getter!r}.rsplit(':', 1)\n"
+        "threads = getattr(ctypes.CDLL(path), name)\n"
+        "before = threads()\nrun_cell = experiment.run_cell\n"
+        "def reporting_run_cell(*args):\n"
+        "    print('worker', threads(), flush=True)\n"
+        "    return run_cell(*args)\n"
+        "experiment.run_cell = reporting_run_cell\n"
+        f"code = main({argv!r})\n"
+        "print('parent', code, threads() == before)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(paal.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    lines = proc.stdout.splitlines()
+    assert sorted(line for line in lines if line.startswith("worker")) == \
+        ["worker 1", "worker 1"], proc.stderr
+    assert lines[-1] == f"parent {EXIT_OK} True", proc.stderr
 
 
 def assert_config_error(code, capsys):

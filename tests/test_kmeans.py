@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paal.kmeans import kmeans_fit
+from paal.kmeans import _lloyd, kmeans_fit, sq_dists
+
+
+def fit_centroids(points, k, seed):
+    """The centroids ``kmeans_fit(points, k, seed)`` assigns to."""
+    return _lloyd(np.asarray(points, dtype=np.float64), k, seed)[0]
 
 
 def brute_nearest(centroids, point):
@@ -19,8 +24,8 @@ def brute_nearest(centroids, point):
 def test_single_cluster_centroid_is_mean():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(50, 4))
-    model = kmeans_fit(pts, 1, seed=1)
-    np.testing.assert_allclose(model.centroids[0], pts.mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(fit_centroids(pts, 1, seed=1)[0], pts.mean(axis=0),
+                               atol=1e-12)
 
 
 def test_two_well_separated_blobs_split_cleanly():
@@ -40,6 +45,19 @@ def test_k_equals_n_gives_zero_inertia():
     assert model.inertia_history[-1] == pytest.approx(0.0, abs=1e-20)
 
 
+@pytest.mark.parametrize("n,k,dim", [(80, 5, 6), (452, 14, 16), (30, 30, 2),
+                                     (40, 3, 1)])
+def test_own_distances_are_a_fresh_sq_dists_bit_for_bit(n, k, dim):
+    rng = np.random.default_rng([13, n, k, dim])
+    pts = rng.normal(size=(n, dim)).astype(np.float32)
+    model = kmeans_fit(pts, k, seed=17)
+    fresh = sq_dists(pts.astype(np.float64), fit_centroids(pts, k, seed=17))[
+        np.arange(n), model.assignments]
+    assert model.own_sq_dists.dtype == fresh.dtype
+    assert model.own_sq_dists.tobytes() == fresh.tobytes()
+    assert model.inertia_history[-1] == float(fresh.sum())
+
+
 def test_invalid_k_rejected():
     pts = np.zeros((5, 2))
     with pytest.raises(ValueError):
@@ -53,7 +71,9 @@ def test_deterministic_bit_for_bit():
     pts = rng.normal(size=(80, 6))
     a = kmeans_fit(pts, 5, seed=11)
     b = kmeans_fit(pts, 5, seed=11)
-    assert a.centroids.tobytes() == b.centroids.tobytes()
+    assert fit_centroids(pts, 5, seed=11).tobytes() == \
+        fit_centroids(pts, 5, seed=11).tobytes()
+    assert a.own_sq_dists.tobytes() == b.own_sq_dists.tobytes()
     np.testing.assert_array_equal(a.assignments, b.assignments)
     assert a.inertia_history == b.inertia_history
 
@@ -63,8 +83,9 @@ def test_a_fit_with_duplicate_points_keeps_its_recorded_bits():
     # hashes were recorded before the distance code was shared
     rng = np.random.default_rng(5)
     pts = np.repeat(rng.integers(-2, 3, size=(12, 3)).astype(np.float64), 3, axis=0)
-    model = kmeans_fit(np.vstack([pts, rng.normal(size=(24, 3))]), 7, seed=13)
-    assert hashlib.sha256(model.centroids.tobytes()).hexdigest() == (
+    pts = np.vstack([pts, rng.normal(size=(24, 3))])
+    model = kmeans_fit(pts, 7, seed=13)
+    assert hashlib.sha256(fit_centroids(pts, 7, seed=13).tobytes()).hexdigest() == (
         "d2f378aaf20228f85580f01a28b4f6fdd0a286c9d516071165156f763c196d43")
     assert hashlib.sha256(model.assignments.tobytes()).hexdigest() == (
         "806d415726d751374e4ec370a8ed302cee46edd378a2a8509561a09a08838ce6")
@@ -83,8 +104,9 @@ def test_invariants_on_random_problems(seed, k):
     assert all(a >= b - 1e-9 * max(1.0, abs(a)) for a, b in zip(hist, hist[1:]))
 
     # every assignment is exactly the nearest centroid
+    centroids = fit_centroids(pts, k, seed=seed)
     for i, point in enumerate(pts):
-        assert model.assignments[i] == brute_nearest(model.centroids, point)
+        assert model.assignments[i] == brute_nearest(centroids, point)
 
 
 def test_duplicate_points_still_fit():

@@ -415,6 +415,54 @@ def test_a_training_forward_leaves_no_patch_matrix_in_the_seg_net():
     assert cached < 72 * 16 * 32 * 34 * 4  # the 8->16 conv's patch matrix
 
 
+def whole_batch_forward(conv: Conv2D, x: np.ndarray) -> np.ndarray:
+    """``Conv2D.forward`` as first written, the oracle for the per-image
+    path: one matmul over the whole batch's patch matrix."""
+    b, _, h, w = x.shape
+    cols, wp = conv._im2col(x)
+    wide = conv.weight.value.T @ cols
+    out = wide.reshape(conv.out_ch, b, h, wp)[:, :, :, :w] \
+        + conv.bias.value[:, None, None, None]
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("h,w", [(32, 32), (12, 20)])
+@pytest.mark.parametrize("b", [1, 3, 8, 16])
+@pytest.mark.parametrize("cin,cout", [(16, 4), (8, 16)],
+                         ids=["narrowing", "widening"])
+def test_conv_forward_matches_the_whole_batch_oracle_bit_for_bit(cin, cout, b,
+                                                                 h, w, k):
+    rng = np.random.default_rng([61, cin, cout, b, h, w, k])
+    conv = Conv2D(cin, cout, k, rng=rng)
+    conv.bias.value = rng.normal(size=cout).astype(np.float32)
+    x = rng.normal(size=(b, cin, h, w)).astype(np.float32)
+    out = conv.forward(x)
+    want = whole_batch_forward(conv, x)
+    assert out.dtype == want.dtype and out.shape == want.shape
+    assert out.flags.c_contiguous
+    assert out.tobytes() == want.tobytes()
+
+
+def test_a_narrowing_conv_forward_builds_no_whole_batch_patch_matrix():
+    # the 16->4 logits conv at a training batch: its whole-batch patch
+    # matrix would be 10 MB, 40 times the output
+    rng = np.random.default_rng(71)
+    conv = Conv2D(16, 4, rng=rng)
+    x = rng.normal(size=(16, 16, 32, 32)).astype(np.float32)
+    conv.forward(x)  # warm up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = conv.forward(x, train=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    whole_batch_cols = 144 * 16 * 32 * 34 * 4
+    assert peak < whole_batch_cols / 4
+    assert peak >= out.nbytes + whole_batch_cols / 16  # one image's
+
+
 def test_forward_shape_error_names_layer():
     net = Network([Conv2D(2, 3, rng=np.random.default_rng(0))])
     with pytest.raises(ShapeError, match="Conv2D"):

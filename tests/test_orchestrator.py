@@ -1,5 +1,6 @@
 """Query step and run loop: which inputs get computed, and pool bookkeeping."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -57,6 +58,35 @@ def test_query_step_computes_exactly_the_declared_inputs(strategy, dataset,
         assert seg_calls == []
     assert len(rows) == 4
     state.assert_partition(np.arange(32))
+
+
+def max_entropy_query_peak(n: int) -> int:
+    """tracemalloc peak of a ``max_entropy`` query step on an n-image 32x32
+    pool (4 classes), above what was live before it."""
+    rng = np.random.default_rng(73)
+    images = rng.integers(0, 256, size=(5 * n // 4, 32, 32), dtype=np.uint8)
+    masks = rng.integers(0, 4, size=images.shape, dtype=np.uint8)
+    seg, ap = build_seg_model(4, seed=1), build_ap_model(4, seed=2)
+    state = init_pool(np.arange(len(images)), 0.2, budget=0.1, iterations=1,
+                      seed=0)
+    assert len(state.unlabeled) == n
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        query_step(state, seg, ap, "max_entropy", images, masks, 3, query_seed=5)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_query_step_holds_the_pool_posteriors_once():
+    # a 400-image pool's posteriors take 6.55 MB; one chunk's forward adds
+    # about 4 MB whatever the pool size, the 8->16 conv's patch matrix most
+    posterior_bytes = {n: n * 4 * 32 * 32 * 4 for n in (400, 800)}
+    peak = {n: max_entropy_query_peak(n) for n in posterior_bytes}
+    assert peak[800] - peak[400] < 1.25 * (posterior_bytes[800]
+                                           - posterior_bytes[400])
+    assert peak[400] < 1.7 * posterior_bytes[400]
 
 
 def test_the_initial_count_is_the_ratio_in_decimals():

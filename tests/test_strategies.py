@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paal.kmeans import kmeans_fit
+from paal.kmeans import _lloyd, kmeans_fit
 from paal.strategies import (STRATEGIES, QueryContext, _kmeans_diversity,
                              _top_by_score, cluster_count, coreset_select,
                              query_weights, select, weighted_polling)
@@ -231,13 +231,14 @@ def kmeans_diversity_reference(features, ids, b, seed):
     """K-means diversity as a loop over clusters: the code the one sort in
     ``_kmeans_diversity`` replaced. Returns positions."""
     model = kmeans_fit(np.asarray(features, dtype=np.float64), b, seed)
+    centroids = _lloyd(np.asarray(features, dtype=np.float64), b, seed)[0]
     chosen = []
     taken = np.zeros(len(ids), dtype=bool)
     for c in range(b):
         members = np.flatnonzero((model.assignments == c) & ~taken)
         if members.size == 0:
             continue
-        diff = features[members] - model.centroids[c]
+        diff = features[members] - centroids[c]
         d = np.einsum("nd,nd->n", diff.astype(np.float64), diff.astype(np.float64))
         order = np.lexsort((ids[members], d))
         pick = members[order[0]]
