@@ -84,11 +84,13 @@ def _cmd_report(args) -> int:
 def _pin_heap() -> tuple[int, int] | None:
     """Pin glibc's mmap threshold at 32 MiB and its trim threshold at 128 MiB.
 
-    Left alone, glibc lifts the mmap threshold only to the largest block
-    freed so far, so training's 10 MB im2col buffers can be unmapped or
-    trimmed and faulted back in on every step. Returns mallopt's results
-    (1 applied, 0 refused), or None where the C library has no mallopt.
-    Forked workers inherit the pin; a spawned worker must call this itself.
+    Left alone, glibc moves the mmap threshold with the largest block freed
+    so far. The pin buys a lower peak, not speed: the benchmark's
+    ``ref_serial`` peaked at 56.2-56.3 MB pinned and 60.7-60.9 MB unpinned,
+    no slower unpinned, and ``query_heavy`` did not move (3 alternating
+    pairs each, 2-core Xeon). Returns mallopt's results (1 applied, 0
+    refused), or None where the C library has no mallopt. Forked workers
+    inherit the pin; a spawned worker must call this itself.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

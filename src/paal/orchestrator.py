@@ -161,17 +161,18 @@ def iq_update(state: PoolState, val_dsc: float) -> None:
         state.iq_counter += 1
 
 
-def train_epoch(seg: Network, ap: Network, images: np.ndarray,
-                labels: np.ndarray, labeled_ids: np.ndarray, epoch: int,
-                cfg: TrainConfig, lr: float, shuffle_rng: np.random.Generator,
-                num_fg: int) -> tuple[float, float | None]:
-    """One pass over the labeled set in shuffled mini-batches.
+def train_epoch(seg: Network, ap: Network, dataset: Dataset,
+                labeled_ids: np.ndarray, epoch: int, cfg: TrainConfig,
+                shuffle_rng: np.random.Generator) -> tuple[float, float | None]:
+    """One pass over the labeled set in shuffled mini-batches, at the
+    epoch's cosine learning rate.
 
     The segmentation model always trains; the accuracy predictor joins in
     after the silent period, regressing the per-class DSC of the *current*
     segmentation output, with the posteriors treated as constants. Each
     batch's u8 images are normalised as it is read.
     """
+    lr = cosine_lr(epoch, cfg.max_epochs, cfg.warmup, cfg.lr0, cfg.lr_min)
     order = labeled_ids[shuffle_rng.permutation(len(labeled_ids))]
     train_ap = epoch >= cfg.silent_period
     seg_total = 0.0
@@ -179,8 +180,8 @@ def train_epoch(seg: Network, ap: Network, images: np.ndarray,
     count = 0
     for lo in range(0, len(order), cfg.batch_size):
         batch = order[lo:lo + cfg.batch_size]
-        x = normalize_images(images[batch])
-        y = labels[batch]
+        x = normalize_images(dataset.images[batch])
+        y = dataset.masks[batch]
 
         probs = softmax(seg.forward(x, train=True))
         loss, glogits = dice_ce_loss(probs, y)
@@ -191,7 +192,7 @@ def train_epoch(seg: Network, ap: Network, images: np.ndarray,
         count += len(batch)
 
         if train_ap:
-            targets = dsc_per_class_batch(channel_argmax(probs), y, num_fg)
+            targets = dsc_per_class_batch(channel_argmax(probs), y, dataset.num_fg)
             pred = ap.forward(np.concatenate([x, probs], axis=1), train=True)
             ap_loss, gpred = mse_loss(pred, targets.astype(np.float32))
             ap.zero_grad()
@@ -201,18 +202,17 @@ def train_epoch(seg: Network, ap: Network, images: np.ndarray,
     return seg_total / count, (ap_total / count) if train_ap else None
 
 
-def evaluate(seg: Network, images: np.ndarray, labels: np.ndarray,
-             val_ids: np.ndarray, num_fg: int) -> tuple[float, np.ndarray]:
+def evaluate(seg: Network, dataset: Dataset,
+             val_ids: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean foreground DSC on the validation set (classes averaged, then samples)."""
     if len(val_ids) == 0:
         raise ValueError("validation set is empty")
-    dsc = _pool_inference(seg, None, images, labels, val_ids,
-                          ("actual",), num_fg)["actual"]
+    dsc = _pool_inference(seg, None, dataset, val_ids, ("actual",))["actual"]
     return float(dsc.mean(axis=1).mean()), dsc.mean(axis=0)
 
 
-def _pool_inference(seg: Network, ap: Network | None, images, labels, ids,
-                    wanted, num_fg: int) -> dict[str, np.ndarray]:
+def _pool_inference(seg: Network, ap: Network | None, dataset: Dataset, ids,
+                    wanted) -> dict[str, np.ndarray]:
     """Model outputs over a set of ids, in chunks (never trains anything).
 
     Returns one (len(ids), ...) array for each name in ``wanted`` that is
@@ -231,10 +231,10 @@ def _pool_inference(seg: Network, ap: Network | None, images, labels, ids,
     names = [name for name in _POOL_OUTPUTS if name in wanted]
     need_probs = bool(set(names) - {"features"})  # the rest read the posteriors
     outputs: dict[str, np.ndarray] = {}
-    step = max(1, EVAL_PIXELS // (images.shape[1] * images.shape[2]))
+    step = max(1, EVAL_PIXELS // math.prod(dataset.images.shape[1:]))
     for lo in range(0, len(ids) if names else 0, step):
         chunk = ids[lo:lo + step]
-        x = normalize_images(images[chunk])
+        x = normalize_images(dataset.images[chunk])
         probs, feats = seg_forward(seg, x, probs=need_probs,
                                    features="features" in names)
         out = {"probs": probs, "features": feats}
@@ -248,14 +248,13 @@ def _pool_inference(seg: Network, ap: Network | None, images, labels, ids,
                                          dtype=out[name].dtype)
             outputs[name][lo:lo + len(chunk)] = out[name]
     if "actual" in outputs:
-        outputs["actual"] = dsc_per_class_batch(outputs["actual"], labels[ids],
-                                                num_fg)
+        outputs["actual"] = dsc_per_class_batch(outputs["actual"],
+                                                dataset.masks[ids], dataset.num_fg)
     return outputs
 
 
 def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
-               images: np.ndarray, labels: np.ndarray, num_fg: int,
-               query_seed: int) -> list[list]:
+               dataset: Dataset, query_seed: int) -> list[list]:
     """Select, 'annotate' (ground-truth lookup) and absorb one query batch.
 
     Returns one ``QUERY_COLUMNS`` row per picked sample, in id order. Runs
@@ -266,11 +265,10 @@ def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
     pool = state.unlabeled
 
     needs = STRATEGIES[strategy].needs
-    inputs = _pool_inference(seg, ap, images, labels, pool, needs, num_fg)
+    inputs = _pool_inference(seg, ap, dataset, pool, needs)
     if "labeled_features" in needs:
         inputs["labeled_features"] = _pool_inference(
-            seg, ap, images, labels, state.labeled, ("features",),
-            num_fg)["features"]
+            seg, ap, dataset, state.labeled, ("features",))["features"]
 
     ctx = QueryContext(ids=pool, b=state.schedule[state.t - 1],
                        seed=query_seed, **inputs)
@@ -305,8 +303,6 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
     val_ids = np.asarray(val_ids, dtype=np.int64)
     num_fg = dataset.num_fg
 
-    images, labels = dataset.images, dataset.masks
-
     state = init_pool(train_ids, cfg.init_ratio, budget, iterations,
                       seed=[cfg.seed, fold_index, 0xD1])
     seg = build_seg_model(num_fg + 1, seed=_subseed(cfg.seed, fold_index, 1))
@@ -315,12 +311,10 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
     report = RunReport()
 
     for epoch in range(cfg.max_epochs):
-        lr = cosine_lr(epoch, cfg.max_epochs, cfg.warmup, cfg.lr0, cfg.lr_min)
         shuffle_rng = np.random.default_rng([cfg.seed, fold_index, 3, epoch])
-        seg_loss, ap_loss = train_epoch(
-            seg, ap, images, labels, state.labeled, epoch, cfg, lr,
-            shuffle_rng, num_fg)
-        val_mean, val_class = evaluate(seg, images, labels, val_ids, num_fg)
+        seg_loss, ap_loss = train_epoch(seg, ap, dataset, state.labeled, epoch,
+                                        cfg, shuffle_rng)
+        val_mean, val_class = evaluate(seg, dataset, val_ids)
         iq_update(state, val_mean)
 
         if on_stall:
@@ -329,7 +323,7 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
             trigger = epoch > 0 and epoch % cfg.query_interval == 0
         if trigger and state.can_query:
             report.queries += query_step(
-                state, seg, ap, strategy, images, labels, num_fg,
+                state, seg, ap, strategy, dataset,
                 query_seed=_subseed(cfg.seed, fold_index, 4, state.t))
             state.iq_counter = 0
             state.assert_partition(train_ids)
@@ -342,8 +336,8 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
             break
 
     if len(state.unlabeled):
-        out = _pool_inference(seg, ap, images, labels, state.unlabeled,
-                              ("pred_acc", "actual"), num_fg)
+        out = _pool_inference(seg, ap, dataset, state.unlabeled,
+                              ("pred_acc", "actual"))
         pred, actual = out["pred_acc"], out["actual"]
         report.calibration = [
             [int(sid), j + 1, float(pred[i, j]), float(actual[i, j])]

@@ -1,20 +1,18 @@
-"""Sample-selection policies, one entry each in the ``STRATEGIES`` table.
+"""Sample-selection policies: each ``STRATEGIES`` entry is a score and a picker.
 
-The headline strategy turns predicted per-class accuracies into query
-weights (mean negative log), clusters the pool by pooled features, and polls
-the clusters round-robin for their highest-weight members. The rest are the
-usual uncertainty/diversity baselines. Every ranking breaks ties by the one
-rule stated at :func:`_top_by_score`, so selections are reproducible.
+A score rates every pool sample, higher meaning more worth labeling: an
+uncertainty kind of the posteriors, or the headline query weights (mean
+negative log of the predicted per-class accuracies). A picker turns scores
+into a batch: :func:`top_b`, :func:`polling` (round-robin over feature
+clusters, the headline picker), :func:`diversity` (k-means, one cluster per
+slot), :func:`coreset` or :func:`random`. An entry also names the
+``QueryContext`` fields it reads, which the orchestrator computes and
+nothing else, and its trigger. A new baseline is a score under an existing
+picker: one line in ``STRATEGIES``.
 
-Every fact about a strategy lives in its :class:`Strategy` entry: the
-``QueryContext`` fields it reads (the orchestrator computes exactly those
-and nothing else), whether it fires on the validation-stall trigger or on
-the fixed epoch grid, and the function that picks the batch. Adding a
-baseline is one new entry in ``STRATEGIES``.
-
-Selections speak positions in ``QueryContext.ids``, never ids: a pick
-returns the positions it chose plus pool-aligned weights and clusters, and
-the selection helpers read ``ids`` only to break ties toward the lowest id.
+Selections speak positions in ``QueryContext.ids``, never ids; helpers read
+``ids`` only to break ties toward the lowest id, the one rule stated at
+:func:`_top_by_score`. The score is the query's weight column.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ ENTROPY_KMEANS_CANDIDATE_FACTOR = 4
 
 WEIGHT_CLIP_EPS = 1e-6
 
+Picked = tuple[np.ndarray, np.ndarray | None]  # (pos, cluster)
 Selection = tuple[np.ndarray, np.ndarray | None, np.ndarray | None]
 
 
@@ -145,97 +144,94 @@ def _kmeans_diversity(features: np.ndarray, ids: np.ndarray, b: int,
     return np.r_[order[head], rest[np.argsort(ids[rest])]][:b]
 
 
-def _pick_random(ctx: QueryContext) -> Selection:
-    rng = np.random.default_rng(ctx.seed)
-    return rng.choice(len(ctx.ids), size=ctx.b, replace=False), None, None
+def _uncertainty(kind: str) -> Callable[[QueryContext], np.ndarray]:
+    return lambda ctx: uncertainty_scores(kind, ctx.probs)
 
 
-def _pick_uncertain(kind: str):
-    """Top-b by one uncertainty score, reporting the score as the weight."""
-    def pick(ctx: QueryContext) -> Selection:
-        scores = uncertainty_scores(kind, ctx.probs)
-        return _top_by_score(ctx.ids, scores, ctx.b), scores, None
-    return pick
+def _accuracy(ctx: QueryContext) -> np.ndarray:
+    return query_weights(ctx.pred_acc)
 
 
-def _pick_kmeans_diversity(ctx: QueryContext) -> Selection:
-    return _kmeans_diversity(ctx.features, ctx.ids, ctx.b, ctx.seed), None, None
+def top_b(ctx: QueryContext, scores: np.ndarray) -> Picked:
+    return _top_by_score(ctx.ids, scores, ctx.b), None
 
 
-def _pick_entropy_kmeans(ctx: QueryContext) -> Selection:
-    """K-means diversity among the 4b highest-entropy candidates."""
-    ids, b = ctx.ids, ctx.b
-    scores = uncertainty_scores("max_entropy", ctx.probs)
-    n_cand = min(ENTROPY_KMEANS_CANDIDATE_FACTOR * b, len(ids))
-    cand = _top_by_score(ids, scores, n_cand)
-    pos = cand[_kmeans_diversity(ctx.features[cand], ids[cand], b, ctx.seed)]
-    return pos, scores, None
-
-
-def _pick_coreset(ctx: QueryContext) -> Selection:
-    pos = coreset_select(ctx.labeled_features, ctx.features, ctx.ids, ctx.b)
-    return pos, None, None
-
-
-def _pick_paal_ap_only(ctx: QueryContext) -> Selection:
-    weights = query_weights(ctx.pred_acc)
-    return _top_by_score(ctx.ids, weights, ctx.b), weights, None
-
-
-def _pick_paal_full(ctx: QueryContext) -> Selection:
-    """Predicted-accuracy weights polled round-robin over feature clusters."""
-    weights = query_weights(ctx.pred_acc)
+def polling(ctx: QueryContext, scores: np.ndarray) -> Picked:
+    """Scores polled round-robin over ``cluster_count(b)`` feature clusters."""
     k = min(cluster_count(ctx.b), len(ctx.ids))
     model = kmeans_fit(ctx.features, k, ctx.seed)
-    pos = weighted_polling(model.assignments, weights, ctx.ids, ctx.b)
-    return pos, weights, model.assignments
+    return weighted_polling(model.assignments, scores, ctx.ids, ctx.b), model.assignments
+
+
+def diversity(ctx: QueryContext, scores: np.ndarray | None) -> Picked:
+    """K-means diversity over the pool, or over its top
+    ``ENTROPY_KMEANS_CANDIDATE_FACTOR * b`` by score when there is one."""
+    ids, b = ctx.ids, ctx.b
+    cand = np.arange(len(ids)) if scores is None else _top_by_score(
+        ids, scores, min(ENTROPY_KMEANS_CANDIDATE_FACTOR * b, len(ids)))
+    return cand[_kmeans_diversity(ctx.features[cand], ids[cand], b, ctx.seed)], None
+
+
+def coreset(ctx: QueryContext, scores: None) -> Picked:
+    return coreset_select(ctx.labeled_features, ctx.features, ctx.ids, ctx.b), None
+
+
+def random(ctx: QueryContext, scores: None) -> Picked:
+    rng = np.random.default_rng(ctx.seed)
+    return rng.choice(len(ctx.ids), size=ctx.b, replace=False), None
 
 
 @dataclass(frozen=True)
 class Strategy:
-    """One query policy: what it reads, when it fires, how it picks.
+    """One query policy: what it reads, when it fires, its score and picker.
 
-    ``needs`` names the ``QueryContext`` fields ``pick`` reads, in the order
-    :func:`select` checks them. The orchestrator runs the models for exactly
-    these fields, so an entry with no needs costs no inference.
+    ``needs`` names the ``QueryContext`` fields ``score`` and ``pick`` read,
+    in the order :func:`select` checks them. The orchestrator runs the
+    models for exactly these fields, so an entry with no needs costs no
+    inference.
 
     ``on_stall`` chooses the trigger: True fires a query once validation DSC
     has not improved for ``iq_patience`` epochs (incremental querying);
     False fires on the fixed grid of every ``query_interval`` epochs.
 
-    ``pick(ctx) -> (pos, weight, cluster)`` returns the ``ctx.b`` distinct
-    positions in ``ctx.ids`` it picked, in pick order, plus two diagnostics
-    aligned with the whole pool (length ``len(ctx.ids)``) or None: the
-    score that drove the choice, and, for polling, each sample's cluster.
+    ``score(ctx)`` returns one score per pool sample, higher meaning more
+    worth labeling; an entry with no score (None) picks by features or at
+    random. ``pick(ctx, scores) -> (pos, cluster)`` returns the ``ctx.b``
+    distinct positions in ``ctx.ids`` it picked, in pick order, and each
+    pool sample's cluster where it polls clusters (else None).
 
-    ``pick`` must call ``kmeans_fit``, ``uncertainty_scores``,
+    Scores and pickers must call ``kmeans_fit``, ``uncertainty_scores``,
     ``coreset_select`` and ``weighted_polling`` by their names in this
     module at call time, never through a binding made at import (such as
     ``functools.partial(coreset_select, ...)``): the per-layer benchmark
     tracer patches those module globals to time them. For the same reason
     those names get no new call sites, which would change what they time.
+    ``tests/test_traced_names.py`` enforces both.
     """
     needs: tuple[str, ...]
     on_stall: bool
-    pick: Callable[[QueryContext], Selection]
+    score: Callable[[QueryContext], np.ndarray] | None
+    pick: Callable[[QueryContext, np.ndarray | None], Picked]
 
 
 STRATEGIES: dict[str, Strategy] = {
-    "random": Strategy((), False, _pick_random),
-    **{kind: Strategy(("probs",), False, _pick_uncertain(kind))
+    "random": Strategy((), False, None, random),
+    **{kind: Strategy(("probs",), False, _uncertainty(kind), top_b)
        for kind in UNCERTAINTY_KINDS},
-    "kmeans_diversity": Strategy(("features",), False, _pick_kmeans_diversity),
-    "entropy_kmeans": Strategy(("probs", "features"), False, _pick_entropy_kmeans),
-    "coreset": Strategy(("features", "labeled_features"), False, _pick_coreset),
-    "paal_ap_only": Strategy(("pred_acc",), True, _pick_paal_ap_only),
-    "paal_full": Strategy(("pred_acc", "features"), True, _pick_paal_full),
+    "kmeans_diversity": Strategy(("features",), False, None, diversity),
+    "entropy_kmeans": Strategy(("probs", "features"), False,
+                               _uncertainty("max_entropy"), diversity),
+    "coreset": Strategy(("features", "labeled_features"), False, None, coreset),
+    "paal_ap_only": Strategy(("pred_acc",), True, _accuracy, top_b),
+    "paal_full": Strategy(("pred_acc", "features"), True, _accuracy, polling),
 }
 
 
 def select(strategy: str, ctx: QueryContext) -> Selection:
     """Pick ``ctx.b`` distinct pool positions using ``strategy``.
 
-    Returns the positions and the pool-aligned weights and clusters (see
+    Returns the positions in pick order, the entry's scores (the weights)
+    and the picker's clusters, each pool-aligned or None (see
     :class:`Strategy`). Raises if the strategy is unknown or ``ctx`` lacks a
     field the strategy declares in its ``needs``.
     """
@@ -245,5 +241,7 @@ def select(strategy: str, ctx: QueryContext) -> Selection:
     for name in entry.needs:
         if getattr(ctx, name) is None:
             raise ValueError(f"strategy {strategy!r} requires QueryContext.{name}")
-    return entry.pick(ctx)
+    scores = None if entry.score is None else entry.score(ctx)
+    pos, cluster = entry.pick(ctx, scores)
+    return pos, scores, cluster
 

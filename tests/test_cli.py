@@ -150,15 +150,16 @@ def test_jobs_workers_run_one_blas_thread(tmp_path, data_file):
                       + CAMPAIGN)
     argv = ["run", "--config", str(config), "--out", str(tmp_path / "out"),
             "--jobs", "2"]
-    # each cell prints its worker's BLAS thread count; the forked workers
-    # find the wrapper in __main__ by name
+    # each cell reports its worker's BLAS thread count in one write, which
+    # two workers on the one pipe cannot interleave; the forked workers find
+    # the wrapper in __main__ by name
     script = (
-        "import ctypes\nfrom paal import experiment\nfrom paal.cli import main\n"
+        "import ctypes, os\nfrom paal import experiment\nfrom paal.cli import main\n"
         f"path, name = {getter!r}.rsplit(':', 1)\n"
         "threads = getattr(ctypes.CDLL(path), name)\n"
         "before = threads()\nrun_cell = experiment.run_cell\n"
         "def reporting_run_cell(*args):\n"
-        "    print('worker', threads(), flush=True)\n"
+        "    os.write(1, f'worker {threads()}\\n'.encode())\n"
         "    return run_cell(*args)\n"
         "experiment.run_cell = reporting_run_cell\n"
         f"code = main({argv!r})\n"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paal import orchestrator
-from paal.data import generate, split_folds
+from paal.data import Dataset, generate, split_folds
 from paal.models import build_ap_model, build_seg_model
 from paal.nn import Conv2D
 from paal.orchestrator import (_POOL_OUTPUTS, TrainConfig, _pool_inference,
@@ -46,9 +46,7 @@ def test_query_step_computes_exactly_the_declared_inputs(strategy, dataset,
     state = init_pool(np.arange(32), 0.25, budget=0.25, iterations=2, seed=0)
     rows = query_step(
         state, build_seg_model(num_fg + 1, seed=1),
-        build_ap_model(num_fg + 1, seed=2), strategy,
-        dataset.images, dataset.masks,
-        num_fg, query_seed=5)
+        build_ap_model(num_fg + 1, seed=2), strategy, dataset, query_seed=5)
 
     needs = STRATEGIES[strategy].needs
     assert {f for f, v in handed.items() if v is not None} == set(needs)
@@ -65,7 +63,7 @@ def max_entropy_query_peak(n: int) -> int:
     pool (4 classes), above what was live before it."""
     rng = np.random.default_rng(73)
     images = rng.integers(0, 256, size=(5 * n // 4, 32, 32), dtype=np.uint8)
-    masks = rng.integers(0, 4, size=images.shape, dtype=np.uint8)
+    pool = Dataset(images, rng.integers(0, 4, size=images.shape, dtype=np.uint8), 3)
     seg, ap = build_seg_model(4, seed=1), build_ap_model(4, seed=2)
     state = init_pool(np.arange(len(images)), 0.2, budget=0.1, iterations=1,
                       seed=0)
@@ -73,7 +71,7 @@ def max_entropy_query_peak(n: int) -> int:
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        query_step(state, seg, ap, "max_entropy", images, masks, 3, query_seed=5)
+        query_step(state, seg, ap, "max_entropy", pool, query_seed=5)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -137,11 +135,8 @@ def test_the_schedule_of_pinned_cells(n, budget, iterations, schedule):
 
 @pytest.fixture(scope="module")
 def inference_inputs(dataset):
-    num_fg = dataset.num_fg
-    return (build_seg_model(num_fg + 1, seed=1),
-            build_ap_model(num_fg + 1, seed=2),
-            dataset.images, dataset.masks,
-            num_fg)
+    return (build_seg_model(dataset.num_fg + 1, seed=1),
+            build_ap_model(dataset.num_fg + 1, seed=2))
 
 
 OUTPUT_SETS = [s for r in range(len(_POOL_OUTPUTS) + 1)
@@ -151,15 +146,15 @@ OUTPUT_SETS = [s for r in range(len(_POOL_OUTPUTS) + 1)
 @pytest.mark.parametrize("wanted", OUTPUT_SETS,
                          ids=lambda s: "+".join(s) or "nothing")
 def test_pool_inference_does_not_depend_on_the_chunk_size(
-        wanted, inference_inputs, monkeypatch):
-    seg, ap, images, labels, num_fg = inference_inputs
+        wanted, dataset, inference_inputs, monkeypatch):
+    seg, ap = inference_inputs
     ids = np.arange(3, 40)  # 37 ids: two default 16x16 chunks, the last short
-    pixels = images[0].size
+    pixels = dataset.images[0].size
 
     def run(eval_pixels):
         monkeypatch.setattr(orchestrator, "EVAL_PIXELS", eval_pixels)
-        return (_pool_inference(seg, ap, images, labels, ids, wanted, num_fg),
-                evaluate(seg, images, labels, ids, num_fg))
+        return (_pool_inference(seg, ap, dataset, ids, wanted),
+                evaluate(seg, dataset, ids))
 
     default, default_eval = run(orchestrator.EVAL_PIXELS)
     assert sorted(default) == sorted(wanted)
@@ -173,8 +168,10 @@ def test_pool_inference_does_not_depend_on_the_chunk_size(
         assert evaluated[1].tobytes() == default_eval[1].tobytes()
 
 
-def test_features_alone_skip_the_logits_conv(inference_inputs, monkeypatch):
-    seg, ap, images, labels, num_fg = inference_inputs
+def test_features_alone_skip_the_logits_conv(dataset, inference_inputs,
+                                             monkeypatch):
+    seg, ap = inference_inputs
+    num_fg = dataset.num_fg
     ids = np.arange(40)
     conv_out_ch, chunks = [], []
     real_conv_forward = Conv2D.forward
@@ -190,22 +187,20 @@ def test_features_alone_skip_the_logits_conv(inference_inputs, monkeypatch):
 
     monkeypatch.setattr(Conv2D, "forward", counting_conv_forward)
     monkeypatch.setattr(orchestrator, "seg_forward", counting_seg_forward)
-    monkeypatch.setattr(orchestrator, "EVAL_PIXELS", 12 * images[0].size)
-    lazy = _pool_inference(seg, ap, images, labels, ids, ("features",),
-                           num_fg)["features"]
+    monkeypatch.setattr(orchestrator, "EVAL_PIXELS", 12 * dataset.images[0].size)
+    lazy = _pool_inference(seg, ap, dataset, ids, ("features",))["features"]
     assert chunks == [12, 12, 12, 4]  # the tracer counts pool images here
     assert conv_out_ch and num_fg + 1 not in conv_out_ch
 
     conv_out_ch.clear()
-    full = _pool_inference(seg, ap, images, labels, ids, _POOL_OUTPUTS,
-                           num_fg)["features"]
+    full = _pool_inference(seg, ap, dataset, ids, _POOL_OUTPUTS)["features"]
     assert conv_out_ch.count(num_fg + 1) == 4
     assert lazy.tobytes() == full.tobytes()
 
 
-def test_actual_dsc_is_one_call_on_the_argmax_labels(inference_inputs,
+def test_actual_dsc_is_one_call_on_the_argmax_labels(dataset, inference_inputs,
                                                      monkeypatch):
-    seg, ap, images, labels, num_fg = inference_inputs
+    seg, ap = inference_inputs
     ids = np.arange(3, 40)  # two default 16x16 chunks
     scored = []
     real_dsc = orchestrator.dsc_per_class_batch
@@ -215,10 +210,10 @@ def test_actual_dsc_is_one_call_on_the_argmax_labels(inference_inputs,
         return real_dsc(pred, true, k)
 
     monkeypatch.setattr(orchestrator, "dsc_per_class_batch", counting_dsc)
-    out = _pool_inference(seg, ap, images, labels, ids, ("probs", "actual"),
-                          num_fg)
+    out = _pool_inference(seg, ap, dataset, ids, ("probs", "actual"))
     assert scored == [len(ids)]
-    want = real_dsc(out["probs"].argmax(axis=1), labels[ids], num_fg)
+    want = real_dsc(out["probs"].argmax(axis=1), dataset.masks[ids],
+                    dataset.num_fg)
     assert out["actual"].tobytes() == want.tobytes()
 
 

@@ -8,11 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paal.kmeans import _lloyd, kmeans_fit
+from paal.metrics import UNCERTAINTY_KINDS, uncertainty_scores
 from paal.strategies import (STRATEGIES, QueryContext, _kmeans_diversity,
                              _top_by_score, cluster_count, coreset_select,
-                             query_weights, select, weighted_polling)
+                             polling, query_weights, select, weighted_polling)
 
 INPUT_FIELDS = ("probs", "features", "pred_acc", "labeled_features")
+
+# each scored entry's score, stated apart from the table; the rest have none
+EXPECTED_SCORES = {
+    **{kind: (lambda ctx, kind=kind: uncertainty_scores(kind, ctx.probs))
+       for kind in UNCERTAINTY_KINDS},
+    "entropy_kmeans": lambda ctx: uncertainty_scores("max_entropy", ctx.probs),
+    "paal_ap_only": lambda ctx: query_weights(ctx.pred_acc),
+    "paal_full": lambda ctx: query_weights(ctx.pred_acc),
+}
 
 
 def make_ctx(rng, n=20, b=5, classes=3, dim=4, seed=0, fields=INPUT_FIELDS):
@@ -405,12 +415,21 @@ class TestSelect:
             QueryContext(ids=np.arange(3), b=4, seed=0)
 
     def test_info_reports_weights_and_clusters(self):
-        rng = np.random.default_rng(5)
-        ctx = make_ctx(rng, n=20, b=5)
-        pos, weight, cluster = select("paal_full", ctx)
-        np.testing.assert_array_equal(weight, query_weights(ctx.pred_acc))
-        assert len(cluster) == 20
-        assert len(set(cluster[pos].tolist())) == 5
+        # the weight column is the entry's score; clusters come from polling
+        ctx = make_ctx(np.random.default_rng(5), n=20, b=5)
+        for strategy, entry in STRATEGIES.items():
+            pos, weight, cluster = select(strategy, ctx)
+            want = EXPECTED_SCORES.get(strategy)
+            if want is None:
+                assert weight is None and entry.score is None, strategy
+            else:
+                assert weight.tobytes() == want(ctx).tobytes(), strategy
+                assert weight.tobytes() == entry.score(ctx).tobytes(), strategy
+            if entry.pick is polling:
+                assert len(cluster) == 20
+                assert len(set(cluster[pos].tolist())) == 5
+            else:
+                assert cluster is None, strategy
 
     def test_entropy_kmeans_selects_from_high_entropy_candidates(self):
         rng = np.random.default_rng(6)
