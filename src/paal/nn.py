@@ -94,10 +94,21 @@ class Conv2D(Layer):
     Haswell kernel changes last bits at some shapes.
 
     Training caches the input, not its patch matrix, which is k*k times as
-    large. Backward rebuilds the patch matrix for the weight gradient, frees
-    it, and builds the input gradient one tap at a time, ``_GRAD_BLOCK``
-    images at once. The weight is kept as the (k*k*C, O) matrix the matmuls
-    read, rows in the patch matrix's (tap, channel) order.
+    large. Backward rebuilds the patch matrix for the weight gradient,
+    padding ``_GRAD_BLOCK`` images at a time into one reused buffer
+    (forward pads its whole step at once: a blocked pad costs it time),
+    and frees it before the input gradient. That gradient is built one tap
+    at a time, ``_GRAD_BLOCK`` images at once. Each (channel, image) plane
+    of a tap's product and of the padded accumulator lies (H+p)*Wp after
+    the one before, sharing p padding rows, so each tap's scatter is one
+    contiguous add. The bits are those of one (k*k*C, B*H*Wp) product
+    scattered into separate planes: each valid column is the same O-term
+    dot product; each extra term landing on a valid position comes from a
+    zero gradient row or lane, so it is +-0 and changes no bit of an
+    accumulator that starts at +0; and each position adds its taps in tap
+    order. The weight gradient sums over the pixel axis, so it keeps the
+    (O, B*H*Wp) layout. The weight is kept as the (k*k*C, O) matrix the
+    matmuls read, rows in the patch matrix's (tap, channel) order.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int = 3, *,
@@ -116,27 +127,32 @@ class Conv2D(Layer):
     def params(self):
         return [self.weight, self.bias]
 
-    def _im2col(self, x: np.ndarray) -> tuple[np.ndarray, int]:
+    def _im2col(self, x: np.ndarray, block: int) -> tuple[np.ndarray, int]:
         """Patch matrix (k*k*C, B*H*Wp) over the padded plane, channel-first.
 
         The spatial extent is flattened so each tap is one contiguous slice
         of the padded buffer; the padding columns ride along as junk lanes
-        (width Wp instead of W) and are sliced away after the matmul.
+        (width Wp instead of W) and are sliced away after the matmul. The
+        input is padded ``block`` images at a time into one reused buffer,
+        whose zero borders are never overwritten.
         """
         k = self.kernel
         p = k // 2
         b, c, h, w = x.shape
         wp = w + 2 * p
         plane = (h + 2 * p) * wp
-        xt = np.zeros((c, b, plane + k), dtype=x.dtype)
-        xt[:, :, :plane].reshape(c, b, h + 2 * p, wp)[:, :, p:p + h, p:p + w] = \
-            x.transpose(1, 0, 2, 3)
         span = h * wp
+        nb = min(block, b)
+        xt = np.zeros((c, nb, plane + k), dtype=x.dtype)
+        inner = xt[:, :, :plane].reshape(c, nb, h + 2 * p, wp)[
+            :, :, p:p + h, p:p + w]
         cols = np.empty((k * k, c, b, span), dtype=x.dtype)
-        for di in range(k):
-            for dj in range(k):
-                off = di * wp + dj
-                cols[di * k + dj] = xt[:, :, off:off + span]
+        for lo in range(0, b, nb):
+            m = min(nb, b - lo)
+            inner[:, :m] = x[lo:lo + m].transpose(1, 0, 2, 3)
+            for tap in range(k * k):
+                off = (tap // k) * wp + tap % k
+                cols[tap, :, lo:lo + m] = xt[:, :m, off:off + span]
         return cols.reshape(k * k * c, b * span), wp
 
     def forward(self, x, train=False):
@@ -149,7 +165,7 @@ class Conv2D(Layer):
         # a narrowing conv goes one image at a time (see the class docstring)
         step = 1 if self.out_ch < self.in_ch else max(b, 1)
         for lo in range(0, b, step):
-            cols, wp = self._im2col(x[lo:lo + step])
+            cols, wp = self._im2col(x[lo:lo + step], step)
             wide = (weight.T @ cols).reshape(self.out_ch, -1, h, wp)
             np.add(wide[:, :, :, :w], bias,
                    out=out[lo:lo + step].transpose(1, 0, 2, 3))
@@ -162,38 +178,43 @@ class Conv2D(Layer):
         b, c, h, w = x.shape
         k = self.kernel
         p = k // 2
-        cols, wp = self._im2col(x)
-        span = h * wp
-        # zero junk lanes so they contribute nothing to either gradient
-        gwide = np.zeros((self.out_ch, b, h, wp), dtype=grad_out.dtype)
-        gwide[:, :, :, :w] = grad_out.transpose(1, 0, 2, 3)
-        g2d = gwide.reshape(self.out_ch, b * span)
         self.bias.grad += grad_out.sum(axis=(0, 2, 3))
-        self.weight.grad += cols @ g2d.T
+        cols, wp = self._im2col(x, _GRAD_BLOCK)
+        self.weight.grad += cols @ _widen(grad_out, h, wp).T
         del cols  # the patch matrix is the largest buffer: free it first
         if not input_grad:
             return None
-        # input gradient one tap at a time: the rows of weight @ g2d that
-        # tap scatters, added in tap order into a padded plane, for a block
-        # of images at once, with no (k*k*C, B*span) buffer
+        stride = (h + p) * wp  # between planes (see the class docstring)
+        top = p * (wp + 1)  # the first pixel's offset in its padded plane
+        g2d = _widen(grad_out, h + p, wp)
         dtype = np.result_type(self.weight.value, g2d)
-        plane = (h + 2 * p) * wp
         nb = min(_GRAD_BLOCK, b)
         gx = np.empty((b, c, h, w), dtype=dtype)
-        gxt = np.empty((c, nb, plane + k), dtype=dtype)
-        prod = np.empty((c, nb * span), dtype=dtype)
+        prod = np.empty(c * nb * stride, dtype=dtype)
+        gxt = np.empty(c * nb * stride + 2 * top, dtype=dtype)
         for lo in range(0, b, nb):
             m = min(nb, b - lo)
-            acc, tap_out = gxt[:, :m], prod[:, :m * span]
+            n = c * m * stride
+            tap_out, acc = prod[:n], gxt[:n + 2 * top]
             acc[...] = 0
             for tap in range(k * k):
                 off = (tap // k) * wp + tap % k
                 np.matmul(self.weight.value[tap * c:(tap + 1) * c],
-                          g2d[:, lo * span:(lo + m) * span], out=tap_out)
-                acc[:, :, off:off + span] += tap_out.reshape(c, m, span)
-            gx[lo:lo + m] = acc[:, :, :plane].reshape(c, m, h + 2 * p, wp)[
-                :, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
+                          g2d[:, lo * stride:(lo + m) * stride],
+                          out=tap_out.reshape(c, m * stride))
+                acc[off:off + n] += tap_out
+            gx[lo:lo + m] = acc[top:top + n].reshape(c, m, h + p, wp)[
+                :, :, :h, :w].transpose(1, 0, 2, 3)
         return gx
+
+
+def _widen(grad_out: np.ndarray, rows: int, wp: int) -> np.ndarray:
+    """(B, O, H, W) gradient as (O, B*rows*wp): each image's plane
+    zero-padded to ``rows`` rows of ``wp`` lanes, so padding adds nothing."""
+    b, o, h, w = grad_out.shape
+    wide = np.zeros((o, b, rows, wp), dtype=grad_out.dtype)
+    wide[:, :, :h, :w] = grad_out.transpose(1, 0, 2, 3)
+    return wide.reshape(o, b * rows * wp)
 
 
 class Dense(Layer):
@@ -224,16 +245,22 @@ class Dense(Layer):
 
 class ReLU(Layer):
     """Rectifier that overwrites its input: in both nets that input is a
-    conv's fresh output, which nothing else holds."""
+    conv's fresh output, which nothing else holds.
+
+    Training caches the output, and backward masks by ``out > 0``, the
+    same mask as ``x > 0`` (NaN gives False both ways). In the seg net
+    that output is the array the next conv caches, so it costs nothing.
+    """
 
     def forward(self, x, train=False):
+        out = np.maximum(x, 0, out=x)
         if train:
-            self._cache = x > 0
-        return np.maximum(x, 0, out=x)
+            self._cache = out
+        return out
 
     def backward(self, grad_out, input_grad=True):
-        mask = self._take_cache()
-        return grad_out * mask if input_grad else None
+        out = self._take_cache()
+        return grad_out * (out > 0) if input_grad else None
 
 
 class Sigmoid(Layer):

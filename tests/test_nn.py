@@ -77,6 +77,25 @@ def test_relu_definition():
     np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_backward_is_the_input_mask_bit_for_bit(dtype):
+    # backward masks by the cached output: max(x, 0) > 0 exactly when x > 0
+    special = [0.0, -0.0, -1.0, -1e-40, 1e-40, 2.0, np.nan, -np.nan,
+               np.inf, -np.inf]
+    rng = np.random.default_rng(73)
+    x = np.concatenate([special, rng.normal(size=54)]).astype(dtype)
+    x = x.reshape(2, 2, 4, 4)
+    g = rng.normal(size=x.shape).astype(dtype)
+    g.flat[:4] = [np.nan, -0.0, np.inf, -np.inf]
+    relu = ReLU()
+    relu.forward(x.copy(), train=True)
+    with np.errstate(invalid="ignore"):  # inf * 0
+        want = g * (x > 0)
+        got = relu.backward(g)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def correlate(x, kernel, bias):
     """Direct same-padded correlation: out[n, o, i, j] = bias[o] + the sum
     of kernel[o, c, di, dj] * x[n, c, i + di - p, j + dj - p] over the
@@ -236,11 +255,12 @@ def test_backward_is_bit_identical_across_runs():
 def gcols_backward(conv: Conv2D, grad_out: np.ndarray) -> np.ndarray:
     """``Conv2D.backward`` as first written, kept as the oracle for the
     blocked per-tap input gradient and the weight gradient's product: the
-    whole (k*k*C, B*span) input-gradient patch matrix from one matmul, then
-    scattered tap by tap."""
+    whole batch padded at once, the whole (k*k*C, B*span) input-gradient
+    patch matrix from one matmul, then scattered tap by tap into
+    separate padded planes."""
     x = conv._take_cache()
     b, c, h, w = x.shape
-    cols, wp = conv._im2col(x)
+    cols, wp = conv._im2col(x, b)
     k = conv.kernel
     p = k // 2
     span = h * wp
@@ -260,11 +280,11 @@ def gcols_backward(conv: Conv2D, grad_out: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(gx.transpose(1, 0, 2, 3))
 
 
-def backward_both_ways(cin, cout, b, h, w, seed=43):
+def backward_both_ways(cin, cout, b, h, w, k=3, seed=43):
     """(per-tap conv, oracle conv, per-tap input grad, oracle input grad)
     for twin convs run forward on the same input."""
-    rng = np.random.default_rng([seed, cin, cout, b, h, w])
-    conv = Conv2D(cin, cout, rng=rng)
+    rng = np.random.default_rng([seed, cin, cout, b, h, w, k])
+    conv = Conv2D(cin, cout, k, rng=rng)
     conv.bias.value = rng.normal(size=cout).astype(np.float32)
     twin = copy.deepcopy(conv)
     x = rng.normal(size=(b, cin, h, w)).astype(np.float32)
@@ -274,12 +294,17 @@ def backward_both_ways(cin, cout, b, h, w, seed=43):
     return conv, twin, conv.backward(g), gcols_backward(twin, g)
 
 
-@pytest.mark.parametrize("h,w", [(5, 7), (16, 16), (32, 32)])
+# the accumulator's plane stride, (h + p) * wp, moves with k and the width
+@pytest.mark.parametrize("h,w,k", [(5, 7, 3), (16, 16, 3), (32, 32, 3),
+                                   (12, 20, 3), (12, 20, 5), (32, 32, 5)],
+                         ids=["5-7", "16-16", "32-32", "12-20", "12-20-k5",
+                              "32-32-k5"])
 @pytest.mark.parametrize("b", [1, 3, 16])
 @pytest.mark.parametrize("cout", [2, 4, 16])
 @pytest.mark.parametrize("cin", [2, 5, 8, 16])
-def test_conv_backward_matches_the_gcols_oracle_bit_for_bit(cin, cout, b, h, w):
-    conv, twin, gx, want = backward_both_ways(cin, cout, b, h, w)
+def test_conv_backward_matches_the_gcols_oracle_bit_for_bit(cin, cout, b, h, w,
+                                                            k):
+    conv, twin, gx, want = backward_both_ways(cin, cout, b, h, w, k)
     assert gx.dtype == want.dtype and gx.shape == want.shape == (b, cin, h, w)
     assert gx.tobytes() == want.tobytes()
     assert conv.weight.grad.tobytes() == twin.weight.grad.tobytes()
@@ -356,9 +381,13 @@ def test_the_input_grad_does_not_depend_on_the_block_size(cin, cout, b,
     blocks = (1, nn._GRAD_BLOCK, b)
     grads = []
     for block in blocks:
+        # the block also sets how many images backward pads at once to
+        # rebuild the patch matrix, which the weight gradient reads
         monkeypatch.setattr(nn, "_GRAD_BLOCK", block)
         conv.forward(x, train=True)
-        grads.append(conv.backward(g).tobytes())
+        conv.weight.grad[...] = 0
+        gx = conv.backward(g)
+        grads.append((gx.tobytes(), conv.weight.grad.tobytes()))
     assert blocks[1] < b
     assert grads[0] == grads[1] == grads[2]
 
@@ -373,45 +402,43 @@ def test_a_training_conv_caches_its_input():
 
 
 def test_conv_backward_frees_the_patch_matrix_before_the_input_grad():
-    # the 16->4 logits conv at a training batch: the patch matrix backward
-    # rebuilds is by far its largest buffer, and the input-gradient buffers
-    # (one the size of x, the rest a block's) may not join it
+    # the 16->4 logits conv at a training batch: the 10.0 MB patch matrix
+    # backward rebuilds is by far its largest buffer. Only one block's
+    # padded input (0.3 MB) may join it, not the whole batch's (1.2 MB),
+    # and the input-gradient buffers (one the size of x, the rest a
+    # block's) come after it is freed
     rng = np.random.default_rng(59)
     conv = Conv2D(16, 4, rng=rng)
     x = rng.normal(size=(16, 16, 32, 32)).astype(np.float32)
     g = rng.normal(size=(16, 4, 32, 32)).astype(np.float32)
     conv.forward(x, train=True)
-    rebuilt = []
-    im2col = conv._im2col
-
-    def im2col_then_mark(inp):
-        cols, wp = im2col(inp)
-        rebuilt.append((cols.nbytes, tracemalloc.get_traced_memory()[0]))
-        tracemalloc.reset_peak()
-        return cols, wp
-
-    conv._im2col = im2col_then_mark
     tracemalloc.start()
     try:
+        live = tracemalloc.get_traced_memory()[0]
         conv.backward(g)
-        _, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
-    [(cols_nbytes, with_cols)] = rebuilt
-    assert cols_nbytes == 144 * 16 * 32 * 34 * 4
-    assert peak - with_cols < x.nbytes / 2
+    cols_nbytes = 144 * 16 * 32 * 34 * 4
+    assert cols_nbytes <= peak < cols_nbytes + x.nbytes / 2
 
 
 def test_a_training_forward_leaves_no_patch_matrix_in_the_seg_net():
     # at B=16, 32x32 the three convs' patch matrices take 0.6 + 5.0 + 10.0 MB
-    # and their inputs 0.06 + 0.5 + 1.0 MB
+    # and their inputs 0.06 + 0.5 + 1.0 MB; each ReLU caches its output,
+    # the array the next conv already caches, so it costs nothing
     seg = build_seg_model(4, seed=3)
     x = np.random.default_rng(67).uniform(size=(16, 1, 32, 32)).astype(np.float32)
     seg.forward(x, train=True)
     trunk, head = seg.layers
-    convs = [trunk.layers[0], trunk.layers[2], head]
-    assert all(isinstance(conv, Conv2D) for conv in convs)
-    cached = sum(conv._cache.nbytes for conv in convs)
+    layers = trunk.layers + [head]
+    convs = [layer for layer in layers if isinstance(layer, Conv2D)]
+    assert len(convs) == 3
+    for relu, conv in zip(layers[1::2], layers[2::2]):
+        assert isinstance(relu, ReLU) and relu._cache is conv._cache
+    caches = {id(layer._cache): layer._cache for layer in layers}
+    cached = sum(cache.nbytes for cache in caches.values())
+    assert cached == sum(conv._cache.nbytes for conv in convs)
     assert cached < 72 * 16 * 32 * 34 * 4  # the 8->16 conv's patch matrix
 
 
@@ -419,7 +446,7 @@ def whole_batch_forward(conv: Conv2D, x: np.ndarray) -> np.ndarray:
     """``Conv2D.forward`` as first written, the oracle for the per-image
     path: one matmul over the whole batch's patch matrix."""
     b, _, h, w = x.shape
-    cols, wp = conv._im2col(x)
+    cols, wp = conv._im2col(x, b)
     wide = conv.weight.value.T @ cols
     out = wide.reshape(conv.out_ch, b, h, wp)[:, :, :, :w] \
         + conv.bias.value[:, None, None, None]
