@@ -12,7 +12,7 @@ DICE_SMOOTH = 1e-5
 
 UNCERTAINTY_KINDS = ("max_entropy", "least_conf", "margin", "var_ratio")
 
-# size of entropy's float64 buffer: it holds whole samples, about this many bytes
+# size of a block of whole samples widened to float64 by uncertainty scores
 _F64_BLOCK_BYTES = 1 << 20
 
 
@@ -94,35 +94,38 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 def uncertainty_scores(kind: str, probs: np.ndarray) -> np.ndarray:
     """Per-sample uncertainty from per-pixel posteriors (B, C, H, W) -> (B,).
 
-    Scores are pixel averages; higher always means more uncertain. Only
-    entropy needs float64 posteriors, which it widens one block of samples
-    at a time; the other kinds pick float32 values and widen those.
+    Scores are pixel averages; higher always means more uncertain. Every
+    kind works one block of samples at a time, so no whole-pool temporary
+    exists. Each score reduces only its own sample, so blocks keep the bits.
     """
     if kind not in UNCERTAINTY_KINDS:
         raise ValueError(f"unknown uncertainty kind {kind!r}")
     b = probs.shape[0]
+    scores = np.empty(b)
+    step = max(1, _F64_BLOCK_BYTES // (8 * max(1, math.prod(probs.shape[1:]))))
+    for lo in range(0, b, step):
+        scores[lo:lo + step] = _block_scores(kind, probs[lo:lo + step])
+    return scores
+
+
+def _block_scores(kind: str, block: np.ndarray) -> np.ndarray:
+    """``uncertainty_scores`` of one block of samples."""
+    n = len(block)
     if kind == "max_entropy":
-        # p * log(p) in one buffer per block; a zero p gives -0.0, which adds
-        # as 0. Each score reduces only its own sample, so blocks keep the bits.
-        scores = np.empty(b)
-        step = max(1, _F64_BLOCK_BYTES // (8 * max(1, math.prod(probs.shape[1:]))))
-        for lo in range(0, b, step):
-            block = probs[lo:lo + step]
-            plogp = np.maximum(block, 1e-300, dtype=np.float64)
-            np.log(plogp, out=plogp)
-            plogp *= block
-            ent = -plogp.sum(axis=1)
-            scores[lo:lo + step] = ent.reshape(len(block), -1).mean(axis=1)
-        return scores
+        # p * log(p) in one buffer; a zero p gives -0.0, which adds as 0
+        plogp = np.maximum(block, 1e-300, dtype=np.float64)
+        np.log(plogp, out=plogp)
+        plogp *= block
+        return (-plogp.sum(axis=1)).reshape(n, -1).mean(axis=1)
     if kind == "least_conf":
-        top = probs.max(axis=1).astype(np.float64)
-        return (1.0 - top).reshape(b, -1).mean(axis=1)
+        top = block.max(axis=1).astype(np.float64)
+        return (1.0 - top).reshape(n, -1).mean(axis=1)
     if kind == "margin":
-        top2 = np.partition(probs, -2, axis=1)[:, -2:].astype(np.float64)
-        return -(top2[:, 1] - top2[:, 0]).reshape(b, -1).mean(axis=1)
+        top2 = np.partition(block, -2, axis=1)[:, -2:].astype(np.float64)
+        return -(top2[:, 1] - top2[:, 0]).reshape(n, -1).mean(axis=1)
     # var_ratio: fraction of pixels whose winning probability lacks majority
-    confident = probs.max(axis=1) > 0.5
-    return 1.0 - confident.reshape(b, -1).mean(axis=1)
+    confident = block.max(axis=1) > 0.5
+    return 1.0 - confident.reshape(n, -1).mean(axis=1)
 
 
 def pearson_r(x: np.ndarray, y: np.ndarray) -> float:

@@ -1,11 +1,11 @@
 """Toy segmentation network and accuracy predictor.
 
-The segmentation model is a three-conv stack that ends at the per-pixel
-class logits; :func:`softmax` turns them into posteriors outside the
-network, because the training loss takes its gradient with respect to the
-logits. It has two stages: a trunk (the first two convs and their ReLUs),
-whose output is average-pooled into a 16-dim feature embedding, and a head
-(the logits conv). Inference (:func:`seg_forward`) runs only the stages
+Each net is one flat layer list. The segmentation model is three convs
+ending at the per-pixel class logits; :func:`softmax` turns them into
+posteriors outside the network, because the training loss takes its
+gradient with respect to the logits. Every layer but the last, the logits
+conv (head), is the trunk, whose output is average-pooled into a 16-dim
+feature embedding. Inference (:func:`seg_forward`) runs only the layers
 the wanted outputs read. The accuracy predictor consumes the input image
 concatenated with the segmentation probabilities and regresses one value
 in [0, 1] per foreground class. The two networks share no parameters, so
@@ -22,17 +22,17 @@ FEATURE_DIM = 16
 
 
 def build_seg_model(num_classes: int, seed: int) -> Network:
-    """Segmentation net ``[trunk, head]``: the trunk is conv(1->8)+ReLU,
-    conv(8->16)+ReLU (pooled into the features), the head conv(16->C)
-    logits."""
+    """Segmentation net conv(1->8), ReLU, conv(8->16), ReLU, conv(16->C):
+    the layers before the last are the trunk (pooled into the features),
+    the last the logits head."""
     rng = np.random.default_rng([seed, 0x5E6])
-    trunk = Network([
+    return Network([
         Conv2D(1, 8, rng=rng),
         ReLU(),
         Conv2D(8, FEATURE_DIM, rng=rng),
         ReLU(),
+        Conv2D(FEATURE_DIM, num_classes, rng=rng),
     ])
-    return Network([trunk, Conv2D(FEATURE_DIM, num_classes, rng=rng)])
 
 
 def build_ap_model(num_classes: int, seed: int) -> Network:
@@ -84,8 +84,10 @@ def seg_forward(seg: Network, images: np.ndarray, *, probs: bool = True,
     Every output is bit-identical to that of a full ``seg.forward`` on the
     same images.
     """
-    trunk, head = seg.layers
-    x = trunk.forward(images)
+    *trunk, head = seg.layers
+    x = images
+    for layer in trunk:
+        x = layer.forward(x)
     pooled = x.mean(axis=(2, 3)) if features else None
     if not probs:
         return None, pooled

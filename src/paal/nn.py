@@ -30,7 +30,8 @@ class NumericalError(ArithmeticError):
 
 
 class Param:
-    """A trainable array with its gradient and Adam moment buffers."""
+    """A trainable array, its gradient (which each backward pass overwrites
+    in place, so nothing zeroes it) and its Adam moment buffers."""
 
     def __init__(self, value: np.ndarray):
         self.value = np.asarray(value)
@@ -59,8 +60,9 @@ class Layer:
 
     def backward(self, grad_out: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:
-        """Accumulate parameter gradients; return the input gradient, or
-        None without computing it when ``input_grad`` is False."""
+        """Write this pass's parameter gradients into each ``Param.grad``
+        (overwriting the last pass's); return the input gradient, or None
+        without computing it when ``input_grad`` is False."""
         raise NotImplementedError
 
     def _take_cache(self):
@@ -178,9 +180,9 @@ class Conv2D(Layer):
         b, c, h, w = x.shape
         k = self.kernel
         p = k // 2
-        self.bias.grad += grad_out.sum(axis=(0, 2, 3))
+        np.sum(grad_out, axis=(0, 2, 3), out=self.bias.grad)
         cols, wp = self._im2col(x, _GRAD_BLOCK)
-        self.weight.grad += cols @ _widen(grad_out, h, wp).T
+        np.matmul(cols, _widen(grad_out, h, wp).T, out=self.weight.grad)
         del cols  # the patch matrix is the largest buffer: free it first
         if not input_grad:
             return None
@@ -238,8 +240,8 @@ class Dense(Layer):
 
     def backward(self, grad_out, input_grad=True):
         x = self._take_cache()
-        self.weight.grad += x.T @ grad_out
-        self.bias.grad += grad_out.sum(axis=0)
+        np.matmul(x.T, grad_out, out=self.weight.grad)
+        np.sum(grad_out, axis=0, out=self.bias.grad)
         return grad_out @ self.weight.value.T if input_grad else None
 
 
@@ -298,8 +300,8 @@ class GlobalAvgPool(Layer):
         return np.broadcast_to(g[:, :, None, None], (b, c, h, w)).copy()
 
 
-class Network(Layer):
-    """An ordered layer stack, itself a layer, so stacks nest."""
+class Network:
+    """A net: one flat, ordered list of layers."""
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
@@ -312,22 +314,13 @@ class Network(Layer):
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, grad_out: np.ndarray,
-                 input_grad: bool = True) -> np.ndarray | None:
-        """Backpropagate from the last layer down to the input.
-
-        Accumulates into each Param.grad; the caller is responsible for
-        zeroing gradients between steps. ``input_grad`` goes to the first
-        layer only, so in nested stacks it reaches the innermost first layer.
-        """
-        g = grad_out
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Backpropagate from the last layer to the first, writing each
+        ``Param.grad``. Nothing upstream of a net trains, so the first
+        layer computes no input gradient."""
         for layer in reversed(self.layers[1:]):
-            g = layer.backward(g)
-        return self.layers[0].backward(g, input_grad=input_grad)
-
-    def zero_grad(self):
-        for p in self.params():
-            p.grad[...] = 0
+            grad_out = layer.backward(grad_out)
+        self.layers[0].backward(grad_out, input_grad=False)
 
 
 def adamw_step(params: list[Param], lr: float, weight_decay: float,

@@ -185,8 +185,7 @@ def train_epoch(seg: Network, ap: Network, dataset: Dataset,
 
         probs = softmax(seg.forward(x, train=True))
         loss, glogits = dice_ce_loss(probs, y)
-        seg.zero_grad()
-        seg.backward(glogits, input_grad=False)
+        seg.backward(glogits)
         adamw_step(seg.params(), lr, weight_decay=cfg.weight_decay)
         seg_total += loss * len(batch)
         count += len(batch)
@@ -195,8 +194,7 @@ def train_epoch(seg: Network, ap: Network, dataset: Dataset,
             targets = dsc_per_class_batch(channel_argmax(probs), y, dataset.num_fg)
             pred = ap.forward(np.concatenate([x, probs], axis=1), train=True)
             ap_loss, gpred = mse_loss(pred, targets.astype(np.float32))
-            ap.zero_grad()
-            ap.backward(gpred, input_grad=False)
+            ap.backward(gpred)
             adamw_step(ap.params(), lr, weight_decay=cfg.weight_decay)
             ap_total += ap_loss * len(batch)
     return seg_total / count, (ap_total / count) if train_ap else None

@@ -40,10 +40,11 @@ def test_identical_images_give_identical_features(images):
 
 def test_features_are_pooled_tap_activations(images):
     seg = build_seg_model(4, seed=3)
-    trunk, head = seg.layers
-    assert isinstance(trunk, Network) and isinstance(trunk.layers[-1], ReLU)
-    assert isinstance(head, Conv2D) and head.in_ch == FEATURE_DIM
-    acts = trunk.forward(images)
+    assert [type(layer) for layer in seg.layers] == [Conv2D, ReLU, Conv2D,
+                                                     ReLU, Conv2D]
+    *trunk, head = seg.layers
+    assert head.in_ch == FEATURE_DIM
+    acts = Network(trunk).forward(images)
     probs, features = seg_forward(seg, images)
     np.testing.assert_array_equal(features, acts.mean(axis=(2, 3)))
     np.testing.assert_array_equal(probs, softmax(seg.forward(images)))
@@ -105,7 +106,6 @@ class TestGradientIsolation:
             pred = ap.forward(np.concatenate([images, probs_before], axis=1),
                               train=True)
             _, grad = mse_loss(pred, targets)
-            ap.zero_grad()
             ap.backward(grad)
             adamw_step(ap.params(), 1e-2, weight_decay=1e-4)
 
@@ -118,8 +118,6 @@ class TestGradientIsolation:
         probs, _ = seg_forward(seg, images)
         pred = ap.forward(np.concatenate([images, probs], axis=1), train=True)
         _, grad = mse_loss(pred, np.zeros_like(pred))
-        seg.zero_grad()
-        ap.zero_grad()
         ap.backward(grad)
         for p in seg.params():
             np.testing.assert_array_equal(p.grad, 0.0)

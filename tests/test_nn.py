@@ -38,7 +38,6 @@ def finite_diff_check(net: Network, x: np.ndarray, loss_fn,
     x64 = x.astype(np.float64)
 
     _, gout = loss_fn(net64.forward(x64, train=True))
-    net64.zero_grad()
     net64.backward(np.asarray(gout, dtype=np.float64))
 
     def loss_at():
@@ -169,7 +168,6 @@ def test_zero_output_grad_gives_zero_param_grads():
     net = Network([Conv2D(1, 3, rng=rng), ReLU(), Conv2D(3, 2, rng=rng)])
     x = rng.normal(size=(2, 1, 4, 4)).astype(np.float32)
     net.forward(x, train=True)
-    net.zero_grad()
     net.backward(np.zeros((2, 2, 4, 4), dtype=np.float32))
     for p in net.params():
         np.testing.assert_array_equal(p.grad, 0.0)
@@ -181,7 +179,6 @@ def test_dense_weight_grad_is_input_column_sums():
     net = Network([layer])
     x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
     out = net.forward(x, train=True)
-    net.zero_grad()
     net.backward(np.ones_like(out))
     np.testing.assert_allclose(layer.weight.grad, [[4.0, 4.0], [6.0, 6.0]])
     np.testing.assert_allclose(layer.bias.grad, [2.0, 2.0])
@@ -225,14 +222,13 @@ def test_linear_net_quadratic_loss_is_exact():
     assert finite_diff_check(net, x, quad_loss, eps=1e-3) < 1e-6
 
 
-def test_dead_relu_path_has_exactly_zero_grads():
+def test_dead_relu_path_has_exactly_zero_weight_gradients():
     rng = np.random.default_rng(31)
     conv = Conv2D(1, 3, rng=rng)
     conv.bias.value[:] = -100.0  # relu kills every activation
     net = Network([conv, ReLU(), GlobalAvgPool(), Dense(3, 2, rng=rng)])
     x = rng.uniform(0, 1, size=(2, 1, 4, 4)).astype(np.float32)
     out = net.forward(x, train=True)
-    net.zero_grad()
     net.backward(np.ones_like(out))
     np.testing.assert_array_equal(conv.weight.grad, 0.0)
     assert finite_diff_check(net, x, sum_loss, eps=1e-3) < 1e-6
@@ -245,7 +241,6 @@ def test_backward_is_bit_identical_across_runs():
     grads = []
     for _ in range(2):
         out = net.forward(x, train=True)
-        net.zero_grad()
         net.backward(np.ones_like(out))
         grads.append([p.grad.copy() for p in net.params()])
     for a, b in zip(*grads):
@@ -321,53 +316,72 @@ def test_single_channel_conv_backward_matches_the_oracle_closely(cout, b):
     assert conv.weight.grad.tobytes() == twin.weight.grad.tobytes()
 
 
-def param_grads(net, x, g, **kwargs):
-    net.forward(x, train=True)
-    net.zero_grad()
-    out = net.backward(g, **kwargs)
-    return out, [p.grad.copy() for p in net.params()]
+def layer_grads(layer, x, g, input_grad):
+    layer.forward(x.copy(), train=True)  # ReLU overwrites its input
+    out = layer.backward(g, input_grad=input_grad)
+    return out, [p.grad.copy() for p in layer.params()]
 
 
-@pytest.mark.parametrize("make_net,shape", [
-    (lambda rng: Network([Conv2D(3, 4, rng=rng)]), (2, 3, 6, 5)),
-    (lambda rng: Network([Dense(4, 3, rng=rng), Sigmoid()]), (3, 4)),
-    (lambda rng: Network([ReLU(), Conv2D(3, 2, rng=rng)]), (2, 3, 4, 4)),
-    (lambda rng: Network([GlobalAvgPool(), Dense(3, 2, rng=rng)]), (2, 3, 4, 4)),
-    (lambda rng: Network([Sigmoid(), Dense(4, 2, rng=rng)]), (3, 4)),
+@pytest.mark.parametrize("make_layer,shape", [
+    (lambda rng: Conv2D(3, 4, rng=rng), (2, 3, 6, 5)),
+    (lambda rng: Dense(4, 3, rng=rng), (3, 4)),
+    (lambda rng: ReLU(), (2, 3, 4, 4)),
+    (lambda rng: Sigmoid(), (3, 4)),
+    (lambda rng: GlobalAvgPool(), (2, 3, 4, 4)),
 ])
-def test_input_grad_stop_returns_none_and_keeps_param_grads(make_net, shape):
+def test_input_grad_stop_returns_none_and_keeps_param_grads(make_layer, shape):
     rng = np.random.default_rng(47)
-    net = make_net(rng)
+    layer = make_layer(rng)
     x = rng.normal(size=shape).astype(np.float32)
-    g = rng.normal(size=net.forward(x.copy()).shape).astype(np.float32)
-    gx, full = param_grads(net, x.copy(), g)
+    g = rng.normal(size=layer.forward(x.copy()).shape).astype(np.float32)
+    gx, full = layer_grads(layer, x, g, input_grad=True)
     assert gx.shape == x.shape
-    none, stopped = param_grads(net, x.copy(), g, input_grad=False)
+    none, stopped = layer_grads(layer, x, g, input_grad=False)
     assert none is None
+    assert len(full) == len(stopped) == len(layer.params())
     for a, b in zip(full, stopped):
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("build,channels", [
+NETS = [
     (lambda: build_seg_model(4, seed=3), 1),
     (lambda: build_ap_model(4, seed=3), 5),
-])
-def test_input_grad_stop_reaches_the_first_conv_of_each_net(build, channels):
-    net = build()
+]
+
+
+def net_batch(net: Network, channels: int):
+    """An input batch for ``net`` and a gradient shaped like its output."""
     rng = np.random.default_rng(53)
     x = rng.uniform(size=(3, channels, 8, 8)).astype(np.float32)
     g = rng.normal(size=net.forward(x).shape).astype(np.float32)
+    return x, g
+
+
+@pytest.mark.parametrize("build,channels", NETS)
+def test_input_grad_stop_reaches_the_first_conv_of_each_net(build, channels):
+    net = build()
+    x, g = net_batch(net, channels)
     first = net.layers[0]
-    while isinstance(first, Network):  # the seg net nests its trunk
-        first = first.layers[0]
+    assert isinstance(first, Conv2D)
     seen = []
     backward = first.backward
     first.backward = lambda grad, **kw: seen.append(kw) or backward(grad, **kw)
-    _, full = param_grads(net, x, g)
-    none, stopped = param_grads(net, x, g, input_grad=False)
-    assert seen == [{"input_grad": True}, {"input_grad": False}]
-    assert none is None
-    for a, b in zip(full, stopped):
+    net.forward(x, train=True)
+    assert net.backward(g) is None
+    assert seen == [{"input_grad": False}]
+
+
+@pytest.mark.parametrize("build,channels", NETS)
+def test_a_second_backward_overwrites_the_first_s_gradients(build, channels):
+    net = build()
+    x, g = net_batch(net, channels)
+    grads = []
+    for _ in range(2):
+        net.forward(x, train=True)
+        net.backward(g)
+        grads.append([p.grad.copy() for p in net.params()])
+    assert any(np.any(p != 0) for p in grads[0])
+    for a, b in zip(*grads):
         assert a.tobytes() == b.tobytes()
 
 
@@ -385,7 +399,6 @@ def test_the_input_grad_does_not_depend_on_the_block_size(cin, cout, b,
         # rebuild the patch matrix, which the weight gradient reads
         monkeypatch.setattr(nn, "_GRAD_BLOCK", block)
         conv.forward(x, train=True)
-        conv.weight.grad[...] = 0
         gx = conv.backward(g)
         grads.append((gx.tobytes(), conv.weight.grad.tobytes()))
     assert blocks[1] < b
@@ -430,8 +443,7 @@ def test_a_training_forward_leaves_no_patch_matrix_in_the_seg_net():
     seg = build_seg_model(4, seed=3)
     x = np.random.default_rng(67).uniform(size=(16, 1, 32, 32)).astype(np.float32)
     seg.forward(x, train=True)
-    trunk, head = seg.layers
-    layers = trunk.layers + [head]
+    layers = seg.layers
     convs = [layer for layer in layers if isinstance(layer, Conv2D)]
     assert len(convs) == 3
     for relu, conv in zip(layers[1::2], layers[2::2]):
@@ -503,12 +515,12 @@ def test_backward_without_forward_raises():
 
 
 class TestAdamW:
-    def test_zero_grad_no_decay_leaves_value(self):
+    def test_gradient_of_zero_without_decay_leaves_value(self):
         p = Param(np.array([1.5, -2.0], dtype=np.float32))
         adamw_step([p], lr=1e-3, weight_decay=0.0)
         np.testing.assert_array_equal(p.value, [1.5, -2.0])
 
-    def test_zero_grad_decay_scales_value(self):
+    def test_gradient_of_zero_with_decay_scales_value(self):
         p = Param(np.array([1.0, -4.0], dtype=np.float32))
         adamw_step([p], lr=1e-3, weight_decay=1e-4)
         np.testing.assert_allclose(p.value, np.array([1.0, -4.0]) * (1 - 1e-7),

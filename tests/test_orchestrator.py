@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from paal import orchestrator
 from paal.data import Dataset, generate, split_folds
+from paal.metrics import UNCERTAINTY_KINDS
 from paal.models import build_ap_model, build_seg_model
 from paal.nn import Conv2D
 from paal.orchestrator import (_POOL_OUTPUTS, TrainConfig, _pool_inference,
@@ -58,9 +59,9 @@ def test_query_step_computes_exactly_the_declared_inputs(strategy, dataset,
     state.assert_partition(np.arange(32))
 
 
-def max_entropy_query_peak(n: int) -> int:
-    """tracemalloc peak of a ``max_entropy`` query step on an n-image 32x32
-    pool (4 classes), above what was live before it."""
+def query_peak(kind: str, n: int) -> int:
+    """tracemalloc peak of a query step scored by uncertainty ``kind`` on
+    an n-image 32x32 pool (4 classes), above what was live before it."""
     rng = np.random.default_rng(73)
     images = rng.integers(0, 256, size=(5 * n // 4, 32, 32), dtype=np.uint8)
     pool = Dataset(images, rng.integers(0, 4, size=images.shape, dtype=np.uint8), 3)
@@ -71,20 +72,30 @@ def max_entropy_query_peak(n: int) -> int:
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        query_step(state, seg, ap, "max_entropy", pool, query_seed=5)
+        query_step(state, seg, ap, kind, pool, query_seed=5)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
 
+def posterior_bytes(n: int) -> int:
+    return n * 4 * 32 * 32 * 4
+
+
 def test_a_query_step_holds_the_pool_posteriors_once():
     # a 400-image pool's posteriors take 6.55 MB; one chunk's forward adds
     # about 4 MB whatever the pool size, the 8->16 conv's patch matrix most
-    posterior_bytes = {n: n * 4 * 32 * 32 * 4 for n in (400, 800)}
-    peak = {n: max_entropy_query_peak(n) for n in posterior_bytes}
-    assert peak[800] - peak[400] < 1.25 * (posterior_bytes[800]
-                                           - posterior_bytes[400])
-    assert peak[400] < 1.7 * posterior_bytes[400]
+    peak = {n: query_peak("max_entropy", n) for n in (400, 800)}
+    assert peak[800] - peak[400] < 1.25 * (posterior_bytes(800)
+                                           - posterior_bytes(400))
+    assert peak[400] < 1.7 * posterior_bytes(400)
+
+
+@pytest.mark.parametrize("kind", UNCERTAINTY_KINDS)
+def test_no_uncertainty_kind_copies_the_pool_posteriors(kind):
+    # each kind scores a block of samples at a time; a whole-pool margin
+    # partition or float64 top-1 map would read 3.0x or 2.0x
+    assert query_peak(kind, 400) < 1.7 * posterior_bytes(400)
 
 
 def test_the_initial_count_is_the_ratio_in_decimals():

@@ -5,16 +5,23 @@
 ``src/`` would otherwise surface only when the traced benchmark runs. A
 patch reaches only the calls that look the name up when they run, so
 ``strategies`` may only call its traced names directly, from no more sites
-than the benchmark's per-layer figures were measured with.
+than the benchmark's per-layer figures were measured with. The tracer
+also reads ``QueryContext`` fields and keys conv metrics by the nets'
+conv shapes, so those names and shapes are pinned here too.
 """
 
 import ast
 import collections
+import dataclasses
+import functools
 import importlib.util
 import pathlib
 
 import paal
 import paal.cli  # noqa: F401  (loads every module the tracer patches)
+from paal.models import build_ap_model, build_seg_model
+from paal.nn import Conv2D
+from paal.strategies import QueryContext
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACING = ROOT / "benchmarks" / "tracing.py"
@@ -26,16 +33,17 @@ STRATEGIES_CALL_SITES = {"kmeans_fit": 2, "uncertainty_scores": 2,
                          "coreset_select": 1, "weighted_polling": 1}
 
 
-def traced_table():
+@functools.cache
+def tracing():
     spec = importlib.util.spec_from_file_location("paal_bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TRACED
+    return module
 
 
 def test_every_traced_name_resolves_on_the_package():
     missing = []
-    for path, attr, span in traced_table():
+    for path, attr, span in tracing().TRACED:
         owner = paal
         for part in path.split("."):
             owner = getattr(owner, part, None)
@@ -61,8 +69,21 @@ def traced_name_uses(source: str, names) -> tuple[collections.Counter, list[str]
 
 
 def test_strategies_call_traced_names_only_directly_and_no_more_often():
-    names = {attr for path, attr, _ in traced_table() if path == "strategies"}
+    names = {attr for path, attr, _ in tracing().TRACED if path == "strategies"}
     assert names == set(STRATEGIES_CALL_SITES)
     calls, values = traced_name_uses(STRATEGIES_SOURCE.read_text(), names)
     assert values == []
     assert {n: c for n, c in calls.items() if c > STRATEGIES_CALL_SITES[n]} == {}
+
+
+def test_every_traced_query_input_is_a_query_context_field():
+    fields = {field.name for field in dataclasses.fields(QueryContext)}
+    assert set(tracing().QUERY_INPUTS) <= fields
+
+
+def test_the_nets_conv_shapes_are_the_traced_ones():
+    # the benchmark's datasets have 3 foreground classes, so 4 channels
+    nets = (build_seg_model(4, seed=0), build_ap_model(4, seed=0))
+    shapes = tuple((layer.in_ch, layer.out_ch) for net in nets
+                   for layer in net.layers if isinstance(layer, Conv2D))
+    assert shapes == tracing().CONV_SHAPES
