@@ -46,22 +46,11 @@ class ClassSpec:
             raise ValueError(f"occurrence must be in (0, 1], got {self.occurrence}")
 
 
-@dataclass(frozen=True)
-class ClassProfile:
-    classes: tuple[ClassSpec, ...]
-
-    @property
-    def num_fg(self) -> int:
-        return len(self.classes)
-
-
-def default_profile() -> ClassProfile:
+def default_profile() -> tuple[ClassSpec, ...]:
     """Three classes with a pronounced minority (class 3 in ~15% of images)."""
-    return ClassProfile((
-        ClassSpec(0.9, (3.0, 8.0), (105.0, 135.0)),
-        ClassSpec(0.6, (3.0, 8.0), (165.0, 195.0)),
-        ClassSpec(0.15, (3.0, 8.0), (205.0, 235.0)),
-    ))
+    return (ClassSpec(0.9, (3.0, 8.0), (105.0, 135.0)),
+            ClassSpec(0.6, (3.0, 8.0), (165.0, 195.0)),
+            ClassSpec(0.15, (3.0, 8.0), (205.0, 235.0)))
 
 
 @dataclass(eq=False)
@@ -79,7 +68,7 @@ class Dataset:
 
 
 def generate(seed: int, n: int, h: int = 32, w: int = 32,
-             profile: ClassProfile | None = None) -> Dataset:
+             profile: tuple[ClassSpec, ...] | None = None) -> Dataset:
     """Deterministic synthetic dataset; identical seeds give identical bytes."""
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -94,7 +83,7 @@ def generate(seed: int, n: int, h: int = 32, w: int = 32,
         noise = rng.normal(0.0, NOISE_SIGMA, size=(h, w))
         img = BACKGROUND_BASE + noise
         mask = masks[i]
-        for label, cls in enumerate(profile.classes, start=1):
+        for label, cls in enumerate(profile, start=1):
             if rng.random() >= cls.occurrence:
                 continue
             ell = _place_ellipse(rng, mask, yy, xx, h, w, cls.axis_range)
@@ -104,7 +93,7 @@ def generate(seed: int, n: int, h: int = 32, w: int = 32,
             img[ell] = intensity + noise[ell]
             mask[ell] = label
         images[i] = np.clip(np.rint(img), 0, 255).astype(np.uint8)
-    return Dataset(images, masks, num_fg=profile.num_fg)
+    return Dataset(images, masks, num_fg=len(profile))
 
 
 def _place_ellipse(rng, mask, yy, xx, h, w, axis_range):

@@ -2,10 +2,12 @@
 
 A campaign is the cross product strategies x budgets x seeds x folds. Every
 cell runs independently and writes the rows its run returns, behind the
-cell's own columns, as CSV fragments under ``<out>/cells/<run_id>/`` (its
-results.csv, written last, marks the cell done, so interrupted campaigns
-resume); the runner concatenates the fragments into the top-level
-results/queries/calibration/annotations files in a fixed order.
+cell's own columns, as CSV fragments under ``<out>/cells/<run_id>/``, after
+a ``cell.json`` of its ``Cell`` (the one home of the run's seed), its
+``TrainConfig`` and crc32s of the dataset file and split. Its results.csv,
+written last, marks it done; a rerun reuses a done cell only if its
+cell.json matches. The runner concatenates the fragments into the
+top-level results/queries/calibration/annotations files in a fixed order.
 ``results.csv`` has one ``val_dsc_c<k>`` column per foreground class of the
 dataset, ``k = 1 .. num_fg``.
 
@@ -26,9 +28,11 @@ import concurrent.futures
 import csv
 import ctypes
 import glob
+import json
 import os
+import zlib
 from collections import Counter
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter
@@ -38,7 +42,7 @@ import numpy as np
 from . import data as data_mod
 from .metrics import pearson_r
 from .orchestrator import (CALIBRATION_COLUMNS, EPOCH_COLUMNS, QUERY_COLUMNS,
-                           TrainConfig, run_active_learning)
+                           Cell, TrainConfig, run_active_learning)
 from .strategies import STRATEGIES
 
 
@@ -53,8 +57,7 @@ class ResultsFormatError(ValueError):
 _CELL_COLUMNS = ("run_id", "strategy", "budget", "seed", "fold")
 
 # training key -> the type of its TrainConfig default, which parses its value
-_TRAIN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)
-               if f.name != "seed"}
+_TRAIN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
 @dataclass
@@ -147,28 +150,13 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_text(text)
 
 
-@dataclass(frozen=True)
-class Cell:
-    strategy: str
-    budget: float
-    iterations: int
-    seed: int
-    fold: int
-
-    @property
-    def run_id(self) -> str:
-        return f"{self.strategy}_b{self.budget:g}_s{self.seed}_f{self.fold}"
-
-
 def campaign_cells(config: ExperimentConfig) -> list[Cell]:
     """The campaign's cells; a config that gives two cells one run_id (a
     repeated value, or budgets equal to 6 significant digits) is refused."""
-    cells = []
-    for strategy in config.strategies:
-        for budget, iters in zip(config.budgets, config.iterations):
-            for seed in config.seeds:
-                for fold in config.folds:
-                    cells.append(Cell(strategy, budget, iters, seed, fold))
+    cells = [Cell(strategy, budget, iters, seed, fold)
+             for strategy in config.strategies
+             for budget, iters in zip(config.budgets, config.iterations)
+             for seed in config.seeds for fold in config.folds]
     repeated = [rid for rid, n in Counter(c.run_id for c in cells).items() if n > 1]
     if repeated:
         raise ConfigError(f"cells share a run_id: {', '.join(repeated)}; "
@@ -188,25 +176,28 @@ def _headers(num_fg: int) -> dict[str, tuple[str, ...]]:
 
 
 def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
-             dataset: data_mod.Dataset,
-             split: tuple[np.ndarray, np.ndarray]) -> str:
+             dataset: data_mod.Dataset, split: tuple[np.ndarray, np.ndarray],
+             dataset_crc32: int) -> str:
     """Execute one cell on its fold's ``(train_ids, val_ids)`` and write its
-    fragments; skips if already done, and refuses a done cell whose rows lack
-    one column per class of ``dataset``."""
+    ``cell.json`` (the cell, ``config.train``, the dataset file's
+    ``dataset_crc32`` and the split's), then its fragments. A done cell is
+    skipped if its cell.json matches, and refused otherwise."""
     cell_dir = os.path.join(out_dir, "cells", cell.run_id)
-    done_marker = os.path.join(cell_dir, "results.csv")
-    if os.path.exists(done_marker):
-        with open(done_marker, "r", encoding="utf-8", newline="") as fh:
-            row = next(csv.reader(fh), [])
-        if row and len(row) != len(_headers(dataset.num_fg)["results.csv"]):
-            raise ConfigError(f"{done_marker} was run on data with another "
-                              "class count; use a new --out")
-        return cell.run_id
     train_ids, val_ids = split
-    report = run_active_learning(dataset, train_ids, val_ids, cell.strategy,
-                                 cell.budget, cell.iterations,
-                                 replace(config.train, seed=cell.seed),
-                                 fold_index=cell.fold)
+    setting = {"cell": asdict(cell), "train": asdict(config.train),
+               "dataset_crc32": dataset_crc32,
+               "split_crc32": zlib.crc32(val_ids, zlib.crc32(train_ids))}
+    setting_path = os.path.join(cell_dir, "cell.json")
+    if os.path.exists(os.path.join(cell_dir, "results.csv")):
+        try:
+            with open(setting_path, "r", encoding="utf-8") as fh:
+                if json.load(fh) == setting:
+                    return cell.run_id
+        except (OSError, ValueError):  # missing, or not JSON
+            pass
+        raise ConfigError(f"{cell_dir} was run with other settings, data or "
+                          "split; use a new --out")
+    report = run_active_learning(dataset, train_ids, val_ids, cell, config.train)
     # each picked sample counts once, under its highest class label
     picked = [row[1] for row in report.queries]  # the sample_id column
     counts = (np.bincount(dataset.masks[picked].max(axis=(1, 2)),
@@ -219,6 +210,9 @@ def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
         "results.csv": [[*own, *row] for row in report.epochs],
     }
     os.makedirs(cell_dir, exist_ok=True)
+    with open(setting_path + ".tmp", "w", encoding="utf-8") as fh:
+        json.dump(setting, fh)
+    os.replace(setting_path + ".tmp", setting_path)
     # the done marker, results.csv, goes last: a cell cut short is rerun
     for name, rows in fragments.items():
         _write_rows(os.path.join(cell_dir, name), rows)
@@ -252,6 +246,10 @@ def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[
     """Run every cell (resuming completed ones) and merge the fragments."""
     cells = campaign_cells(config)
     dataset = data_mod.read_dataset(config.dataset)
+    dataset_crc32 = 0  # the file's, read in 1 MiB blocks
+    with open(config.dataset, "rb") as fh:
+        while block := fh.read(1 << 20):
+            dataset_crc32 = zlib.crc32(block, dataset_crc32)
     try:
         folds = data_mod.split_folds(len(dataset), config.split_seed)
     except ValueError as exc:
@@ -266,10 +264,10 @@ def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_one_blas_thread) as pool:
             list(pool.map(run_cell, repeat(config), cells, repeat(out_dir),
-                          repeat(dataset), splits))
+                          repeat(dataset), splits, repeat(dataset_crc32)))
     else:
         for cell, split in zip(cells, splits):
-            run_cell(config, cell, out_dir, dataset, split)
+            run_cell(config, cell, out_dir, dataset, split, dataset_crc32)
 
     for name, header in _headers(dataset.num_fg).items():
         out_path = os.path.join(out_dir, name)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-_BETA1, _BETA2 = 0.9, 0.999  # Adam's moment decay rates
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and guard
 # images per block of a conv's input gradient: fastest at the nets' training
 # shapes (B=16, 32x32); the result does not depend on it
 _GRAD_BLOCK = 4
@@ -323,8 +323,7 @@ class Network:
         self.layers[0].backward(grad_out, input_grad=False)
 
 
-def adamw_step(params: list[Param], lr: float, weight_decay: float,
-               eps: float = 1e-8) -> None:
+def adamw_step(params: list[Param], lr: float, weight_decay: float) -> None:
     """One decoupled-weight-decay Adam update; leaves gradients untouched."""
     for p in params:
         if not np.all(np.isfinite(p.grad)):
@@ -335,7 +334,7 @@ def adamw_step(params: list[Param], lr: float, weight_decay: float,
         p.v += (1.0 - _BETA2) * (g * g - p.v)
         mhat = p.m / (1.0 - _BETA1 ** p.step)
         vhat = p.v / (1.0 - _BETA2 ** p.step)
-        p.value -= (lr * mhat / (np.sqrt(vhat) + eps)
+        p.value -= (lr * mhat / (np.sqrt(vhat) + _EPS)
                     + lr * weight_decay * p.value).astype(p.value.dtype, copy=False)
 
 

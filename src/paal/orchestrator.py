@@ -10,8 +10,8 @@ Queried ids get their ground-truth masks (the stand-in for a human
 annotator) and move from the unlabeled pool to the labeled set. Inference
 over the validation split, the pool or the labeled set runs in chunks of
 ``EVAL_PIXELS`` pixels and only through the layers its outputs read; no
-output depends on the chunk size. Everything is deterministic given the run
-seed.
+output depends on the chunk size. Everything is deterministic given the
+run's ``Cell``, whose seed and fold seed every random draw.
 
 A run returns its CSV rows (``RunReport``): per epoch, per queried sample,
 and the predictor's calibration on the final pool, each in the column order
@@ -45,11 +45,25 @@ _POOL_OUTPUTS = ("probs", "features", "pred_acc", "actual")
 EVAL_PIXELS = 8192
 
 
+@dataclass(frozen=True)
+class Cell:
+    """A run's identity and the one home of its seed and fold; a campaign
+    records it in the run's ``cell.json``."""
+    strategy: str
+    budget: float
+    iterations: int
+    seed: int
+    fold: int
+
+    @property
+    def run_id(self) -> str:
+        return f"{self.strategy}_b{self.budget:g}_s{self.seed}_f{self.fold}"
+
+
 @dataclass
 class TrainConfig:
-    """The settings of one run. Every field but ``seed``, which a campaign
-    sets per cell, is a training key of the campaign config under the same
-    name, parsed with the type of its default."""
+    """A run's training settings: exactly the campaign config's training
+    keys, each parsed with its default's type. The seed is the ``Cell``'s."""
     max_epochs: int = 120
     early_stop: int = 15
     silent_period: int = 5
@@ -61,7 +75,6 @@ class TrainConfig:
     warmup: int = 10
     weight_decay: float = 1e-4
     init_ratio: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -286,30 +299,29 @@ def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
 
 
 def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
-                        val_ids: np.ndarray, strategy: str, budget: float,
-                        iterations: int, cfg: TrainConfig,
-                        fold_index: int = 0) -> RunReport:
+                        val_ids: np.ndarray, cell: Cell, cfg: TrainConfig) -> RunReport:
     """Algorithm: train, evaluate, update the trigger, maybe query; repeat.
 
+    The cell names the strategy, budget, iterations, seed and fold.
     Terminates once the budget can no longer be spent *and* validation DSC
     has been stale for ``early_stop`` epochs, or at ``max_epochs``. A query
     restarts that count as it restarts the trigger's: "stale" only counts
     epochs after the labeled set stopped changing.
     """
-    on_stall = STRATEGIES[strategy].on_stall
+    on_stall = STRATEGIES[cell.strategy].on_stall
     train_ids = np.asarray(train_ids, dtype=np.int64)
     val_ids = np.asarray(val_ids, dtype=np.int64)
     num_fg = dataset.num_fg
 
-    state = init_pool(train_ids, cfg.init_ratio, budget, iterations,
-                      seed=[cfg.seed, fold_index, 0xD1])
-    seg = build_seg_model(num_fg + 1, seed=_subseed(cfg.seed, fold_index, 1))
-    ap = build_ap_model(num_fg + 1, seed=_subseed(cfg.seed, fold_index, 2))
+    state = init_pool(train_ids, cfg.init_ratio, cell.budget, cell.iterations,
+                      seed=[cell.seed, cell.fold, 0xD1])
+    seg = build_seg_model(num_fg + 1, seed=_subseed(cell.seed, cell.fold, 1))
+    ap = build_ap_model(num_fg + 1, seed=_subseed(cell.seed, cell.fold, 2))
 
     report = RunReport()
 
     for epoch in range(cfg.max_epochs):
-        shuffle_rng = np.random.default_rng([cfg.seed, fold_index, 3, epoch])
+        shuffle_rng = np.random.default_rng([cell.seed, cell.fold, 3, epoch])
         seg_loss, ap_loss = train_epoch(seg, ap, dataset, state.labeled, epoch,
                                         cfg, shuffle_rng)
         val_mean, val_class = evaluate(seg, dataset, val_ids)
@@ -321,8 +333,8 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
             trigger = epoch > 0 and epoch % cfg.query_interval == 0
         if trigger and state.can_query:
             report.queries += query_step(
-                state, seg, ap, strategy, dataset,
-                query_seed=_subseed(cfg.seed, fold_index, 4, state.t))
+                state, seg, ap, cell.strategy, dataset,
+                query_seed=_subseed(cell.seed, cell.fold, 4, state.t))
             state.iq_counter = 0
             state.assert_partition(train_ids)
 

@@ -5,6 +5,7 @@ import concurrent.futures
 import csv
 import ctypes
 import glob
+import json
 import os
 import platform
 import struct
@@ -18,7 +19,7 @@ import pytest
 import paal
 from paal import cli, experiment
 from paal.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from paal.data import (ClassProfile, ClassSpec, Dataset, generate, read_dataset,
+from paal.data import (ClassSpec, Dataset, generate, read_dataset,
                        write_dataset)
 from paal.strategies import STRATEGIES
 
@@ -302,8 +303,7 @@ def test_a_cell_cut_short_is_rerun(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("num_fg", [2, 4])
 def test_class_columns_follow_the_dataset(tmp_path, num_fg):
-    profile = ClassProfile((ClassSpec(0.7, intensity_range=(120.0, 220.0)),)
-                           * num_fg)
+    profile = (ClassSpec(0.7, intensity_range=(120.0, 220.0)),) * num_fg
     path = write_file(tmp_path, generate(7, 60, 16, 16, profile=profile))
     code, out = paal_run(tmp_path, "run", path)
     assert code == EXIT_OK
@@ -383,7 +383,7 @@ def test_rerun_on_a_different_class_count_is_refused(tmp_path, capsys):
     code, out = paal_run(tmp_path, "run", path)
     assert code == EXIT_OK
     first = csv_bytes(out)
-    profile = ClassProfile((ClassSpec(0.7),) * 2)
+    profile = (ClassSpec(0.7),) * 2
     write_file(tmp_path, generate(7, 60, 16, 16, profile=profile))
     capsys.readouterr()
     code, _ = paal_run(tmp_path, "run", path)
@@ -391,6 +391,53 @@ def test_rerun_on_a_different_class_count_is_refused(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert err.startswith("config error:") and "new --out" in err
     assert "Traceback" not in err
+    assert csv_bytes(out) == first
+
+
+@pytest.mark.parametrize("extra", ["max_epochs = 3\n", "iterations = 1\n",
+                                   "split_seed = 8\n"])
+def test_rerun_with_another_setting_is_refused(tmp_path, capsys, data_file,
+                                               extra):
+    code, out = paal_run(tmp_path, "run", data_file)
+    assert code == EXIT_OK
+    first = csv_bytes(out)
+    capsys.readouterr()
+    code, _ = paal_run(tmp_path, "run", data_file, extra=extra)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:") and "new --out" in err
+    assert csv_bytes(out) == first
+
+
+def test_a_done_cell_without_its_cell_json_is_refused(tmp_path, capsys,
+                                                      data_file):
+    code, out = paal_run(tmp_path, "run", data_file, strategies="random")
+    assert code == EXIT_OK
+    os.remove(out / "cells" / "random_b0.3_s0_f0" / "cell.json")
+    capsys.readouterr()
+    code, _ = paal_run(tmp_path, "run", data_file, strategies="random")
+    assert code == EXIT_CONFIG
+    assert "new --out" in capsys.readouterr().err
+
+
+def test_a_rerun_with_the_same_settings_reuses_every_cell(tmp_path, monkeypatch,
+                                                          data_file):
+    code, out = paal_run(tmp_path, "run", data_file)
+    assert code == EXIT_OK
+    first = csv_bytes(out)
+    setting = json.loads((out / "cells" / "random_b0.3_s0_f0" / "cell.json")
+                         .read_text())
+    assert setting["cell"] == {"strategy": "random", "budget": 0.3,
+                               "iterations": 2, "seed": 0, "fold": 0}
+    assert setting["train"]["max_epochs"] == 4
+    assert set(setting) == {"cell", "train", "dataset_crc32", "split_crc32"}
+
+    def no_run(*args):
+        raise AssertionError("a done cell ran again")
+
+    monkeypatch.setattr(experiment, "run_active_learning", no_run)
+    code, _ = paal_run(tmp_path, "run", data_file)
+    assert code == EXIT_OK
     assert csv_bytes(out) == first
 
 

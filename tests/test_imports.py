@@ -3,7 +3,9 @@ in that module, every module-level private name is read somewhere in the
 package, every public module-level name or class method is read somewhere
 in the package, every dataclass field is read somewhere in the package
 or by the benchmark's tracer, and every parameter default is overridden with
-another value by some call in the package or its tests.
+another value by some call in the package or the benchmark driver (tests
+do not count, so a default only a test sets is flagged; the allow-list
+names the exceptions and why).
 
 No linter ships with the toolchain, so these are the unused-import and
 dead-code checks.
@@ -19,7 +21,16 @@ PACKAGE = ROOT / "src" / "paal"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 # reads fields of the package's results (ClusterModel.inertia_history)
 TRACING = ROOT / "benchmarks" / "tracing.py"
-TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
+# defaults that only tests set, each kept for a reason
+SINGLE_VALUE_ALLOWED = {
+    # tests generate data with other class profiles, and so will a second
+    # built-in profile
+    "data.py: generate(profile)",
+    # Conv2D(kernel): the k=5 finite-difference oracles, and the tracer
+    # reads ``.kernel``
+    "nn.py: __init__(kernel)",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -290,5 +301,7 @@ def test_no_unread_dataclass_fields():
 
 def test_no_single_value_parameters():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
-    callers = [p.read_text(encoding="utf-8") for p in SOURCES + TESTS]
-    assert single_value_parameters(sources, callers) == []
+    callers = [p.read_text(encoding="utf-8") for p in SOURCES + BENCHMARKS]
+    flagged = single_value_parameters(sources, callers)
+    assert sorted(set(flagged) - SINGLE_VALUE_ALLOWED) == []
+    assert SINGLE_VALUE_ALLOWED <= set(flagged)  # no stale allowance

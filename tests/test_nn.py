@@ -529,8 +529,8 @@ class TestAdamW:
     def test_first_step_matches_update_rule(self):
         p = Param(np.array([1.0], dtype=np.float32))
         p.grad[:] = 1.0
-        lr, eps, wd = 1e-3, 1e-8, 1e-4
-        adamw_step([p], lr=lr, eps=eps, weight_decay=wd)
+        lr, eps, wd = 1e-3, 1e-8, 1e-4  # eps: Adam's fixed guard
+        adamw_step([p], lr=lr, weight_decay=wd)
         # bias-corrected mhat = vhat = 1 at step 1
         expected = 1.0 - lr * 1.0 / (np.sqrt(1.0) + eps) - lr * wd * 1.0
         np.testing.assert_allclose(p.value, [expected], rtol=1e-6)

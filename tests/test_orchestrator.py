@@ -13,9 +13,9 @@ from paal.data import Dataset, generate, split_folds
 from paal.metrics import UNCERTAINTY_KINDS
 from paal.models import build_ap_model, build_seg_model
 from paal.nn import Conv2D
-from paal.orchestrator import (_POOL_OUTPUTS, TrainConfig, _pool_inference,
-                               evaluate, init_pool, query_step,
-                               run_active_learning)
+from paal.orchestrator import (_POOL_OUTPUTS, Cell, TrainConfig,
+                               _pool_inference, evaluate, init_pool,
+                               query_step, run_active_learning)
 from paal.strategies import STRATEGIES
 
 INPUT_FIELDS = ("probs", "features", "pred_acc", "labeled_features")
@@ -245,7 +245,7 @@ def test_corrupted_pool_after_a_query_raises(corruption, dataset, monkeypatch):
                       query_interval=1)
     with pytest.raises(AssertionError, match="overlap|partition"):
         run_active_learning(dataset, np.arange(32), np.arange(32, 40),
-                            "random", budget=0.25, iterations=2, cfg=cfg)
+                            Cell("random", 0.25, 2, seed=0, fold=0), cfg)
 
 
 # (strategy, early_stop, iq_patience, lr0) -> epochs run out of max_epochs=40;
@@ -263,7 +263,7 @@ def test_early_stopping_epoch_counts(strategy, early_stop, iq_patience, lr0,
     cfg = TrainConfig(max_epochs=40, early_stop=early_stop,
                       iq_patience=iq_patience, warmup=2, silent_period=2,
                       query_interval=2, lr0=lr0)
-    report = run_active_learning(dataset, train_ids, val_ids, strategy,
-                                 budget=0.3, iterations=3, cfg=cfg)
+    report = run_active_learning(dataset, train_ids, val_ids,
+                                 Cell(strategy, 0.3, 3, seed=0, fold=0), cfg)
     assert len(report.epochs) == epochs
     assert len({row[0] for row in report.queries}) == 3  # iterations
