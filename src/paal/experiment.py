@@ -5,9 +5,10 @@ cell runs independently and writes the rows its run returns, behind the
 cell's own columns, as CSV fragments under ``<out>/cells/<run_id>/``, after
 a ``cell.json`` of its ``Cell`` (the one home of the run's seed), its
 ``TrainConfig`` and crc32s of the dataset file and split. Its results.csv,
-written last, marks it done; a rerun reuses a done cell only if its
-cell.json matches. The runner concatenates the fragments into the
-top-level results/queries/calibration/annotations files in a fixed order.
+written last, marks it done. Every cell is settled before any runs: a done
+cell is reused if its cell.json matches, and refuses the rerun otherwise.
+The runner concatenates the fragments into the top-level
+results/queries/calibration/annotations files in a fixed order.
 ``results.csv`` has one ``val_dsc_c<k>`` column per foreground class of the
 dataset, ``k = 1 .. num_fg``.
 
@@ -15,8 +16,8 @@ dataset, ``k = 1 .. num_fg``.
 ``summary.csv`` by (strategy, budget), ``curves.csv`` by (strategy,
 labeled_ratio), ``calibration_summary.csv`` by run_id, and ``distribution.csv``
 by (strategy, class) over the annotation rows of the largest budget present.
-Fragments and report files go to ``<name>.tmp``, then are renamed over
-``<name>``, so an interrupted write never leaves half a file.
+Every file a campaign or report writes goes to ``<name>.tmp``, then is
+renamed over ``<name>``, so an interrupted write never leaves half a file.
 
 The config's required ``dataset`` key names a dataset file written by
 ``paal generate``; the results directory is ``paal run --out``.
@@ -25,6 +26,7 @@ The config's required ``dataset`` key names a dataset file written by
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import ctypes
 import glob
@@ -34,7 +36,6 @@ import zlib
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
-from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -175,29 +176,37 @@ def _headers(num_fg: int) -> dict[str, tuple[str, ...]]:
     }
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield ``<path>.tmp`` open for writing, and move it onto ``path`` only
+    on a clean exit: an interrupted write never leaves half a file."""
+    with open(path + ".tmp", "w", encoding="utf-8", newline="") as fh:
+        yield fh
+    os.replace(path + ".tmp", path)
+
+
+def _is_done(cell_dir: str, setting: dict) -> bool:
+    """True for a cell done under ``setting``, False for one not done; a cell
+    done under other settings, or without a readable cell.json, raises."""
+    if not os.path.exists(os.path.join(cell_dir, "results.csv")):
+        return False
+    try:
+        with open(os.path.join(cell_dir, "cell.json"), "r", encoding="utf-8") as fh:
+            if json.load(fh) == setting:
+                return True
+    except (OSError, ValueError):  # missing, or not JSON
+        pass
+    raise ConfigError(f"{cell_dir} was run with other settings, data or "
+                      "split; use a new --out")
+
+
 def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
              dataset: data_mod.Dataset, split: tuple[np.ndarray, np.ndarray],
-             dataset_crc32: int) -> str:
-    """Execute one cell on its fold's ``(train_ids, val_ids)`` and write its
-    ``cell.json`` (the cell, ``config.train``, the dataset file's
-    ``dataset_crc32`` and the split's), then its fragments. A done cell is
-    skipped if its cell.json matches, and refused otherwise."""
+             setting: dict) -> None:
+    """Execute one cell on its fold's ``(train_ids, val_ids)``, then write its
+    ``cell.json`` (``setting``) and its fragments."""
     cell_dir = os.path.join(out_dir, "cells", cell.run_id)
-    train_ids, val_ids = split
-    setting = {"cell": asdict(cell), "train": asdict(config.train),
-               "dataset_crc32": dataset_crc32,
-               "split_crc32": zlib.crc32(val_ids, zlib.crc32(train_ids))}
-    setting_path = os.path.join(cell_dir, "cell.json")
-    if os.path.exists(os.path.join(cell_dir, "results.csv")):
-        try:
-            with open(setting_path, "r", encoding="utf-8") as fh:
-                if json.load(fh) == setting:
-                    return cell.run_id
-        except (OSError, ValueError):  # missing, or not JSON
-            pass
-        raise ConfigError(f"{cell_dir} was run with other settings, data or "
-                          "split; use a new --out")
-    report = run_active_learning(dataset, train_ids, val_ids, cell, config.train)
+    report = run_active_learning(dataset, *split, cell, config.train)
     # each picked sample counts once, under its highest class label
     picked = [row[1] for row in report.queries]  # the sample_id column
     counts = (np.bincount(dataset.masks[picked].max(axis=(1, 2)),
@@ -210,13 +219,12 @@ def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
         "results.csv": [[*own, *row] for row in report.epochs],
     }
     os.makedirs(cell_dir, exist_ok=True)
-    with open(setting_path + ".tmp", "w", encoding="utf-8") as fh:
+    with _replacing(os.path.join(cell_dir, "cell.json")) as fh:
         json.dump(setting, fh)
-    os.replace(setting_path + ".tmp", setting_path)
     # the done marker, results.csv, goes last: a cell cut short is rerun
     for name, rows in fragments.items():
-        _write_rows(os.path.join(cell_dir, name), rows)
-    return cell.run_id
+        with _replacing(os.path.join(cell_dir, name)) as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 # numpy's wheels bundle OpenBLAS here; the setter's name depends on the build
@@ -243,7 +251,9 @@ def _one_blas_thread() -> None:
 
 
 def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[str]:
-    """Run every cell (resuming completed ones) and merge the fragments."""
+    """Run every cell that is not done, then merge the fragments. Every cell
+    is settled before any runs: a done cell is reused if its ``cell.json``
+    matches its setting, and refuses the whole campaign otherwise."""
     cells = campaign_cells(config)
     dataset = data_mod.read_dataset(config.dataset)
     dataset_crc32 = 0  # the file's, read in 1 MiB blocks
@@ -254,44 +264,39 @@ def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[
         folds = data_mod.split_folds(len(dataset), config.split_seed)
     except ValueError as exc:
         raise ConfigError(f"{config.dataset}: {exc}") from exc
-    splits = [folds[cell.fold] for cell in cells]
-    os.makedirs(out_dir, exist_ok=True)
+    runs = []  # run_cell's arguments, per cell left to run
+    for cell in cells:
+        split = folds[cell.fold]  # (train_ids, val_ids)
+        setting = {"cell": asdict(cell), "train": asdict(config.train),
+                   "dataset_crc32": dataset_crc32,
+                   "split_crc32": zlib.crc32(split[1], zlib.crc32(split[0]))}
+        if not _is_done(os.path.join(out_dir, "cells", cell.run_id), setting):
+            runs.append((config, cell, out_dir, dataset, split, setting))
     # a fork pool starts every worker on the first submit: start no idle
     # ones. concurrent.futures loads the pool, and with it multiprocessing,
     # on first lookup, so a one-job run never loads either
-    workers = min(jobs, len(cells))
+    workers = min(jobs, len(runs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_one_blas_thread) as pool:
-            list(pool.map(run_cell, repeat(config), cells, repeat(out_dir),
-                          repeat(dataset), splits, repeat(dataset_crc32)))
+            list(pool.map(run_cell, *zip(*runs)))
     else:
-        for cell, split in zip(cells, splits):
-            run_cell(config, cell, out_dir, dataset, split, dataset_crc32)
+        for args in runs:
+            run_cell(*args)
 
     for name, header in _headers(dataset.num_fg).items():
-        out_path = os.path.join(out_dir, name)
-        tmp = out_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with _replacing(os.path.join(out_dir, name)) as fh:
             fh.write(",".join(header) + "\n")
             for cell in cells:
                 frag = os.path.join(out_dir, "cells", cell.run_id, name)
                 with open(frag, "r", encoding="utf-8") as src:
                     fh.write(src.read())
-        os.replace(tmp, out_path)
     return [cell.run_id for cell in cells]
 
 
 def _read_csv(path) -> list[dict]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
-
-
-def _write_rows(path, rows) -> None:
-    """Write CSV rows to ``<path>.tmp``, then move that onto ``path``."""
-    with open(path + ".tmp", "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
-    os.replace(path + ".tmp", path)
 
 
 def _group(items, key) -> dict:
@@ -367,4 +372,5 @@ def write_report(results_dir: str) -> None:
     except (csv.Error, KeyError, TypeError, ValueError) as exc:
         raise ResultsFormatError(f"malformed results in {results_dir}: {exc!r}") from exc
     for name, (header, body) in reports.items():
-        _write_rows(path(name), [header.split(","), *body])
+        with _replacing(path(name)) as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header.split(","), *body])

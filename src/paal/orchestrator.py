@@ -6,8 +6,8 @@ predictor only after an initial silent period), evaluates on the validation
 split, and then decides whether to query: strategies whose table entry sets
 ``on_stall`` fire once validation DSC has failed to improve for
 ``iq_patience`` consecutive epochs, the rest fire on a fixed epoch grid.
-Queried ids get their ground-truth masks (the stand-in for a human
-annotator) and move from the unlabeled pool to the labeled set. Inference
+The pool is one labeled flag per sorted train id; a query flags ids whose
+ground-truth masks stand in for an annotator's labels. Inference
 over the validation split, the pool or the labeled set runs in chunks of
 ``EVAL_PIXELS`` pixels and only through the layers its outputs read; no
 output depends on the chunk size. Everything is deterministic given the
@@ -100,24 +100,23 @@ class TrainConfig:
 
 @dataclass
 class PoolState:
-    labeled: np.ndarray
-    unlabeled: np.ndarray
+    """One labeled flag per sorted train id: the sets partition ``ids``."""
+    ids: np.ndarray
+    is_labeled: np.ndarray
     schedule: tuple[int, ...]  # query t labels schedule[t - 1] samples
     t: int = 1
-    iq_counter: int = 0
-    best_val_dsc: float = float("-inf")
+
+    @property
+    def labeled(self) -> np.ndarray:
+        return self.ids[self.is_labeled]
+
+    @property
+    def unlabeled(self) -> np.ndarray:
+        return self.ids[~self.is_labeled]
 
     @property
     def can_query(self) -> bool:
         return self.t <= len(self.schedule)
-
-    def assert_partition(self, all_train_ids: np.ndarray):
-        both = np.intersect1d(self.labeled, self.unlabeled)
-        if both.size:
-            raise AssertionError(f"labeled/unlabeled overlap: {both[:5]}")
-        union = np.union1d(self.labeled, self.unlabeled)
-        if not np.array_equal(union, np.sort(all_train_ids)):
-            raise AssertionError("labeled+unlabeled do not partition the train ids")
 
 
 EPOCH_COLUMNS = ("epoch", "iteration", "labeled_count", "labeled_ratio",
@@ -141,15 +140,15 @@ def _subseed(*parts) -> int:
 
 def init_pool(train_ids: np.ndarray, init_ratio: float, budget: float,
               iterations: int, seed) -> PoolState:
-    """Seeded initial labeled/unlabeled split plus every query's size.
+    """Seeded initial flags, one flag per sorted train id, and each query's size.
 
     Both ratios count from their decimal value (0.07 of 100 is 7). The
     budget splits into ``iterations`` equal queries, or one-label queries
     when it is smaller, and the remainder goes unspent. It fits in the
     pool, so no query finds the pool short.
     """
-    train_ids = np.asarray(train_ids, dtype=np.int64)
-    n = len(train_ids)
+    ids = np.sort(np.asarray(train_ids, dtype=np.int64))
+    n = len(ids)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     m = math.ceil(Fraction(str(init_ratio)) * n)
@@ -158,20 +157,9 @@ def init_pool(train_ids: np.ndarray, init_ratio: float, budget: float,
         raise ValueError(f"budget {count} exceeds pool of {n - m} unlabeled samples")
     batch = count // iterations
     schedule = (batch,) * iterations if batch else (1,) * count
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(n, size=m, replace=False)
-    labeled = np.sort(train_ids[picks])
-    unlabeled = np.setdiff1d(train_ids, labeled)
-    return PoolState(labeled, unlabeled, schedule)
-
-
-def iq_update(state: PoolState, val_dsc: float) -> None:
-    """Reset the no-improvement counter on a strictly better validation DSC."""
-    if val_dsc > state.best_val_dsc:
-        state.best_val_dsc = val_dsc
-        state.iq_counter = 0
-    else:
-        state.iq_counter += 1
+    is_labeled = np.zeros(n, dtype=bool)
+    is_labeled[np.random.default_rng(seed).choice(n, m, replace=False)] = True
+    return PoolState(ids, is_labeled, schedule)
 
 
 def train_epoch(seg: Network, ap: Network, dataset: Dataset,
@@ -291,9 +279,7 @@ def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
              -1 if cluster is None else int(cluster[p]),
              None if weight is None else float(weight[p]), elapsed_ms]
             for p in pos]
-    selected = pool[pos]
-    state.labeled = np.union1d(state.labeled, selected)
-    state.unlabeled = np.setdiff1d(state.unlabeled, selected)
+    state.is_labeled[np.flatnonzero(~state.is_labeled)[pos]] = True
     state.t += 1
     return rows
 
@@ -309,7 +295,6 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
     epochs after the labeled set stopped changing.
     """
     on_stall = STRATEGIES[cell.strategy].on_stall
-    train_ids = np.asarray(train_ids, dtype=np.int64)
     val_ids = np.asarray(val_ids, dtype=np.int64)
     num_fg = dataset.num_fg
 
@@ -319,30 +304,31 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
     ap = build_ap_model(num_fg + 1, seed=_subseed(cell.seed, cell.fold, 2))
 
     report = RunReport()
+    best_val, stalled = float("-inf"), 0  # epochs since val DSC last rose
 
     for epoch in range(cfg.max_epochs):
         shuffle_rng = np.random.default_rng([cell.seed, cell.fold, 3, epoch])
         seg_loss, ap_loss = train_epoch(seg, ap, dataset, state.labeled, epoch,
                                         cfg, shuffle_rng)
         val_mean, val_class = evaluate(seg, dataset, val_ids)
-        iq_update(state, val_mean)
+        stalled = 0 if val_mean > best_val else stalled + 1  # a tie or NaN stalls
+        best_val = max(best_val, val_mean)  # max keeps its first argument on a NaN
 
         if on_stall:
-            trigger = state.iq_counter >= cfg.iq_patience
+            trigger = stalled >= cfg.iq_patience
         else:
             trigger = epoch > 0 and epoch % cfg.query_interval == 0
         if trigger and state.can_query:
             report.queries += query_step(
                 state, seg, ap, cell.strategy, dataset,
                 query_seed=_subseed(cell.seed, cell.fold, 4, state.t))
-            state.iq_counter = 0
-            state.assert_partition(train_ids)
+            stalled = 0
 
-        report.epochs.append([epoch, state.t, len(state.labeled),
-                              len(state.labeled) / len(train_ids), seg_loss,
+        labeled = np.count_nonzero(state.is_labeled)
+        report.epochs.append([epoch, state.t, labeled, labeled / len(state.ids), seg_loss,
                               ap_loss, val_mean, *(float(v) for v in val_class)])
 
-        if not state.can_query and state.iq_counter >= cfg.early_stop:
+        if not state.can_query and stalled >= cfg.early_stop:
             break
 
     if len(state.unlabeled):

@@ -84,13 +84,17 @@ def test_campaign_csvs_are_identical_across_reruns_and_jobs(tmp_path, data_file)
     assert main(["report", "--out", str(tmp_path / "first")]) == EXIT_OK
 
 
-@pytest.mark.parametrize("strategies,jobs,pools", [
-    ("random,paal_full", 4, [2]),
-    ("random,paal_full", 2, [2]),
-    ("random", 4, []),
-], ids=["more_jobs_than_cells", "as_many_jobs_as_cells", "one_cell"])
+@pytest.mark.parametrize("strategies,jobs,rerun,pools", [
+    ("random,paal_full", 4, False, [2]),
+    ("random,paal_full", 2, False, [2]),
+    ("random", 4, False, []),
+    ("random,paal_full", 2, True, []),
+], ids=["more_jobs_than_cells", "as_many_jobs_as_cells", "one_cell",
+        "rerun_of_a_done_campaign"])
 def test_jobs_start_no_more_workers_than_cells(tmp_path, monkeypatch, data_file,
-                                               strategies, jobs, pools):
+                                               strategies, jobs, rerun, pools):
+    if rerun:  # every cell is done: none is left to run
+        assert paal_run(tmp_path, "run", data_file, 1, strategies)[0] == EXIT_OK
     started = []
 
     class RecordingPool:
@@ -407,6 +411,24 @@ def test_rerun_with_another_setting_is_refused(tmp_path, capsys, data_file,
     assert code == EXIT_CONFIG
     assert err.startswith("config error:") and "new --out" in err
     assert csv_bytes(out) == first
+
+
+# jobs 1: a cell not yet run comes before the refused one; jobs 2: the
+# refused cell comes first, and two cells not yet run follow it
+@pytest.mark.parametrize("jobs,strategies", [(1, "paal_full,random"),
+                                             (2, "random,paal_full,max_entropy")])
+def test_a_refused_rerun_runs_no_cell(tmp_path, capsys, data_file, jobs,
+                                      strategies):
+    code, out = paal_run(tmp_path, "run", data_file, strategies="random")
+    assert code == EXIT_OK
+    files = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    code, _ = paal_run(tmp_path, "run", data_file, jobs, strategies,
+                       extra="lr0 = 0.02\n")
+    assert code == EXIT_CONFIG
+    assert "new --out" in capsys.readouterr().err
+    assert os.listdir(out / "cells") == ["random_b0.3_s0_f0"]
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == files
 
 
 def test_a_done_cell_without_its_cell_json_is_refused(tmp_path, capsys,

@@ -5,7 +5,8 @@ in the package, every dataclass field is read somewhere in the package
 or by the benchmark's tracer, and every parameter default is overridden with
 another value by some call in the package or the benchmark driver (tests
 do not count, so a default only a test sets is flagged; the allow-list
-names the exceptions and why).
+names the exceptions and why). ``experiment.py`` opens a file for writing,
+and calls ``os.replace``, only inside its one atomic writer.
 
 No linter ships with the toolchain, so these are the unused-import and
 dead-code checks.
@@ -203,6 +204,30 @@ def single_value_parameters(sources: dict[str, str], callers: list[str]) -> list
     return flagged
 
 
+def writes_outside(source: str, writer: str) -> list[str]:
+    """``os.replace`` calls, and ``open`` calls whose mode writes (or is not
+    a constant), outside the function named ``writer``."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == writer
+              for node in ast.walk(fn)}
+    flagged = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr == "replace"
+                and isinstance(func.value, ast.Name) and func.value.id == "os"):
+            flagged.append(f"line {node.lineno}: os.replace")
+        elif isinstance(func, ast.Name) and func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords
+                                      if k.arg == "mode"]
+            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                   for m in modes):
+                flagged.append(f"line {node.lineno}: open")
+    return flagged
+
+
 def test_guard_flags_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import numpy as np\n"
@@ -280,6 +305,19 @@ def test_guard_flags_a_default_passed_only_its_own_value():
         "strategies.py: query_weights(eps)", "strategies.py: query_weights(floor)"]
 
 
+def test_guard_flags_a_write_outside_the_writer():
+    source = ("import os\n"
+              "def _replacing(path):\n"
+              "    with open(path + '.tmp', 'w') as fh:\n        yield fh\n"
+              "    os.replace(path + '.tmp', path)\n"
+              "def load(path, mode):\n"
+              "    open(path, 'rb')\n    open(path, mode='r')\n"
+              "    open(path, 'a')\n    open(path, mode)\n"
+              "    os.replace(path, path + '.old')\n")
+    assert writes_outside(source, "_replacing") == [
+        "line 9: open", "line 10: open", "line 11: os.replace"]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -305,3 +343,8 @@ def test_no_single_value_parameters():
     flagged = single_value_parameters(sources, callers)
     assert sorted(set(flagged) - SINGLE_VALUE_ALLOWED) == []
     assert SINGLE_VALUE_ALLOWED <= set(flagged)  # no stale allowance
+
+
+def test_experiment_writes_only_through_its_atomic_writer():
+    source = (PACKAGE / "experiment.py").read_text(encoding="utf-8")
+    assert writes_outside(source, "_replacing") == []
