@@ -70,8 +70,6 @@ class Dataset:
 def generate(seed: int, n: int, h: int = 32, w: int = 32,
              profile: tuple[ClassSpec, ...] | None = None) -> Dataset:
     """Deterministic synthetic dataset; identical seeds give identical bytes."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     if profile is None:
         profile = default_profile()
     rng = np.random.default_rng(seed)

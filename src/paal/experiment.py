@@ -57,8 +57,12 @@ class ResultsFormatError(ValueError):
 
 _CELL_COLUMNS = ("run_id", "strategy", "budget", "seed", "fold")
 
-# training key -> the type of its TrainConfig default, which parses its value
-_TRAIN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)}
+# a config value's parser, by its field's annotation: lists are comma
+# separated, and a list of names skips blank items
+_PARSERS = {"int": int, "float": float, "str": str,
+            "list[str]": lambda v: [s.strip() for s in v.split(",") if s.strip()],
+            "list[int]": lambda v: [int(s) for s in v.split(",")],
+            "list[float]": lambda v: [float(s) for s in v.split(",")]}
 
 
 @dataclass
@@ -97,8 +101,11 @@ class ExperimentConfig:
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the flat `key = value` format; unknown keys are an error."""
-    known = {f.name for f in fields(ExperimentConfig)} - {"train"} | set(_TRAIN_KEYS)
+    """Parse the flat `key = value` format; unknown keys are an error. A
+    key names an ``ExperimentConfig`` or ``TrainConfig`` field, and its
+    value parses as that field's annotation."""
+    types = {f.name: f.type for cls in (ExperimentConfig, TrainConfig)
+             for f in fields(cls) if f.name != "train"}
     raw: dict[str, str] = {}
     unknown = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -108,7 +115,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in types:
             unknown.append(key)
             continue
         raw[key] = value
@@ -119,23 +126,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
 
-    kwargs: dict = {}
-    train: dict = {}
     try:
-        for key, value in raw.items():
-            if key in _TRAIN_KEYS:
-                train[key] = _TRAIN_KEYS[key](value)
-            elif key == "strategies":
-                kwargs[key] = [v.strip() for v in value.split(",") if v.strip()]
-            elif key == "budgets":
-                kwargs[key] = [float(v) for v in value.split(",")]
-            elif key in ("seeds", "iterations", "folds"):
-                kwargs[key] = [int(v) for v in value.split(",")]
-            elif key == "split_seed":
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = value
-        return ExperimentConfig(train=TrainConfig(**train), **kwargs)
+        values = {key: _PARSERS[types[key]](value) for key, value in raw.items()}
+        train = {f.name: values.pop(f.name) for f in fields(TrainConfig)
+                 if f.name in values}
+        return ExperimentConfig(train=TrainConfig(**train), **values)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

@@ -58,11 +58,9 @@ class Layer:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray,
-                 input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Write this pass's parameter gradients into each ``Param.grad``
-        (overwriting the last pass's); return the input gradient, or None
-        without computing it when ``input_grad`` is False."""
+        (overwriting the last pass's); return the input gradient."""
         raise NotImplementedError
 
     def _take_cache(self):
@@ -176,6 +174,8 @@ class Conv2D(Layer):
         return out
 
     def backward(self, grad_out, input_grad=True):
+        """As :meth:`Layer.backward`, but ``input_grad=False`` returns None
+        uncomputed: a conv alone can skip it, as each net's first layer."""
         x = self._take_cache()
         b, c, h, w = x.shape
         k = self.kernel
@@ -238,11 +238,11 @@ class Dense(Layer):
             self._cache = x
         return x @ self.weight.value + self.bias.value
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out):
         x = self._take_cache()
         np.matmul(x.T, grad_out, out=self.weight.grad)
         np.sum(grad_out, axis=0, out=self.bias.grad)
-        return grad_out @ self.weight.value.T if input_grad else None
+        return grad_out @ self.weight.value.T
 
 
 class ReLU(Layer):
@@ -260,9 +260,9 @@ class ReLU(Layer):
             self._cache = out
         return out
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out):
         out = self._take_cache()
-        return grad_out * (out > 0) if input_grad else None
+        return grad_out * (out > 0)
 
 
 class Sigmoid(Layer):
@@ -277,9 +277,9 @@ class Sigmoid(Layer):
             self._cache = out
         return out
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out):
         y = self._take_cache()
-        return grad_out * y * (1.0 - y) if input_grad else None
+        return grad_out * y * (1.0 - y)
 
 
 class GlobalAvgPool(Layer):
@@ -292,10 +292,8 @@ class GlobalAvgPool(Layer):
             self._cache = x.shape
         return x.mean(axis=(2, 3))
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out):
         b, c, h, w = self._take_cache()
-        if not input_grad:
-            return None
         g = grad_out / (h * w)
         return np.broadcast_to(g[:, :, None, None], (b, c, h, w)).copy()
 
@@ -317,7 +315,7 @@ class Network:
     def backward(self, grad_out: np.ndarray) -> None:
         """Backpropagate from the last layer to the first, writing each
         ``Param.grad``. Nothing upstream of a net trains, so the first
-        layer computes no input gradient."""
+        layer, a ``Conv2D``, computes no input gradient."""
         for layer in reversed(self.layers[1:]):
             grad_out = layer.backward(grad_out)
         self.layers[0].backward(grad_out, input_grad=False)
@@ -341,10 +339,6 @@ def adamw_step(params: list[Param], lr: float, weight_decay: float) -> None:
 def cosine_lr(epoch: int, total_epochs: int, warmup: int, lr0: float,
               lr_min: float) -> float:
     """Linear 0 -> lr0 ramp over ``warmup`` epochs, then cosine decay to lr_min."""
-    if total_epochs <= warmup:
-        raise ValueError(f"total_epochs ({total_epochs}) must exceed warmup ({warmup})")
-    if not 0 <= epoch <= total_epochs:
-        raise ValueError(f"epoch {epoch} outside [0, {total_epochs}]")
     if epoch < warmup:
         return lr0 * epoch / warmup
     progress = (epoch - warmup) / (total_epochs - warmup)

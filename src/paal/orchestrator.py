@@ -63,7 +63,7 @@ class Cell:
 @dataclass
 class TrainConfig:
     """A run's training settings: exactly the campaign config's training
-    keys, each parsed with its default's type. The seed is the ``Cell``'s."""
+    keys, each parsed as its annotation names. The seed is the ``Cell``'s."""
     max_epochs: int = 120
     early_stop: int = 15
     silent_period: int = 5
@@ -149,8 +149,6 @@ def init_pool(train_ids: np.ndarray, init_ratio: float, budget: float,
     """
     ids = np.sort(np.asarray(train_ids, dtype=np.int64))
     n = len(ids)
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     m = math.ceil(Fraction(str(init_ratio)) * n)
     count = int(Fraction(str(budget)) * n)
     if count < 0 or count > n - m:
@@ -204,8 +202,6 @@ def train_epoch(seg: Network, ap: Network, dataset: Dataset,
 def evaluate(seg: Network, dataset: Dataset,
              val_ids: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean foreground DSC on the validation set (classes averaged, then samples)."""
-    if len(val_ids) == 0:
-        raise ValueError("validation set is empty")
     dsc = _pool_inference(seg, None, dataset, val_ids, ("actual",))["actual"]
     return float(dsc.mean(axis=1).mean()), dsc.mean(axis=0)
 

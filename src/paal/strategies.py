@@ -94,8 +94,6 @@ def weighted_polling(assignments: np.ndarray, weights: np.ndarray,
     """
     ids = np.asarray(ids, dtype=np.int64)
     n = len(ids)
-    if b > n:
-        raise ValueError(f"cannot select {b} from {n} samples")
     weights = np.asarray(weights, dtype=np.float64)
     assignments = np.asarray(assignments)
 
@@ -116,8 +114,6 @@ def coreset_select(labeled_features: np.ndarray, unlabeled_features: np.ndarray,
     """Greedy k-center: positions of the points farthest from everything chosen."""
     ids = np.asarray(ids, dtype=np.int64)
     feats = np.asarray(unlabeled_features, dtype=np.float64)
-    if b > len(ids):
-        raise ValueError(f"cannot select {b} from {len(ids)} samples")
     refs = np.asarray(labeled_features, dtype=np.float64).reshape(-1, feats.shape[1])
     if not refs.shape[0]:  # nothing labeled yet: anchor on the pool centroid
         refs = feats.mean(axis=0, keepdims=True)
@@ -232,12 +228,10 @@ def select(strategy: str, ctx: QueryContext) -> Selection:
 
     Returns the positions in pick order, the entry's scores (the weights)
     and the picker's clusters, each pool-aligned or None (see
-    :class:`Strategy`). Raises if the strategy is unknown or ``ctx`` lacks a
-    field the strategy declares in its ``needs``.
+    :class:`Strategy`). Raises if ``ctx`` lacks a field the strategy
+    declares in its ``needs``.
     """
-    entry = STRATEGIES.get(strategy)
-    if entry is None:
-        raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(STRATEGIES)}")
+    entry = STRATEGIES[strategy]
     for name in entry.needs:
         if getattr(ctx, name) is None:
             raise ValueError(f"strategy {strategy!r} requires QueryContext.{name}")

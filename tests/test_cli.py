@@ -18,7 +18,7 @@ import pytest
 
 import paal
 from paal import cli, experiment
-from paal.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from paal.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from paal.data import (ClassSpec, Dataset, generate, read_dataset,
                        write_dataset)
 from paal.strategies import STRATEGIES
@@ -58,6 +58,14 @@ def paal_run(tmp_path, name, dataset_path, jobs=1,
     code = main(["run", "--config", str(config), "--out", str(out),
                  "--jobs", str(jobs)])
     return code, out
+
+
+def python(args) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this ``paal``, its output captured."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(paal.__file__)))
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
 
 
 def csv_bytes(out_dir) -> dict[str, bytes]:
@@ -128,10 +136,7 @@ def test_a_one_job_campaign_never_loads_the_process_pool(tmp_path, data_file):
     script = ("import sys\nfrom paal.cli import main\n"
               f"code = main({argv!r})\n"
               "print(code, 'multiprocessing' in sys.modules)")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(paal.__file__)))
-    proc = subprocess.run([sys.executable, "-c", script],
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
+    proc = python(["-c", script])
     assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False", proc.stderr
 
 
@@ -169,10 +174,7 @@ def test_jobs_workers_run_one_blas_thread(tmp_path, data_file):
         "experiment.run_cell = reporting_run_cell\n"
         f"code = main({argv!r})\n"
         "print('parent', code, threads() == before)\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(paal.__file__)))
-    proc = subprocess.run([sys.executable, "-c", script],
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
+    proc = python(["-c", script])
     lines = proc.stdout.splitlines()
     assert sorted(line for line in lines if line.startswith("worker")) == \
         ["worker 1", "worker 1"], proc.stderr
@@ -274,6 +276,23 @@ def test_a_bad_command_line_number_exits_2(tmp_path, capsys, args):
     err = assert_config_error(code, capsys)
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_numerical_failure_exits_4_without_traceback(tmp_path, data_file, jobs):
+    # lr0 = 1e30 is finite, so the config takes it, and the first step at
+    # it blows the weights up; numpy's overflow warnings, each with its
+    # source line, come first on stderr
+    config = tmp_path / "huge_lr.cfg"
+    config.write_text(f"dataset = {data_file}\nstrategies = random,paal_full\n"
+                      + CAMPAIGN + "max_epochs = 6\nlr0 = 1e30\n")
+    out = tmp_path / "out"
+    proc = python(["-m", "paal", "run", "--config", str(config), "--out",
+                   str(out), "--jobs", str(jobs)])
+    assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+    assert proc.stderr.endswith("numerical failure: non-finite segmentation loss\n")
+    assert "Traceback" not in proc.stderr
+    assert not glob.glob(str(out / "cells" / "*" / "results.csv"))
 
 
 def write_file(tmp_path, ds):
