@@ -6,7 +6,8 @@ directory as the required ``--out``.
 
 Exit codes: 0 success, 2 configuration or usage error (bad config value,
 bad command-line number, missing option), 3 I/O error or a malformed dataset
-or results file, 4 numerical failure (NaN/Inf detected during training).
+or results file, 4 numerical failure (NaN/Inf in training or in a model
+output).
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Images are u8 grayscale with a noisy dark background; each foreground class
 appears (with its configured occurrence probability) as one filled ellipse in
 a class-specific intensity band. Ellipses avoid already-placed foreground so
 each class region stays a single connected blob; if no free placement is
-found after many attempts the last candidate is placed anyway and overwrites
-earlier classes where they overlap.
+found after many attempts the first overlapping candidate is placed anyway
+and overwrites earlier classes where they overlap, and if every draw
+degenerates (too thin after clamping to the frame) the class is skipped.
 
 File format ``PAALDS2``: a 24-byte header (magic ``b"PAALDS2\\0"``, then
 little-endian u32 ``n``, ``h``, ``w``, ``num_fg``) and ``n`` records, each a
@@ -41,10 +42,6 @@ class ClassSpec:
     axis_range: tuple[float, float] = (3.0, 8.0)
     intensity_range: tuple[float, float] = (105.0, 135.0)
 
-    def __post_init__(self):
-        if not 0.0 < self.occurrence <= 1.0:
-            raise ValueError(f"occurrence must be in (0, 1], got {self.occurrence}")
-
 
 def default_profile() -> tuple[ClassSpec, ...]:
     """Three classes with a pronounced minority (class 3 in ~15% of images)."""
@@ -58,10 +55,6 @@ class Dataset:
     images: np.ndarray  # (n, h, w) u8
     masks: np.ndarray   # (n, h, w) u8
     num_fg: int
-
-    def __post_init__(self):
-        if self.images.shape != self.masks.shape:
-            raise ValueError("images and masks must have identical shapes")
 
     def __len__(self):
         return len(self.images)

@@ -361,7 +361,7 @@ def write_report(results_dir: str) -> None:
                 for key, group in sorted(curves.items(), key=by_number))),
             "calibration_summary.csv": ("run_id,strategy,budget,n_samples,pearson_r", (
                 [rid, *run["setting"], len(run["pairs"]),
-                 pearson_r(*zip(*run["pairs"])) if len(run["pairs"]) >= 2 else 0.0]
+                 pearson_r(*zip(*run["pairs"]))]
                 for rid, run in sorted(runs.items()) if run["pairs"])),
         }
     except (csv.Error, KeyError, TypeError, ValueError) as exc:

@@ -53,8 +53,6 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int) -> ClusterModel:
 
 def _lloyd(pts: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, list[float]]:
     """The fit's (k, dim) centroids, and the inertia before each Lloyd step."""
-    if pts.ndim != 2:
-        raise ValueError("points must be (n, dim)")
     n = pts.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")

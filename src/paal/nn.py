@@ -21,10 +21,6 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and guard
 _GRAD_BLOCK = 4
 
 
-class ShapeError(ValueError):
-    """Input shape does not match what a layer expects."""
-
-
 class NumericalError(ArithmeticError):
     """A non-finite value (NaN/Inf) appeared where finite math is required."""
 
@@ -71,11 +67,6 @@ class Layer:
                 f"{type(self).__name__}: backward called without "
                 "a cached forward pass")
         return cache
-
-    def _shape_error(self, got, want: str):
-        raise ShapeError(
-            f"{type(self).__name__}: expected input {want}, "
-            f"got shape {tuple(got)}")
 
 
 class Conv2D(Layer):
@@ -156,8 +147,6 @@ class Conv2D(Layer):
         return cols.reshape(k * k * c, b * span), wp
 
     def forward(self, x, train=False):
-        if x.ndim != 4 or x.shape[1] != self.in_ch:
-            self._shape_error(x.shape, f"(B, {self.in_ch}, H, W)")
         b, _, h, w = x.shape
         weight, bias = self.weight.value, self.bias.value[:, None, None, None]
         out = np.empty((b, self.out_ch, h, w),
@@ -223,8 +212,6 @@ class Dense(Layer):
     """Fully connected layer on (B, in_dim) inputs."""
 
     def __init__(self, in_dim: int, out_dim: int, *, rng: np.random.Generator):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.weight = Param(glorot_uniform((in_dim, out_dim), in_dim, out_dim, rng))
         self.bias = Param(np.zeros(out_dim, dtype=np.float32))
 
@@ -232,8 +219,6 @@ class Dense(Layer):
         return [self.weight, self.bias]
 
     def forward(self, x, train=False):
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            self._shape_error(x.shape, f"(B, {self.in_dim})")
         if train:
             self._cache = x
         return x @ self.weight.value + self.bias.value
@@ -286,8 +271,6 @@ class GlobalAvgPool(Layer):
     """Spatial mean per channel: (B, C, H, W) -> (B, C)."""
 
     def forward(self, x, train=False):
-        if x.ndim != 4:
-            self._shape_error(x.shape, "(B, C, H, W)")
         if train:
             self._cache = x.shape
         return x.mean(axis=(2, 3))

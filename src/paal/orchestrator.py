@@ -31,7 +31,7 @@ from .data import Dataset
 from .metrics import dice_ce_loss, dsc_per_class_batch, mse_loss
 from .models import (ap_forward, build_ap_model, build_seg_model,
                      channel_argmax, normalize_images, seg_forward, softmax)
-from .nn import Network, adamw_step, cosine_lr
+from .nn import Network, NumericalError, adamw_step, cosine_lr
 from .strategies import STRATEGIES, QueryContext, select
 
 _POOL_OUTPUTS = ("probs", "features", "pred_acc", "actual")
@@ -219,9 +219,10 @@ def _pool_inference(seg: Network, ap: Network | None, dataset: Dataset, ids,
     the logits conv, and features are pooled only when wanted. A chunk is
     ``EVAL_PIXELS`` pixels' worth of the u8 images (at least one),
     normalised as it is read, and its outputs go straight into arrays sized
-    for every id, so no output exists twice. Chunking splits only the column
-    axis of each conv's matmul, so every output is bit-identical whatever
-    the chunk size.
+    for every id, so no output exists twice. A non-finite posterior,
+    feature or predicted accuracy in any chunk raises ``NumericalError``.
+    Chunking splits only the column axis of each conv's matmul, so every
+    output is bit-identical whatever the chunk size.
     """
     names = [name for name in _POOL_OUTPUTS if name in wanted]
     need_probs = bool(set(names) - {"features"})  # the rest read the posteriors
@@ -235,6 +236,8 @@ def _pool_inference(seg: Network, ap: Network | None, dataset: Dataset, ids,
         out = {"probs": probs, "features": feats}
         if "pred_acc" in names:
             out["pred_acc"] = ap_forward(ap, x, probs)
+        if not all(np.isfinite(v).all() for v in out.values() if v is not None):
+            raise NumericalError("non-finite model output")
         if "actual" in names:  # the labels; scored in one call below
             out["actual"] = channel_argmax(probs)
         for name in names:

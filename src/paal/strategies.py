@@ -92,11 +92,7 @@ def weighted_polling(assignments: np.ndarray, weights: np.ndarray,
     Round r takes the r-th heaviest member of every cluster that has one,
     visiting clusters in order of descending maximum member weight.
     """
-    ids = np.asarray(ids, dtype=np.int64)
     n = len(ids)
-    weights = np.asarray(weights, dtype=np.float64)
-    assignments = np.asarray(assignments)
-
     # each cluster's members, heaviest first; rank = place within the cluster
     order = np.lexsort((ids, -weights, assignments))
     clusters = assignments[order]
@@ -112,9 +108,8 @@ def weighted_polling(assignments: np.ndarray, weights: np.ndarray,
 def coreset_select(labeled_features: np.ndarray, unlabeled_features: np.ndarray,
                    ids: np.ndarray, b: int) -> np.ndarray:
     """Greedy k-center: positions of the points farthest from everything chosen."""
-    ids = np.asarray(ids, dtype=np.int64)
     feats = np.asarray(unlabeled_features, dtype=np.float64)
-    refs = np.asarray(labeled_features, dtype=np.float64).reshape(-1, feats.shape[1])
+    refs = np.asarray(labeled_features, dtype=np.float64)
     if not refs.shape[0]:  # nothing labeled yet: anchor on the pool centroid
         refs = feats.mean(axis=0, keepdims=True)
     # roots, not squares: two squares can share a root, a tie the lower id wins

@@ -278,19 +278,22 @@ def test_a_bad_command_line_number_exits_2(tmp_path, capsys, args):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("max_epochs", [2, 6])
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_a_numerical_failure_exits_4_without_traceback(tmp_path, data_file, jobs):
+def test_a_numerical_failure_exits_4_without_traceback(tmp_path, data_file, jobs,
+                                                       max_epochs):
     # lr0 = 1e30 is finite, so the config takes it, and the first step at
-    # it blows the weights up; numpy's overflow warnings, each with its
-    # source line, come first on stderr
+    # it blows the weights up, which the evaluation after that epoch finds,
+    # even when it is the run's last; numpy's overflow warnings, each with
+    # its source line, come first on stderr
     config = tmp_path / "huge_lr.cfg"
     config.write_text(f"dataset = {data_file}\nstrategies = random,paal_full\n"
-                      + CAMPAIGN + "max_epochs = 6\nlr0 = 1e30\n")
+                      + CAMPAIGN + f"max_epochs = {max_epochs}\nlr0 = 1e30\n")
     out = tmp_path / "out"
     proc = python(["-m", "paal", "run", "--config", str(config), "--out",
                    str(out), "--jobs", str(jobs)])
     assert proc.returncode == EXIT_NUMERICAL, proc.stderr
-    assert proc.stderr.endswith("numerical failure: non-finite segmentation loss\n")
+    assert proc.stderr.endswith("numerical failure: non-finite model output\n")
     assert "Traceback" not in proc.stderr
     assert not glob.glob(str(out / "cells" / "*" / "results.csv"))
 

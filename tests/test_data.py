@@ -214,6 +214,4 @@ class TestFolds:
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError, match="occurrence"):
-        ClassSpec(0.0)
     assert len(default_profile()) == 3

@@ -6,7 +6,9 @@ or by the benchmark's tracer, and every parameter default is overridden with
 another value by some call in the package or the benchmark driver (tests
 do not count, so a default only a test sets is flagged; the allow-list
 names the exceptions and why). ``experiment.py`` opens a file for writing,
-and calls ``os.replace``, only inside its one atomic writer.
+and calls ``os.replace``, only inside its one atomic writer. Every error
+class the package defines is caught by name in ``cli.main``, so it ends
+with an exit code, not a traceback.
 
 No linter ships with the toolchain, so these are the unused-import and
 dead-code checks.
@@ -228,6 +230,28 @@ def writes_outside(source: str, writer: str) -> list[str]:
     return flagged
 
 
+def _name(node: ast.expr) -> str | None:
+    """``X`` for ``X`` or ``module.X``."""
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def uncaught_errors(sources: dict[str, str], cli: str) -> list[str]:
+    """Classes of ``sources`` with an ``*Error`` base that no ``except`` in
+    the ``main`` function of ``cli`` names."""
+    caught = set()
+    for fn in ast.walk(ast.parse(cli)):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "main":
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    kinds = getattr(node.type, "elts", [node.type])
+                    caught |= {_name(kind) for kind in kinds}
+    return [f"{module}: {node.name}" for module, source in sources.items()
+            for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef)
+            and any((_name(base) or "").endswith("Error") for base in node.bases)
+            and node.name not in caught]
+
+
 def test_guard_flags_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import numpy as np\n"
@@ -318,6 +342,22 @@ def test_guard_flags_a_write_outside_the_writer():
         "line 9: open", "line 10: open", "line 11: os.replace"]
 
 
+def test_guard_flags_an_uncaught_error():
+    sources = {
+        "nn.py": ("class ShapeError(ValueError):\n    pass\n"
+                  "class NumericalError(ArithmeticError):\n    pass\n"
+                  "class Layer:\n    pass\n"),
+        "data.py": "class DatasetFormatError(errors.BaseError):\n    pass\n",
+    }
+    cli = ("def run():\n    try:\n        pass\n"
+           "    except ShapeError:\n        pass\n"
+           "def main():\n    try:\n        pass\n"
+           "    except (data_mod.DatasetFormatError, OSError):\n        pass\n"
+           "    except NumericalError as exc:\n        pass\n"
+           "    except:\n        pass\n")
+    assert uncaught_errors(sources, cli) == ["nn.py: ShapeError"]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -348,3 +388,8 @@ def test_no_single_value_parameters():
 def test_experiment_writes_only_through_its_atomic_writer():
     source = (PACKAGE / "experiment.py").read_text(encoding="utf-8")
     assert writes_outside(source, "_replacing") == []
+
+
+def test_every_package_error_reaches_an_exit_code():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert uncaught_errors(sources, sources["cli.py"]) == []

@@ -12,7 +12,7 @@ import pytest
 from paal import nn
 from paal.models import build_ap_model, build_seg_model, softmax
 from paal.nn import (Conv2D, Dense, GlobalAvgPool, Network, NumericalError,
-                     Param, ReLU, ShapeError, Sigmoid, adamw_step, cosine_lr)
+                     Param, ReLU, Sigmoid, adamw_step, cosine_lr)
 
 
 def astype(net: Network, dtype) -> Network:
@@ -500,12 +500,6 @@ def test_a_narrowing_conv_forward_builds_no_whole_batch_patch_matrix():
     whole_batch_cols = 144 * 16 * 32 * 34 * 4
     assert peak < whole_batch_cols / 4
     assert peak >= out.nbytes + whole_batch_cols / 16  # one image's
-
-
-def test_forward_shape_error_names_layer():
-    net = Network([Conv2D(2, 3, rng=np.random.default_rng(0))])
-    with pytest.raises(ShapeError, match="Conv2D"):
-        net.forward(np.zeros((1, 5, 4, 4), dtype=np.float32))
 
 
 def test_backward_without_forward_raises():

@@ -12,7 +12,7 @@ from paal import orchestrator
 from paal.data import Dataset, generate, split_folds
 from paal.metrics import UNCERTAINTY_KINDS
 from paal.models import build_ap_model, build_seg_model
-from paal.nn import Conv2D
+from paal.nn import Conv2D, NumericalError
 from paal.orchestrator import (_POOL_OUTPUTS, Cell, TrainConfig,
                                _pool_inference, evaluate, init_pool,
                                query_step, run_active_learning)
@@ -228,6 +228,19 @@ def test_actual_dsc_is_one_call_on_the_argmax_labels(dataset, inference_inputs,
     want = real_dsc(out["probs"].argmax(axis=1), dataset.masks[ids],
                     dataset.num_fg)
     assert out["actual"].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("wanted,net", [("actual", "seg"), ("features", "seg"),
+                                        ("pred_acc", "ap")])
+def test_a_non_finite_model_output_raises(dataset, wanted, net):
+    # one NaN weight in the first conv of the net the output reads last:
+    # the AP case keeps the posteriors finite, so only pred_acc can trip
+    nets = {"seg": build_seg_model(dataset.num_fg + 1, seed=1),
+            "ap": build_ap_model(dataset.num_fg + 1, seed=2)}
+    nets[net].layers[0].weight.value[0, 0] = np.nan
+    with pytest.raises(NumericalError, match="non-finite model output"):
+        _pool_inference(nets["seg"], nets["ap"], dataset, np.arange(3, 40),
+                        (wanted,))
 
 
 @given(st.integers(5, 200), st.sampled_from([50, 100, 250]), st.data(),
