@@ -42,6 +42,7 @@ import numpy as np
 
 from . import data as data_mod
 from .metrics import pearson_r
+from .nn import NumericalError
 from .orchestrator import (CALIBRATION_COLUMNS, EPOCH_COLUMNS, QUERY_COLUMNS,
                            Cell, TrainConfig, run_active_learning)
 from .strategies import STRATEGIES
@@ -199,9 +200,15 @@ def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
              dataset: data_mod.Dataset, split: tuple[np.ndarray, np.ndarray],
              setting: dict) -> None:
     """Execute one cell on its fold's ``(train_ids, val_ids)``, then write its
-    ``cell.json`` (``setting``) and its fragments."""
+    ``cell.json`` (``setting``) and its fragments. The first overflow,
+    invalid operation or division by zero in the run raises
+    ``NumericalError``; underflow stays silent."""
     cell_dir = os.path.join(out_dir, "cells", cell.run_id)
-    report = run_active_learning(dataset, *split, cell, config.train)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            report = run_active_learning(dataset, *split, cell, config.train)
+    except FloatingPointError as exc:
+        raise NumericalError(str(exc)) from exc
     # each picked sample counts once, under its highest class label
     picked = [row[1] for row in report.queries]  # the sample_id column
     counts = (np.bincount(dataset.masks[picked].max(axis=(1, 2)),

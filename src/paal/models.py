@@ -10,13 +10,20 @@ the wanted outputs read. The accuracy predictor consumes the input image
 concatenated with the segmentation probabilities and regresses one value
 in [0, 1] per foreground class. The two networks share no parameters, so
 training one can never move the other.
+
+Training runs each net's ``forward``. Inference (:func:`seg_forward`,
+:func:`ap_forward`) chains the convs on zero-padded channel-first buffers
+(see ``nn.Conv2D``): each conv writes the next one's padded input, and a
+contiguous array is made only where a reduction or the caller reads one.
+Its outputs are bit-identical to the layer-by-layer ``forward``'s.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .nn import Conv2D, Dense, GlobalAvgPool, Network, ReLU, Sigmoid
+from .nn import (Conv2D, Dense, GlobalAvgPool, Network, ReLU, Sigmoid, pad,
+                 unpad)
 
 FEATURE_DIM = 16
 
@@ -75,6 +82,16 @@ def channel_argmax(probs: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _chain(layers: list, buf: np.ndarray, b: int, h: int, w: int) -> np.ndarray:
+    """Run conv and ReLU layers on padded buffers (see ``nn.Conv2D``): each
+    conv writes the next one's padded input, and each ReLU rectifies the
+    whole buffer in place, its zero padding staying zero."""
+    for layer in layers:
+        buf = (layer.forward_padded(buf, b, h, w) if isinstance(layer, Conv2D)
+               else layer.forward(buf))
+    return buf
+
+
 def seg_forward(seg: Network, images: np.ndarray, *, probs: bool = True,
                 features: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Per-pixel class probabilities and the pooled 16-dim feature embedding.
@@ -85,19 +102,27 @@ def seg_forward(seg: Network, images: np.ndarray, *, probs: bool = True,
     same images.
     """
     *trunk, head = seg.layers
-    x = images
-    for layer in trunk:
-        x = layer.forward(x)
-    pooled = x.mean(axis=(2, 3)) if features else None
+    b, _, h, w = images.shape
+    p = head.kernel // 2  # the nets' convs share one kernel size
+    buf = _chain(trunk, pad([images], p), b, h, w)
+    pooled = unpad(buf, b, h, w, p).mean(axis=(2, 3)) if features else None
     if not probs:
         return None, pooled
-    return softmax(head.forward(x)), pooled
+    return softmax(unpad(head.forward_padded(buf, b, h, w), b, h, w, p)), pooled
 
 
 def ap_forward(ap: Network, images: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Predicted per-foreground-class accuracy in [0, 1].
 
     ``probs`` is consumed as a constant: no gradient path back into the
-    segmentation model exists.
+    segmentation model exists. Bit-identical to ``ap.forward`` on the two
+    concatenated along channels, which is never built: both are padded
+    straight into the conv's input buffer.
     """
-    return ap.forward(np.concatenate([images, probs], axis=1))
+    b, _, h, w = images.shape
+    trunk, tail = ap.layers[:2], ap.layers[2:]  # conv, ReLU | pool, dense, sigmoid
+    p = trunk[0].kernel // 2
+    x = unpad(_chain(trunk, pad([images, probs], p), b, h, w), b, h, w, p)
+    for layer in tail:
+        x = layer.forward(x)
+    return x

@@ -72,34 +72,41 @@ class Layer:
 class Conv2D(Layer):
     """Same-padded stride-1 correlation, implemented as im2col + matmul.
 
-    Forward builds the patch matrix for the whole batch, except in a conv
-    with fewer output than input channels (the seg net's logits head),
-    which builds it one image at a time. Such a matmul does few
-    multiply-adds per patch-matrix element it reads, so a whole-batch
-    matrix far larger than L2 makes it slower (16->4 at 16 images, 32x32:
-    2.7 ms whole, 1.3 ms per image), while wider convs lose with any
-    block smaller than the batch. Either way each product goes straight
-    into the output, with no temporary for the bias or the layout. Only
-    the matmul's column axis is split, which changes no output bit under
-    OpenBLAS's SkylakeX kernel, as pool chunking relies on too; its
-    Haswell kernel changes last bits at some shapes.
+    Forward works on a zero-padded channel-first buffer (:func:`pad`),
+    (C, B*(H+p)*Wp + 2*top) with p = k//2, Wp = W + 2p and top = p*(Wp+1):
+    pixel (c, i, y, x) sits at column top + (i*(H+p) + y)*Wp + x, so each
+    row ends in 2p zero lanes and images share p zero rows. Output column
+    j reads tap (dy, dx) at input column j + dy*Wp + dx, so each tap's
+    patch-matrix rows are one contiguous slice of the buffer.
+    :meth:`forward_padded` writes its matmul straight into the output's
+    buffer, adds the bias and zeroes the padding again, so the next conv
+    reads it as is; :meth:`forward` is that kernel between one ``pad`` and
+    one copy into a contiguous (B, O, H, W) output. A narrowing conv (the
+    seg net's logits head) builds its patch matrix one image at a time:
+    its matmul does few multiply-adds per element read, so a whole-batch
+    matrix far larger than L2 is slower (16->4 at 16 images, 32x32: 2.7 ms
+    whole, 1.3 ms per image), while wider convs lose with any block
+    smaller than the batch. Each valid column is the same dot product, in
+    the same order, with the same bias add, as in a patch matrix without
+    shared rows; only the matmul's column count changes, which changes no
+    output bit under OpenBLAS's SkylakeX kernel, as pool chunking relies
+    on too. Its Haswell kernel changes last bits at some shapes.
 
     Training caches the input, not its patch matrix, which is k*k times as
     large. Backward rebuilds the patch matrix for the weight gradient,
-    padding ``_GRAD_BLOCK`` images at a time into one reused buffer
-    (forward pads its whole step at once: a blocked pad costs it time),
-    and frees it before the input gradient. That gradient is built one tap
-    at a time, ``_GRAD_BLOCK`` images at once. Each (channel, image) plane
-    of a tap's product and of the padded accumulator lies (H+p)*Wp after
-    the one before, sharing p padding rows, so each tap's scatter is one
-    contiguous add. The bits are those of one (k*k*C, B*H*Wp) product
-    scattered into separate planes: each valid column is the same O-term
-    dot product; each extra term landing on a valid position comes from a
-    zero gradient row or lane, so it is +-0 and changes no bit of an
-    accumulator that starts at +0; and each position adds its taps in tap
-    order. The weight gradient sums over the pixel axis, so it keeps the
-    (O, B*H*Wp) layout. The weight is kept as the (k*k*C, O) matrix the
-    matmuls read, rows in the patch matrix's (tap, channel) order.
+    padding ``_GRAD_BLOCK`` images at a time into one reused buffer, and
+    frees it before the input gradient. That gradient is built one tap at
+    a time, ``_GRAD_BLOCK`` images at once, in forward's layout with the
+    channel planes stacked too, so each tap's scatter is one contiguous
+    add. The bits are those of one (k*k*C, B*H*Wp) product scattered into
+    separate planes: each valid column is the same O-term dot product;
+    each extra term landing on a valid position comes from a zero gradient
+    row or lane, so it is +-0 and changes no bit of an accumulator that
+    starts at +0; and each position adds its taps in tap order. The weight
+    gradient sums over the pixel axis, whose order sets its bits, so it
+    keeps :meth:`_im2col`'s (O, B*H*Wp) layout. The weight is kept as the
+    (k*k*C, O) matrix the matmuls read, rows in the patch matrix's (tap,
+    channel) order.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int = 3, *,
@@ -148,19 +155,47 @@ class Conv2D(Layer):
 
     def forward(self, x, train=False):
         b, _, h, w = x.shape
-        weight, bias = self.weight.value, self.bias.value[:, None, None, None]
+        p = self.kernel // 2
+        # allocated before the kernel's buffers, so freeing them leaves one
+        # hole for backward's patch matrix; allocated after, it split that
+        # hole, and query_heavy's peak RSS rose 1.3 MB on some heap layouts
         out = np.empty((b, self.out_ch, h, w),
-                       dtype=np.result_type(x, weight, bias))
-        # a narrowing conv goes one image at a time (see the class docstring)
-        step = 1 if self.out_ch < self.in_ch else max(b, 1)
-        for lo in range(0, b, step):
-            cols, wp = self._im2col(x[lo:lo + step], step)
-            wide = (weight.T @ cols).reshape(self.out_ch, -1, h, wp)
-            np.add(wide[:, :, :, :w], bias,
-                   out=out[lo:lo + step].transpose(1, 0, 2, 3))
+                       dtype=np.result_type(x, self.weight.value, self.bias.value))
+        out.transpose(1, 0, 2, 3)[...] = _interior(
+            self.forward_padded(pad([x], p), b, h, w), b, h, w, p)
         if train:
             self._cache = x
         return out
+
+    def forward_padded(self, xp: np.ndarray, b: int, h: int,
+                       w: int) -> np.ndarray:
+        """The padded (O, ...) buffer of this conv's output on B HxW images,
+        from its input's padded (C, ...) buffer (see the class docstring)."""
+        k, c = self.kernel, self.in_ch
+        p = k // 2
+        wp = w + 2 * p
+        top = p * (wp + 1)
+        span = (h + p) * wp  # one image's columns
+        n = b * span
+        weight, bias = self.weight.value, self.bias.value
+        outp = np.empty((self.out_ch, n + 2 * top),
+                        dtype=np.result_type(xp, weight, bias))
+        # a narrowing conv goes one image at a time (see the class docstring)
+        step = span * (1 if self.out_ch < c else max(b, 1))
+        cols = np.empty((k * k * c, step), dtype=xp.dtype)
+        for lo in range(0, n, step):
+            for tap in range(k * k):
+                off = lo + (tap // k) * wp + tap % k
+                cols[tap * c:(tap + 1) * c] = xp[:, off:off + step]
+            np.matmul(weight.T, cols, out=outp[:, top + lo:top + lo + step])
+        del cols
+        outp[:, top:top + n] += bias[:, None]
+        outp[:, :top] = 0
+        outp[:, top + n:] = 0
+        grid = outp[:, top:top + n].reshape(self.out_ch, b, h + p, wp)
+        grid[:, :, h:] = 0
+        grid[:, :, :h, w:] = 0
+        return outp
 
     def backward(self, grad_out, input_grad=True):
         """As :meth:`Layer.backward`, but ``input_grad=False`` returns None
@@ -197,6 +232,34 @@ class Conv2D(Layer):
             gx[lo:lo + m] = acc[top:top + n].reshape(c, m, h + p, wp)[
                 :, :, :h, :w].transpose(1, 0, 2, 3)
         return gx
+
+
+def pad(parts: list[np.ndarray], p: int) -> np.ndarray:
+    """The (B, C_i, H, W) arrays, stacked along channels, as one buffer
+    zero-padded by ``p`` in :class:`Conv2D`'s channel-first layout."""
+    b, _, h, w = parts[0].shape
+    wp = w + 2 * p
+    channels = sum(x.shape[1] for x in parts)
+    buf = np.zeros((channels, b * (h + p) * wp + 2 * p * (wp + 1)),
+                   dtype=np.result_type(*parts))
+    inner, lo = _interior(buf, b, h, w, p), 0
+    for x in parts:
+        inner[lo:lo + x.shape[1]] = x.transpose(1, 0, 2, 3)
+        lo += x.shape[1]
+    return buf
+
+
+def _interior(buf: np.ndarray, b: int, h: int, w: int, p: int) -> np.ndarray:
+    """The (C, B, H, W) pixels of a padded buffer, as a view."""
+    wp = w + 2 * p
+    top = p * (wp + 1)
+    return buf[:, top:top + b * (h + p) * wp].reshape(
+        len(buf), b, h + p, wp)[:, :, :h, :w]
+
+
+def unpad(buf: np.ndarray, b: int, h: int, w: int, p: int) -> np.ndarray:
+    """A padded buffer's pixels as a contiguous (B, C, H, W) array."""
+    return np.ascontiguousarray(_interior(buf, b, h, w, p).transpose(1, 0, 2, 3))
 
 
 def _widen(grad_out: np.ndarray, rows: int, wp: int) -> np.ndarray:

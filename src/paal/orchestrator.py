@@ -36,12 +36,11 @@ from .strategies import STRATEGIES, QueryContext, select
 
 _POOL_OUTPUTS = ("probs", "features", "pred_acc", "actual")
 
-# pixels per forward pass when nothing trains: seg+AP inference cost per
-# pixel was lowest near 8K pixels per chunk at 16x16, 32x32 and 64x64 alike.
-# With the per-image logits conv, a 452-image 32x32 pool pass (posteriors
-# and features; medians of 3 runs of 15-25 interleaved repeats, 2-core
-# Xeon) took 124-136 ms at 4K pixels, 108-127 ms at 8K and 111-134 ms at
-# 16K, with tracemalloc peaks of 9.5, 11.5 and 15.5 MB
+# pixels per forward pass when nothing trains. With the convs chained on
+# padded buffers, a 452-image 32x32 pool pass (posteriors and features;
+# medians of 3 runs of 20 interleaved repeats, heap pinned, 2-core Xeon)
+# took 91 ms at 4K pixels, 84 ms at 8K and 78 ms at 16K, with tracemalloc
+# peaks of 9.2, 11.1 and 14.7 MB; at 16K the query-step memory tests fail
 EVAL_PIXELS = 8192
 
 

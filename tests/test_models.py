@@ -38,7 +38,13 @@ def test_identical_images_give_identical_features(images):
     assert not np.array_equal(features[0], features[2])
 
 
-def test_features_are_pooled_tap_activations(images):
+@pytest.mark.parametrize("h,w", [(16, 16), (32, 32), (12, 20)])
+@pytest.mark.parametrize("b", [1, 3, 8])
+def test_features_are_pooled_tap_activations(b, h, w):
+    # inference chains the convs on padded buffers and never builds these
+    # activations, so this pins it to the layer-by-layer path
+    images = np.random.default_rng([0, b, h, w]).uniform(
+        size=(b, 1, h, w)).astype(np.float32)
     seg = build_seg_model(4, seed=3)
     assert [type(layer) for layer in seg.layers] == [Conv2D, ReLU, Conv2D,
                                                      ReLU, Conv2D]
@@ -46,8 +52,12 @@ def test_features_are_pooled_tap_activations(images):
     assert head.in_ch == FEATURE_DIM
     acts = Network(trunk).forward(images)
     probs, features = seg_forward(seg, images)
-    np.testing.assert_array_equal(features, acts.mean(axis=(2, 3)))
-    np.testing.assert_array_equal(probs, softmax(seg.forward(images)))
+    assert features.tobytes() == acts.mean(axis=(2, 3)).tobytes()
+    assert probs.tobytes() == softmax(seg.forward(images)).tobytes()
+
+    ap = build_ap_model(4, seed=4)
+    want = ap.forward(np.concatenate([images, probs], axis=1))
+    assert ap_forward(ap, images, probs).tobytes() == want.tobytes()
 
 
 def test_ap_forward_range_and_shape(images):

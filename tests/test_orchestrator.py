@@ -187,18 +187,19 @@ def test_features_alone_skip_the_logits_conv(dataset, inference_inputs,
     num_fg = dataset.num_fg
     ids = np.arange(40)
     conv_out_ch, chunks = [], []
-    real_conv_forward = Conv2D.forward
+    real_conv_kernel = Conv2D.forward_padded
     real_seg_forward = orchestrator.seg_forward
 
-    def counting_conv_forward(layer, x, train=False):
+    def counting_conv_kernel(layer, xp, b, h, w):
+        # inference runs every conv through the padded kernel alone
         conv_out_ch.append(layer.out_ch)
-        return real_conv_forward(layer, x, train)
+        return real_conv_kernel(layer, xp, b, h, w)
 
     def counting_seg_forward(seg, images, *args, **kwargs):
         chunks.append(len(images))
         return real_seg_forward(seg, images, *args, **kwargs)
 
-    monkeypatch.setattr(Conv2D, "forward", counting_conv_forward)
+    monkeypatch.setattr(Conv2D, "forward_padded", counting_conv_kernel)
     monkeypatch.setattr(orchestrator, "seg_forward", counting_seg_forward)
     monkeypatch.setattr(orchestrator, "EVAL_PIXELS", 12 * dataset.images[0].size)
     lazy = _pool_inference(seg, ap, dataset, ids, ("features",))["features"]

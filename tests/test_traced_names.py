@@ -7,7 +7,8 @@ patch reaches only the calls that look the name up when they run, so
 ``strategies`` may only call its traced names directly, from no more sites
 than the benchmark's per-layer figures were measured with. The tracer
 also reads ``QueryContext`` fields and keys conv metrics by the nets'
-conv shapes, so those names and shapes are pinned here too.
+conv shapes, so those names and shapes are pinned here too, and a
+training batch must still reach the traced conv entry points.
 """
 
 import ast
@@ -17,8 +18,12 @@ import functools
 import importlib.util
 import pathlib
 
+import numpy as np
+
 import paal
 import paal.cli  # noqa: F401  (loads every module the tracer patches)
+from paal import orchestrator
+from paal.data import generate
 from paal.models import build_ap_model, build_seg_model
 from paal.nn import Conv2D
 from paal.strategies import QueryContext
@@ -87,3 +92,29 @@ def test_the_nets_conv_shapes_are_the_traced_ones():
     shapes = tuple((layer.in_ch, layer.out_ch) for net in nets
                    for layer in net.layers if isinstance(layer, Conv2D))
     assert shapes == tracing().CONV_SHAPES
+
+
+def test_a_training_batch_runs_each_conv_through_the_traced_entry_points():
+    # inference chains its convs on padded buffers past Conv2D.forward, so
+    # training alone feeds the traced per-layer conv figures: one forward
+    # and one backward per conv of each net, each keyed by a (B, C, H, W)
+    # input as the tracer reads it
+    trace = tracing()
+    batch = trace.TRAIN_BATCH
+    data = generate(3, batch, 16, 16)
+    cfg = orchestrator.TrainConfig(batch_size=batch, silent_period=0)
+    seg, ap = build_seg_model(4, seed=0), build_ap_model(4, seed=0)
+    tracer = trace.Tracer()
+    tracer.install(paal)
+    try:
+        orchestrator.train_epoch(seg, ap, data, np.arange(batch), 0, cfg,
+                                 np.random.default_rng(0))
+    finally:
+        tracer.uninstall()
+    want = sorted((cin, cout, 3, batch, 16, 16) for cin, cout in trace.CONV_SHAPES)
+    for name in ("nn.conv_fwd", "nn.conv_bwd"):
+        assert sorted(s[4] for s in tracer.spans if s[0] == name) == want
+    metrics = trace.layer_metrics(tracer.spans)
+    for cin, cout in trace.CONV_SHAPES:
+        for kind in ("fwd", "bwd"):
+            assert metrics[f"nn.conv_{kind}_ms.{cin}-{cout}.b{batch}"] > 0
