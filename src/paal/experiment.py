@@ -198,15 +198,17 @@ def _is_done(cell_dir: str, setting: dict) -> bool:
 
 def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
              dataset: data_mod.Dataset, split: tuple[np.ndarray, np.ndarray],
-             setting: dict) -> None:
-    """Execute one cell on its fold's ``(train_ids, val_ids)``, then write its
-    ``cell.json`` (``setting``) and its fragments. The first overflow,
-    invalid operation or division by zero in the run raises
-    ``NumericalError``; underflow stays silent."""
+             setting: dict, threads: int = 1) -> None:
+    """Execute one cell on its fold's ``(train_ids, val_ids)``, its inference
+    on ``threads`` threads, then write its ``cell.json`` (``setting``) and
+    its fragments. The first overflow, invalid operation or division by
+    zero in the run, on any of its threads, raises ``NumericalError``;
+    underflow stays silent."""
     cell_dir = os.path.join(out_dir, "cells", cell.run_id)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            report = run_active_learning(dataset, *split, cell, config.train)
+            report = run_active_learning(dataset, *split, cell, config.train,
+                                         threads)
     except FloatingPointError as exc:
         raise NumericalError(str(exc)) from exc
     # each picked sample counts once, under its highest class label
@@ -237,12 +239,15 @@ _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
 
 
 def _one_blas_thread() -> None:
-    """Process-pool initializer: run this worker's OpenBLAS on one thread.
+    """Run this process's OpenBLAS on one thread.
 
-    A forked worker inherits the parent's BLAS thread count, so ``--jobs``
-    workers would share the cores with each other's BLAS threads. The
-    parent keeps its threads. Does nothing where numpy bundles no OpenBLAS
-    exporting either setter.
+    Every process that runs cells calls it: each ``--jobs`` worker, as the
+    process pool's initializer, or the campaign's own process when it runs
+    the cells itself. A second BLAS thread spins on a core that a sibling
+    worker or the cell's inference threads would use, and at the nets'
+    shapes it buys training a few percent at most. A parent that hands its
+    cells to workers keeps its threads. Does nothing where numpy bundles no
+    OpenBLAS exporting either setter.
     """
     for path in sorted(glob.glob(_OPENBLAS_LIBS)):
         lib = ctypes.CDLL(path)
@@ -276,15 +281,20 @@ def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[
             runs.append((config, cell, out_dir, dataset, split, setting))
     # a fork pool starts every worker on the first submit: start no idle
     # ones. concurrent.futures loads the pool, and with it multiprocessing,
-    # on first lookup, so a one-job run never loads either
+    # on first lookup, so a one-job run never loads either. Each worker's
+    # inference threads get an equal share of the cores this process may use
     workers = min(jobs, len(runs))
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    threads = max(1, cores // max(workers, 1))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_one_blas_thread) as pool:
-            list(pool.map(run_cell, *zip(*runs)))
-    else:
+            list(pool.map(run_cell, *zip(*runs), [threads] * len(runs)))
+    elif runs:  # one worker: this process runs the cells
+        _one_blas_thread()
         for args in runs:
-            run_cell(*args)
+            run_cell(*args, threads)
 
     for name, header in _headers(dataset.num_fg).items():
         with _replacing(os.path.join(out_dir, name)) as fh:

@@ -9,9 +9,12 @@ split, and then decides whether to query: strategies whose table entry sets
 The pool is one labeled flag per sorted train id; a query flags ids whose
 ground-truth masks stand in for an annotator's labels. Inference
 over the validation split, the pool or the labeled set runs in chunks of
-``EVAL_PIXELS`` pixels and only through the layers its outputs read; no
-output depends on the chunk size. Everything is deterministic given the
-run's ``Cell``, whose seed and fold seed every random draw.
+``EVAL_PIXELS`` pixels each and only through the layers its outputs read;
+a run given ``threads`` keeps up to that many chunks in flight at once,
+the calling thread's and one per helper thread. No output depends on the
+chunk size or the thread count. Training runs on the calling thread
+alone. Everything is deterministic given the run's ``Cell``, whose seed
+and fold seed every random draw.
 
 A run returns its CSV rows (``RunReport``): per epoch, per queried sample,
 and the predictor's calibration on the final pool, each in the column order
@@ -20,7 +23,9 @@ named beside it; the campaign puts the cell's own columns in front.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,11 +41,13 @@ from .strategies import STRATEGIES, QueryContext, select
 
 _POOL_OUTPUTS = ("probs", "features", "pred_acc", "actual")
 
-# pixels per forward pass when nothing trains. With the convs chained on
-# padded buffers, a 452-image 32x32 pool pass (posteriors and features;
-# medians of 3 runs of 20 interleaved repeats, heap pinned, 2-core Xeon)
-# took 91 ms at 4K pixels, 84 ms at 8K and 78 ms at 16K, with tracemalloc
-# peaks of 9.2, 11.1 and 14.7 MB; at 16K the query-step memory tests fail
+# pixels per chunk of a forward pass when nothing trains; with n threads
+# up to n chunks are in flight, each with its own forward buffers. With the
+# convs chained on padded buffers, a 452-image 32x32 pool pass on one
+# thread (posteriors and features; medians of 3 runs of 20 interleaved
+# repeats, heap pinned, 2-core Xeon) took 91 ms at 4K pixels, 84 ms at 8K
+# and 78 ms at 16K, with tracemalloc peaks of 9.2, 11.1 and 14.7 MB; at 16K
+# the query-step memory tests fail
 EVAL_PIXELS = 8192
 
 
@@ -198,15 +205,61 @@ def train_epoch(seg: Network, ap: Network, dataset: Dataset,
     return seg_total / count, (ap_total / count) if train_ap else None
 
 
-def evaluate(seg: Network, dataset: Dataset,
-             val_ids: np.ndarray) -> tuple[float, np.ndarray]:
+def evaluate(seg: Network, dataset: Dataset, val_ids: np.ndarray,
+             threads: int = 1) -> tuple[float, np.ndarray]:
     """Mean foreground DSC on the validation set (classes averaged, then samples)."""
-    dsc = _pool_inference(seg, None, dataset, val_ids, ("actual",))["actual"]
+    dsc = _pool_inference(seg, None, dataset, val_ids, ("actual",),
+                          threads)["actual"]
     return float(dsc.mean(axis=1).mean()), dsc.mean(axis=0)
 
 
+def _in_threads(work, items, threads: int) -> None:
+    """Call ``work(item)`` for every item of a sequence, on the calling
+    thread and up to ``threads - 1`` helper threads, which all take the
+    next item in order.
+
+    The caller works too: each thread that allocates gets its own glibc
+    arena, and a pool of two threads beside an idle caller raised
+    ``query_heavy``'s peak RSS by 13% where one helper raised it by 6%.
+    Each helper runs in its own copy of the caller's context, so the
+    caller's ``np.errstate`` (a context variable) holds in it. Once an item
+    fails no further item starts, so every item before it has run; the
+    earliest failed item's error is raised, the one a serial loop would
+    raise. The helpers are joined before this returns or raises.
+    """
+    lock = threading.Lock()
+    todo = enumerate(items)
+    errors: dict[int, BaseException] = {}
+
+    def drain():
+        while True:
+            with lock:  # no item starts after a failure
+                i, item = (None, None) if errors else next(todo, (None, None))
+            if i is None:
+                return
+            try:
+                work(item)
+            except BaseException as exc:  # raised by the caller below
+                with lock:
+                    errors[i] = exc
+                return
+
+    started = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(drain,))
+               for _ in range(min(threads, len(items)) - 1)]
+    for thread in started:
+        thread.start()
+    try:
+        drain()
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+
+
 def _pool_inference(seg: Network, ap: Network | None, dataset: Dataset, ids,
-                    wanted) -> dict[str, np.ndarray]:
+                    wanted, threads: int = 1) -> dict[str, np.ndarray]:
     """Model outputs over a set of ids, in chunks (never trains anything).
 
     Returns one (len(ids), ...) array for each name in ``wanted`` that is
@@ -218,16 +271,19 @@ def _pool_inference(seg: Network, ap: Network | None, dataset: Dataset, ids,
     the logits conv, and features are pooled only when wanted. A chunk is
     ``EVAL_PIXELS`` pixels' worth of the u8 images (at least one),
     normalised as it is read, and its outputs go straight into arrays sized
-    for every id, so no output exists twice. A non-finite posterior,
-    feature or predicted accuracy in any chunk raises ``NumericalError``.
-    Chunking splits only the column axis of each conv's matmul, so every
-    output is bit-identical whatever the chunk size.
+    for every id, so no output exists twice. The first chunk sizes those
+    arrays; the rest run on ``threads`` threads (see :func:`_in_threads`),
+    each chunk writing only its own rows. A non-finite posterior, feature
+    or predicted accuracy in any chunk raises ``NumericalError``. Chunking
+    splits only the column axis of each conv's matmul, so every output is
+    bit-identical whatever the chunk size and thread count.
     """
     names = [name for name in _POOL_OUTPUTS if name in wanted]
     need_probs = bool(set(names) - {"features"})  # the rest read the posteriors
     outputs: dict[str, np.ndarray] = {}
     step = max(1, EVAL_PIXELS // math.prod(dataset.images.shape[1:]))
-    for lo in range(0, len(ids) if names else 0, step):
+
+    def infer(lo):
         chunk = ids[lo:lo + step]
         x = normalize_images(dataset.images[chunk])
         probs, feats = seg_forward(seg, x, probs=need_probs,
@@ -244,6 +300,11 @@ def _pool_inference(seg: Network, ap: Network | None, dataset: Dataset, ids,
                 outputs[name] = np.empty((len(ids), *out[name].shape[1:]),
                                          dtype=out[name].dtype)
             outputs[name][lo:lo + len(chunk)] = out[name]
+
+    starts = range(0, len(ids) if names else 0, step)
+    if starts:  # the outputs exist before any helper starts
+        infer(starts[0])
+        _in_threads(infer, starts[1:], threads)
     if "actual" in outputs:
         outputs["actual"] = dsc_per_class_batch(outputs["actual"],
                                                 dataset.masks[ids], dataset.num_fg)
@@ -251,21 +312,21 @@ def _pool_inference(seg: Network, ap: Network | None, dataset: Dataset, ids,
 
 
 def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
-               dataset: Dataset, query_seed: int) -> list[list]:
+               dataset: Dataset, query_seed: int, threads: int = 1) -> list[list]:
     """Select, 'annotate' (ground-truth lookup) and absorb one query batch.
 
     Returns one ``QUERY_COLUMNS`` row per picked sample, in id order. Runs
-    the models only for the inputs the strategy's entry declares; the caller
-    ensures ``state.can_query``.
+    the models, on ``threads`` threads, only for the inputs the strategy's
+    entry declares; the caller ensures ``state.can_query``.
     """
     t0 = time.perf_counter()
     pool = state.unlabeled
 
     needs = STRATEGIES[strategy].needs
-    inputs = _pool_inference(seg, ap, dataset, pool, needs)
+    inputs = _pool_inference(seg, ap, dataset, pool, needs, threads)
     if "labeled_features" in needs:
         inputs["labeled_features"] = _pool_inference(
-            seg, ap, dataset, state.labeled, ("features",))["features"]
+            seg, ap, dataset, state.labeled, ("features",), threads)["features"]
 
     ctx = QueryContext(ids=pool, b=state.schedule[state.t - 1],
                        seed=query_seed, **inputs)
@@ -283,10 +344,12 @@ def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
 
 
 def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
-                        val_ids: np.ndarray, cell: Cell, cfg: TrainConfig) -> RunReport:
+                        val_ids: np.ndarray, cell: Cell, cfg: TrainConfig,
+                        threads: int = 1) -> RunReport:
     """Algorithm: train, evaluate, update the trigger, maybe query; repeat.
 
-    The cell names the strategy, budget, iterations, seed and fold.
+    The cell names the strategy, budget, iterations, seed and fold; every
+    inference pass runs on ``threads`` threads, which changes no output.
     Terminates once the budget can no longer be spent *and* validation DSC
     has been stale for ``early_stop`` epochs, or at ``max_epochs``. A query
     restarts that count as it restarts the trigger's: "stale" only counts
@@ -308,7 +371,7 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
         shuffle_rng = np.random.default_rng([cell.seed, cell.fold, 3, epoch])
         seg_loss, ap_loss = train_epoch(seg, ap, dataset, state.labeled, epoch,
                                         cfg, shuffle_rng)
-        val_mean, val_class = evaluate(seg, dataset, val_ids)
+        val_mean, val_class = evaluate(seg, dataset, val_ids, threads)
         stalled = 0 if val_mean > best_val else stalled + 1  # a tie or NaN stalls
         best_val = max(best_val, val_mean)  # max keeps its first argument on a NaN
 
@@ -319,7 +382,8 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
         if trigger and state.can_query:
             report.queries += query_step(
                 state, seg, ap, cell.strategy, dataset,
-                query_seed=_subseed(cell.seed, cell.fold, 4, state.t))
+                query_seed=_subseed(cell.seed, cell.fold, 4, state.t),
+                threads=threads)
             stalled = 0
 
         labeled = np.count_nonzero(state.is_labeled)
@@ -331,7 +395,7 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
 
     if len(state.unlabeled):
         out = _pool_inference(seg, ap, dataset, state.unlabeled,
-                              ("pred_acc", "actual"))
+                              ("pred_acc", "actual"), threads)
         pred, actual = out["pred_acc"], out["actual"]
         report.calibration = [
             [int(sid), j + 1, float(pred[i, j]), float(actual[i, j])]

@@ -181,6 +181,34 @@ def test_jobs_workers_run_one_blas_thread(tmp_path, data_file):
     assert lines[-1] == f"parent {EXIT_OK} True", proc.stderr
 
 
+def test_a_one_job_campaign_runs_its_cells_on_one_blas_thread(tmp_path, data_file):
+    getter = blas_thread_getter()
+    if getter is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
+    config = tmp_path / "two.cfg"
+    config.write_text(f"dataset = {data_file}\nstrategies = random,max_entropy\n"
+                      + CAMPAIGN)
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out"),
+            "--jobs", "1"]
+    # the campaign's own process runs both cells; each reports its BLAS
+    # thread count and the inference threads it was given, every core
+    script = (
+        "import ctypes\nfrom paal import experiment\nfrom paal.cli import main\n"
+        f"path, name = {getter!r}.rsplit(':', 1)\n"
+        "threads = getattr(ctypes.CDLL(path), name)\nrun_cell = experiment.run_cell\n"
+        "def reporting_run_cell(*args):\n"
+        "    print('cell', threads(), args[-1])\n"
+        "    return run_cell(*args)\n"
+        "experiment.run_cell = reporting_run_cell\n"
+        f"print('code', main({argv!r}))\n")
+    proc = python(["-c", script])
+    lines = proc.stdout.splitlines()
+    cores = len(os.sched_getaffinity(0))
+    assert [line for line in lines if line.startswith("cell")] == \
+        [f"cell 1 {cores}"] * 2, proc.stderr
+    assert lines[-1] == f"code {EXIT_OK}", proc.stderr
+
+
 def assert_config_error(code, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG

@@ -1,5 +1,7 @@
 """Query step and run loop: which inputs get computed, and pool bookkeeping."""
 
+import sys
+import threading
 import tracemalloc
 from itertools import combinations
 
@@ -61,9 +63,10 @@ def test_query_step_computes_exactly_the_declared_inputs(strategy, dataset,
     assert len(state.labeled) == before + 4
 
 
-def query_peak(kind: str, n: int) -> int:
+def query_peak(kind: str, n: int, threads: int = 1) -> int:
     """tracemalloc peak of a query step scored by uncertainty ``kind`` on
-    an n-image 32x32 pool (4 classes), above what was live before it."""
+    an n-image 32x32 pool (4 classes) on ``threads`` threads, above what
+    was live before it."""
     rng = np.random.default_rng(73)
     images = rng.integers(0, 256, size=(5 * n // 4, 32, 32), dtype=np.uint8)
     pool = Dataset(images, rng.integers(0, 4, size=images.shape, dtype=np.uint8), 3)
@@ -74,7 +77,7 @@ def query_peak(kind: str, n: int) -> int:
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        query_step(state, seg, ap, kind, pool, query_seed=5)
+        query_step(state, seg, ap, kind, pool, query_seed=5, threads=threads)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -98,6 +101,32 @@ def test_no_uncertainty_kind_copies_the_pool_posteriors(kind):
     # each kind scores a block of samples at a time; a whole-pool margin
     # partition or float64 top-1 map would read 3.0x or 2.0x
     assert query_peak(kind, 400) < 1.7 * posterior_bytes(400)
+
+
+def chunk_peak() -> int:
+    """tracemalloc peak of one default chunk's forward on 32x32 images,
+    posteriors and features, its outputs included."""
+    step = orchestrator.EVAL_PIXELS // (32 * 32)
+    rng = np.random.default_rng(73)
+    images = rng.integers(0, 256, size=(step, 32, 32), dtype=np.uint8)
+    chunk = Dataset(images, np.zeros_like(images), 3)
+    seg, ap = build_seg_model(4, seed=1), build_ap_model(4, seed=2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _pool_inference(seg, ap, chunk, np.arange(step), ("probs", "features"))
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_each_inference_thread_adds_one_chunks_forward(threads):
+    # 400 images: 6.55 MB of posteriors, and each thread keeps one chunk's
+    # forward (3.49 MB) in flight; a thread holding two, or a second copy
+    # of the posteriors, would break the bound
+    bound = posterior_bytes(400) + threads * 1.1 * chunk_peak()
+    assert query_peak("max_entropy", 400, threads) < bound
 
 
 def test_the_initial_count_is_the_ratio_in_decimals():
@@ -156,29 +185,104 @@ OUTPUT_SETS = [s for r in range(len(_POOL_OUTPUTS) + 1)
                for s in combinations(_POOL_OUTPUTS, r)]
 
 
+@pytest.fixture
+def short_switch_interval():
+    """Switch threads every microsecond, so helper threads interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("wanted", OUTPUT_SETS,
                          ids=lambda s: "+".join(s) or "nothing")
 def test_pool_inference_does_not_depend_on_the_chunk_size(
-        wanted, dataset, inference_inputs, monkeypatch):
+        wanted, dataset, inference_inputs, monkeypatch, short_switch_interval):
     seg, ap = inference_inputs
     ids = np.arange(3, 40)  # 37 ids: two default 16x16 chunks, the last short
     pixels = dataset.images[0].size
 
-    def run(eval_pixels):
+    def run(eval_pixels, threads):
         monkeypatch.setattr(orchestrator, "EVAL_PIXELS", eval_pixels)
-        return (_pool_inference(seg, ap, dataset, ids, wanted),
-                evaluate(seg, dataset, ids))
+        return (_pool_inference(seg, ap, dataset, ids, wanted, threads),
+                evaluate(seg, dataset, ids, threads))
 
-    default, default_eval = run(orchestrator.EVAL_PIXELS)
+    default, default_eval = run(orchestrator.EVAL_PIXELS, 1)
     assert sorted(default) == sorted(wanted)
-    for eval_pixels in (pixels, len(ids) * pixels):
-        outputs, evaluated = run(eval_pixels)
-        assert outputs.keys() == default.keys()
-        for name, array in outputs.items():
-            assert array.dtype == default[name].dtype
-            assert array.tobytes() == default[name].tobytes(), name
-        assert evaluated[0] == default_eval[0]
-        assert evaluated[1].tobytes() == default_eval[1].tobytes()
+    # one chunk per id, ten chunks (the last short) or one chunk, each on
+    # one, two or three threads (more than a 2-core box has cores)
+    for eval_pixels in (pixels, 4 * pixels, len(ids) * pixels):
+        for threads in (1, 2, 3):
+            outputs, evaluated = run(eval_pixels, threads)
+            assert outputs.keys() == default.keys()
+            for name, array in outputs.items():
+                assert array.dtype == default[name].dtype
+                assert array.tobytes() == default[name].tobytes(), name
+            assert evaluated[0] == default_eval[0]
+            assert evaluated[1].tobytes() == default_eval[1].tobytes()
+
+
+def numbered(n: int) -> Dataset:
+    """n 16x16 images, every pixel of image i equal to i, so a chunk's
+    first image names its first id."""
+    images = np.broadcast_to(np.arange(n, dtype=np.uint8)[:, None, None],
+                             (n, 16, 16)).copy()
+    return Dataset(images, np.zeros_like(images), 3)
+
+
+def first_id(images: np.ndarray) -> int:
+    return round(float(images[0, 0, 0, 0]) * 255)
+
+
+def test_a_helper_threads_overflow_raises_under_the_callers_errstate(
+        inference_inputs, monkeypatch):
+    # only chunks a helper thread runs overflow, so the caller's
+    # over="raise" reaches the failure only through the helper's copy of
+    # its context; without it numpy would only warn
+    data = numbered(12)
+    caller, helped = threading.get_ident(), threading.Event()
+    real_seg_forward = orchestrator.seg_forward
+
+    def seg_forward(seg, images, **kwargs):
+        if threading.get_ident() != caller:
+            helped.set()
+            np.float32(3e38) * np.float32(10)
+        elif first_id(images) > 0:  # a helper starts a chunk meanwhile
+            assert helped.wait(10)
+        return real_seg_forward(seg, images, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "seg_forward", seg_forward)
+    monkeypatch.setattr(orchestrator, "EVAL_PIXELS", data.images[0].size)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            _pool_inference(*inference_inputs, data, np.arange(12),
+                            ("probs",), 2)
+
+
+def test_of_two_failing_chunks_the_earlier_ones_error_is_raised(
+        inference_inputs, monkeypatch):
+    # chunk 2 fails first, on one thread, while chunk 1 waits for it on
+    # the other: a serial pass would have raised chunk 1's error
+    data = numbered(12)
+    second_failed = threading.Event()
+    real_seg_forward = orchestrator.seg_forward
+
+    def seg_forward(seg, images, **kwargs):
+        chunk = first_id(images)
+        if chunk == 2:
+            second_failed.set()
+            raise ValueError("chunk 2")
+        if chunk == 1:
+            assert second_failed.wait(10)
+            raise ValueError("chunk 1")
+        return real_seg_forward(seg, images, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "seg_forward", seg_forward)
+    monkeypatch.setattr(orchestrator, "EVAL_PIXELS", data.images[0].size)
+    with pytest.raises(ValueError, match="chunk 1"):
+        _pool_inference(*inference_inputs, data, np.arange(12), ("probs",), 2)
 
 
 def test_features_alone_skip_the_logits_conv(dataset, inference_inputs,
@@ -290,6 +394,23 @@ def test_a_nan_val_dsc_counts_as_a_stall(dataset, monkeypatch):
                                  Cell("paal_ap_only", 0.375, 3, seed=0, fold=0),
                                  cfg)
     assert [row[1] for row in report.epochs] == [1, 1, 1, 1, 2, 2, 3, 3]
+
+
+def test_a_run_does_not_depend_on_its_inference_threads(monkeypatch):
+    # eight-image chunks: the pool spans several, so two threads share them
+    monkeypatch.setattr(orchestrator, "EVAL_PIXELS", 8 * 16 * 16)
+    dataset = generate(5, 120, 16, 16)
+    train_ids, val_ids = split_folds(len(dataset), seed=5)[0]
+    cfg = TrainConfig(max_epochs=6, early_stop=6, iq_patience=0, warmup=1,
+                      silent_period=1, lr0=0.03)
+    reports = [run_active_learning(dataset, train_ids, val_ids,
+                                   Cell("paal_full", 0.3, 3, seed=0, fold=0),
+                                   cfg, threads)
+               for threads in (1, 2)]
+    for report in reports:  # query_time_ms, the last column, is a wall time
+        report.queries = [row[:-1] for row in report.queries]
+    assert reports[0].queries and reports[0].calibration
+    assert reports[1] == reports[0]
 
 
 # (strategy, early_stop, iq_patience, lr0) -> epochs run out of max_epochs=40;
