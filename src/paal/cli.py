@@ -86,10 +86,11 @@ def _pin_heap() -> tuple[int, int] | None:
     """Pin glibc's mmap threshold at 32 MiB and its trim threshold at 128 MiB.
 
     Left alone, glibc moves the mmap threshold with the largest block freed
-    so far. The pin buys a lower peak, not speed: the benchmark's
-    ``ref_serial`` peaked at 56.2-56.3 MB pinned and 60.7-60.9 MB unpinned,
-    no slower unpinned, and ``query_heavy`` did not move (3 alternating
-    pairs each, 2-core Xeon). Returns mallopt's results (1 applied, 0
+    so far. The pin buys a lower peak, not speed: ``paal run`` on the
+    benchmark's seed-7 ``ref_serial`` config peaked at 54.0-54.3 MB pinned
+    and 58.9-59.0 MB unpinned, no slower unpinned, and on ``query_heavy``'s
+    at 56.4-56.6 MB pinned and 56.0-56.1 MB unpinned (3 alternating pairs
+    each, 2-core Xeon). Returns mallopt's results (1 applied, 0
     refused), or None where the C library has no mallopt. Forked workers
     inherit the pin; a spawned worker must call this itself.
     """

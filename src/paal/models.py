@@ -15,7 +15,9 @@ Training runs each net's ``forward``. Inference (:func:`seg_forward`,
 :func:`ap_forward`) chains the convs on zero-padded channel-first buffers
 (see ``nn.Conv2D``): each conv writes the next one's padded input, and a
 contiguous array is made only where a reduction or the caller reads one.
-Its outputs are bit-identical to the layer-by-layer ``forward``'s.
+The convs write into a :class:`Workspace`'s buffers, the caller's or one
+made for the call. Its outputs are bit-identical to the layer-by-layer
+``forward``'s.
 """
 
 from __future__ import annotations
@@ -82,47 +84,84 @@ def channel_argmax(probs: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _chain(layers: list, buf: np.ndarray, b: int, h: int, w: int) -> np.ndarray:
+class Workspace:
+    """One inference thread's conv buffers, flat: a patch matrix and two
+    padded activation buffers, each as large as the largest that the
+    given nets' convs use on B HxW images (``Conv2D.buffer_sizes``).
+
+    The convs write the two activation buffers in turn, so none writes
+    the buffer it reads: a conv reads a fresh ``pad`` buffer or the last
+    conv's output. Every output a forward returns is a copy, never a view
+    of the workspace, so the next chunk may overwrite it.
+    """
+
+    def __init__(self, nets: list[Network], b: int, h: int, w: int):
+        cols, act = map(max, zip(*(
+            layer.buffer_sizes(b, h, w) for net in nets
+            for layer in net.layers if isinstance(layer, Conv2D))))
+        self.cols = np.empty(cols, dtype=np.float32)
+        self.acts = [np.empty(act, dtype=np.float32) for _ in range(2)]
+
+    def conv(self, layer: Conv2D, buf: np.ndarray, b: int, h: int,
+             w: int) -> np.ndarray:
+        """``layer.forward_padded`` into this workspace's buffers."""
+        self.acts.reverse()
+        return layer.forward_padded(buf, b, h, w, cols=self.cols,
+                                    out=self.acts[0])
+
+
+def _chain(layers: list, buf: np.ndarray, b: int, h: int, w: int,
+           workspace: Workspace) -> np.ndarray:
     """Run conv and ReLU layers on padded buffers (see ``nn.Conv2D``): each
-    conv writes the next one's padded input, and each ReLU rectifies the
-    whole buffer in place, its zero padding staying zero."""
+    conv writes the next one's padded input in the workspace, and each ReLU
+    rectifies the whole buffer in place, its zero padding staying zero."""
     for layer in layers:
-        buf = (layer.forward_padded(buf, b, h, w) if isinstance(layer, Conv2D)
+        buf = (workspace.conv(layer, buf, b, h, w) if isinstance(layer, Conv2D)
                else layer.forward(buf))
     return buf
 
 
 def seg_forward(seg: Network, images: np.ndarray, *, probs: bool = True,
-                features: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
+                features: bool = True, workspace: Workspace | None = None
+                ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Per-pixel class probabilities and the pooled 16-dim feature embedding.
 
     An output not asked for comes back as None. Without ``probs`` only the
     trunk runs: the head, the dearest conv, and the softmax are skipped.
-    Every output is bit-identical to that of a full ``seg.forward`` on the
-    same images.
+    The convs run in ``workspace``'s buffers, or in a new workspace sized
+    for these images. Every output is bit-identical to that of a full
+    ``seg.forward`` on the same images.
     """
     *trunk, head = seg.layers
     b, _, h, w = images.shape
+    if workspace is None:
+        workspace = Workspace([seg], b, h, w)
     p = head.kernel // 2  # the nets' convs share one kernel size
-    buf = _chain(trunk, pad([images], p), b, h, w)
+    buf = _chain(trunk, pad([images], p), b, h, w, workspace)
     pooled = unpad(buf, b, h, w, p).mean(axis=(2, 3)) if features else None
     if not probs:
         return None, pooled
-    return softmax(unpad(head.forward_padded(buf, b, h, w), b, h, w, p)), pooled
+    logits = workspace.conv(head, buf, b, h, w)
+    return softmax(unpad(logits, b, h, w, p)), pooled
 
 
-def ap_forward(ap: Network, images: np.ndarray, probs: np.ndarray) -> np.ndarray:
+def ap_forward(ap: Network, images: np.ndarray, probs: np.ndarray, *,
+               workspace: Workspace | None = None) -> np.ndarray:
     """Predicted per-foreground-class accuracy in [0, 1].
 
     ``probs`` is consumed as a constant: no gradient path back into the
     segmentation model exists. Bit-identical to ``ap.forward`` on the two
     concatenated along channels, which is never built: both are padded
-    straight into the conv's input buffer.
+    straight into the conv's input buffer. The conv runs in
+    ``workspace``'s buffers, or in a new workspace sized for these images.
     """
     b, _, h, w = images.shape
+    if workspace is None:
+        workspace = Workspace([ap], b, h, w)
     trunk, tail = ap.layers[:2], ap.layers[2:]  # conv, ReLU | pool, dense, sigmoid
     p = trunk[0].kernel // 2
-    x = unpad(_chain(trunk, pad([images, probs], p), b, h, w), b, h, w, p)
+    x = unpad(_chain(trunk, pad([images, probs], p), b, h, w, workspace),
+              b, h, w, p)
     for layer in tail:
         x = layer.forward(x)
     return x

@@ -81,7 +81,12 @@ class Conv2D(Layer):
     :meth:`forward_padded` writes its matmul straight into the output's
     buffer, adds the bias and zeroes the padding again, so the next conv
     reads it as is; :meth:`forward` is that kernel between one ``pad`` and
-    one copy into a contiguous (B, O, H, W) output. A narrowing conv (the
+    one copy into a contiguous (B, O, H, W) output. Given flat ``cols``
+    and ``out`` buffers of at least :meth:`buffer_sizes` elements, the
+    kernel allocates neither its patch matrix nor its output, so whoever
+    allocates those buffers decides which malloc arena holds them; pool
+    inference allocates every thread's on the calling thread (see
+    ``orchestrator._in_threads``). A narrowing conv (the
     seg net's logits head) builds its patch matrix one image at a time:
     its matmul does few multiply-adds per element read, so a whole-batch
     matrix far larger than L2 is slower (16->4 at 16 images, 32x32: 2.7 ms
@@ -167,22 +172,39 @@ class Conv2D(Layer):
             self._cache = x
         return out
 
-    def forward_padded(self, xp: np.ndarray, b: int, h: int,
-                       w: int) -> np.ndarray:
-        """The padded (O, ...) buffer of this conv's output on B HxW images,
-        from its input's padded (C, ...) buffer (see the class docstring)."""
-        k, c = self.kernel, self.in_ch
-        p = k // 2
+    def _layout(self, b: int, h: int, w: int) -> tuple[int, int, int, int]:
+        """(Wp, top, output columns, patch-matrix columns) of
+        :meth:`forward_padded` on B HxW images (see the class docstring)."""
+        p = self.kernel // 2
         wp = w + 2 * p
-        top = p * (wp + 1)
         span = (h + p) * wp  # one image's columns
-        n = b * span
-        weight, bias = self.weight.value, self.bias.value
-        outp = np.empty((self.out_ch, n + 2 * top),
-                        dtype=np.result_type(xp, weight, bias))
         # a narrowing conv goes one image at a time (see the class docstring)
-        step = span * (1 if self.out_ch < c else max(b, 1))
-        cols = np.empty((k * k * c, step), dtype=xp.dtype)
+        step = span * (1 if self.out_ch < self.in_ch else max(b, 1))
+        return wp, p * (wp + 1), b * span, step
+
+    def buffer_sizes(self, b: int, h: int, w: int) -> tuple[int, int]:
+        """Elements of :meth:`forward_padded`'s patch matrix and padded
+        output on B HxW images: the least its ``cols`` and ``out`` take."""
+        _, top, n, step = self._layout(b, h, w)
+        return self.kernel ** 2 * self.in_ch * step, self.out_ch * (n + 2 * top)
+
+    def forward_padded(self, xp: np.ndarray, b: int, h: int, w: int, *,
+                       cols: np.ndarray | None = None,
+                       out: np.ndarray | None = None) -> np.ndarray:
+        """The padded (O, ...) buffer of this conv's output on B HxW images,
+        from its input's padded (C, ...) buffer (see the class docstring).
+
+        ``cols`` and ``out``, when given, are flat buffers of at least
+        :meth:`buffer_sizes` elements of the output's dtype: the patch
+        matrix is built in the front of ``cols``, and the output, returned
+        as a view, in the front of ``out``. Neither may overlap ``xp``.
+        """
+        k, c = self.kernel, self.in_ch
+        wp, top, n, step = self._layout(b, h, w)
+        weight, bias = self.weight.value, self.bias.value
+        outp = _front(out, (self.out_ch, n + 2 * top),
+                      np.result_type(xp, weight, bias))
+        cols = _front(cols, (k * k * c, step), xp.dtype)
         for lo in range(0, n, step):
             for tap in range(k * k):
                 off = lo + (tap // k) * wp + tap % k
@@ -192,6 +214,7 @@ class Conv2D(Layer):
         outp[:, top:top + n] += bias[:, None]
         outp[:, :top] = 0
         outp[:, top + n:] = 0
+        p = k // 2
         grid = outp[:, top:top + n].reshape(self.out_ch, b, h + p, wp)
         grid[:, :, h:] = 0
         grid[:, :, :h, w:] = 0
@@ -232,6 +255,14 @@ class Conv2D(Layer):
             gx[lo:lo + m] = acc[top:top + n].reshape(c, m, h + p, wp)[
                 :, :, :h, :w].transpose(1, 0, 2, 3)
         return gx
+
+
+def _front(buf: np.ndarray | None, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """The front of a flat buffer as a ``shape`` array, or a new array
+    where there is no buffer."""
+    if buf is None:
+        return np.empty(shape, dtype=dtype)
+    return buf[:math.prod(shape)].reshape(shape)
 
 
 def pad(parts: list[np.ndarray], p: int) -> np.ndarray:

@@ -11,8 +11,9 @@ ground-truth masks stand in for an annotator's labels. Inference
 over the validation split, the pool or the labeled set runs in chunks of
 ``EVAL_PIXELS`` pixels each and only through the layers its outputs read;
 a run given ``threads`` keeps up to that many chunks in flight at once,
-the calling thread's and one per helper thread. No output depends on the
-chunk size or the thread count. Training runs on the calling thread
+the calling thread's and one per helper thread, each in conv buffers that
+the calling thread allocated before the first chunk. No output depends on
+the chunk size or the thread count. Training runs on the calling thread
 alone. Everything is deterministic given the run's ``Cell``, whose seed
 and fold seed every random draw.
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .data import Dataset
 from .metrics import dice_ce_loss, dsc_per_class_batch, mse_loss
-from .models import (ap_forward, build_ap_model, build_seg_model,
+from .models import (Workspace, ap_forward, build_ap_model, build_seg_model,
                      channel_argmax, normalize_images, seg_forward, softmax)
 from .nn import Network, NumericalError, adamw_step, cosine_lr
 from .strategies import STRATEGIES, QueryContext, select
@@ -42,8 +43,9 @@ from .strategies import STRATEGIES, QueryContext, select
 _POOL_OUTPUTS = ("probs", "features", "pred_acc", "actual")
 
 # pixels per chunk of a forward pass when nothing trains; with n threads
-# up to n chunks are in flight, each with its own forward buffers. With the
-# convs chained on padded buffers, a 452-image 32x32 pool pass on one
+# up to n chunks are in flight, each in its thread's conv buffers (one
+# models.Workspace per thread, all allocated by the calling thread). With
+# the convs chained on padded buffers, a 452-image 32x32 pool pass on one
 # thread (posteriors and features; medians of 3 runs of 20 interleaved
 # repeats, heap pinned, 2-core Xeon) took 91 ms at 4K pixels, 84 ms at 8K
 # and 78 ms at 16K, with tracemalloc peaks of 9.2, 11.1 and 14.7 MB; at 16K
@@ -214,13 +216,20 @@ def evaluate(seg: Network, dataset: Dataset, val_ids: np.ndarray,
 
 
 def _in_threads(work, items, threads: int) -> None:
-    """Call ``work(item)`` for every item of a sequence, on the calling
-    thread and up to ``threads - 1`` helper threads, which all take the
-    next item in order.
+    """Call ``work(slot, item)`` for every item of a sequence, on the
+    calling thread (slot 0) and up to ``threads - 1`` helper threads
+    (slots 1, 2, ...), which all take the next item in order; no two
+    threads share a slot.
 
-    The caller works too: each thread that allocates gets its own glibc
-    arena, and a pool of two threads beside an idle caller raised
-    ``query_heavy``'s peak RSS by 13% where one helper raised it by 6%.
+    glibc gives each thread that allocates its own malloc arena, and under
+    ``cli._pin_heap``'s trim threshold an arena keeps its high-water for
+    the rest of the process. So the caller works too, rather than idle
+    beside helpers that would each hold an arena, and ``work`` should put
+    its large buffers in ones the caller allocated for its slot: a helper
+    that allocated one pool chunk's conv buffers itself kept 3.4 MiB in
+    its arena and raised the benchmark's peak RSS by about 3 MB; in the
+    caller's buffers it keeps 0.6 MiB.
+
     Each helper runs in its own copy of the caller's context, so the
     caller's ``np.errstate`` (a context variable) holds in it. Once an item
     fails no further item starts, so every item before it has run; the
@@ -231,26 +240,26 @@ def _in_threads(work, items, threads: int) -> None:
     todo = enumerate(items)
     errors: dict[int, BaseException] = {}
 
-    def drain():
+    def drain(slot):
         while True:
             with lock:  # no item starts after a failure
                 i, item = (None, None) if errors else next(todo, (None, None))
             if i is None:
                 return
             try:
-                work(item)
+                work(slot, item)
             except BaseException as exc:  # raised by the caller below
                 with lock:
                     errors[i] = exc
                 return
 
     started = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(drain,))
-               for _ in range(min(threads, len(items)) - 1)]
+                                args=(drain, slot))
+               for slot in range(1, min(threads, len(items)))]
     for thread in started:
         thread.start()
     try:
-        drain()
+        drain(0)
     finally:
         for thread in started:
             thread.join()
@@ -273,24 +282,30 @@ def _pool_inference(seg: Network, ap: Network | None, dataset: Dataset, ids,
     normalised as it is read, and its outputs go straight into arrays sized
     for every id, so no output exists twice. The first chunk sizes those
     arrays; the rest run on ``threads`` threads (see :func:`_in_threads`),
-    each chunk writing only its own rows. A non-finite posterior, feature
-    or predicted accuracy in any chunk raises ``NumericalError``. Chunking
-    splits only the column axis of each conv's matmul, so every output is
-    bit-identical whatever the chunk size and thread count.
+    each chunk writing only its own rows. Before the first chunk the
+    calling thread allocates one ``Workspace`` per thread, sized for the
+    pass's largest chunk, for the convs of that thread's chunks; they are
+    freed when the pass ends. A
+    non-finite posterior, feature or predicted accuracy in any chunk
+    raises ``NumericalError``. Chunking splits only the column axis of
+    each conv's matmul, so every output is bit-identical whatever the
+    chunk size and thread count.
     """
     names = [name for name in _POOL_OUTPUTS if name in wanted]
     need_probs = bool(set(names) - {"features"})  # the rest read the posteriors
     outputs: dict[str, np.ndarray] = {}
     step = max(1, EVAL_PIXELS // math.prod(dataset.images.shape[1:]))
 
-    def infer(lo):
+    def infer(slot, lo):
         chunk = ids[lo:lo + step]
         x = normalize_images(dataset.images[chunk])
         probs, feats = seg_forward(seg, x, probs=need_probs,
-                                   features="features" in names)
+                                   features="features" in names,
+                                   workspace=workspaces[slot])
         out = {"probs": probs, "features": feats}
         if "pred_acc" in names:
-            out["pred_acc"] = ap_forward(ap, x, probs)
+            out["pred_acc"] = ap_forward(ap, x, probs,
+                                         workspace=workspaces[slot])
         if not all(np.isfinite(v).all() for v in out.values() if v is not None):
             raise NumericalError("non-finite model output")
         if "actual" in names:  # the labels; scored in one call below
@@ -303,8 +318,13 @@ def _pool_inference(seg: Network, ap: Network | None, dataset: Dataset, ids,
 
     starts = range(0, len(ids) if names else 0, step)
     if starts:  # the outputs exist before any helper starts
-        infer(starts[0])
+        nets = [seg, ap] if "pred_acc" in names else [seg]
+        largest = min(step, len(ids))  # the largest chunk of this pass
+        workspaces = [Workspace(nets, largest, *dataset.images.shape[1:])
+                      for _ in range(max(1, min(threads, len(starts) - 1)))]
+        infer(0, starts[0])
         _in_threads(infer, starts[1:], threads)
+        del workspaces  # back to the heap before the scoring below
     if "actual" in outputs:
         outputs["actual"] = dsc_per_class_batch(outputs["actual"],
                                                 dataset.masks[ids], dataset.num_fg)

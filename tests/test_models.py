@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paal.metrics import mse_loss
-from paal.models import (FEATURE_DIM, ap_forward, build_ap_model,
+from paal.models import (FEATURE_DIM, Workspace, ap_forward, build_ap_model,
                          build_seg_model, channel_argmax, normalize_images,
                          seg_forward, softmax)
 from paal.nn import Conv2D, Network, ReLU
@@ -58,6 +58,36 @@ def test_features_are_pooled_tap_activations(b, h, w):
     ap = build_ap_model(4, seed=4)
     want = ap.forward(np.concatenate([images, probs], axis=1))
     assert ap_forward(ap, images, probs).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("outputs", [(True, True), (True, False),
+                                     (False, True)],
+                         ids=["both", "probs", "features"])
+def test_a_workspace_changes_no_output_and_none_is_a_view_of_it(outputs):
+    # a workspace sized for 8-image chunks runs a full chunk, then a short
+    # last one in the buffers the first left dirty, as one thread does; the
+    # call without one runs in a fresh workspace of its own
+    probs_wanted, features_wanted = outputs
+    seg, ap = build_seg_model(4, seed=11), build_ap_model(4, seed=12)
+    workspace = Workspace([seg, ap], 8, 32, 32)
+    buffers = (workspace.cols, *workspace.acts)
+    for buf in buffers:
+        buf.fill(np.nan)
+    rng = np.random.default_rng(13)
+    for b in (8, 3):
+        images = rng.uniform(size=(b, 1, 32, 32)).astype(np.float32)
+        want = seg_forward(seg, images, probs=probs_wanted,
+                           features=features_wanted)
+        got = seg_forward(seg, images, probs=probs_wanted,
+                          features=features_wanted, workspace=workspace)
+        if probs_wanted:
+            want += (ap_forward(ap, images, want[0]),)
+            got += (ap_forward(ap, images, got[0], workspace=workspace),)
+        for array, expected in zip(got, want):
+            assert (array is None) == (expected is None)
+            if array is not None:
+                assert array.tobytes() == expected.tobytes()
+                assert not any(np.shares_memory(array, buf) for buf in buffers)
 
 
 def test_ap_forward_range_and_shape(images):

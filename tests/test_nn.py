@@ -502,6 +502,26 @@ def test_a_narrowing_conv_forward_builds_no_whole_batch_patch_matrix():
     assert peak >= out.nbytes + whole_batch_cols / 16  # one image's
 
 
+@pytest.mark.parametrize("b", [8, 16])
+@pytest.mark.parametrize("cin,cout", [(1, 8), (8, 16), (16, 4), (5, 8)])
+def test_forward_padded_writes_into_the_given_buffers(cin, cout, b):
+    # the nets' four convs at the eval chunk and the training batch; each
+    # buffer is one element longer than buffer_sizes and starts as NaN, so
+    # the kernel must overwrite exactly its front
+    rng = np.random.default_rng([83, cin, cout, b])
+    conv = Conv2D(cin, cout, rng=rng)
+    conv.bias.value = rng.normal(size=cout).astype(np.float32)
+    xp = nn.pad([rng.normal(size=(b, cin, 32, 32)).astype(np.float32)], 1)
+    want = conv.forward_padded(xp, b, 32, 32)
+    sizes = conv.buffer_sizes(b, 32, 32)
+    cols, out = (np.full(size + 1, np.nan, dtype=np.float32) for size in sizes)
+    got = conv.forward_padded(xp, b, 32, 32, cols=cols, out=out)
+    assert np.shares_memory(got, out)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for buf, size in zip((cols, out), sizes):
+        assert not np.isnan(buf[:size]).any() and np.isnan(buf[size])
+
+
 def test_backward_without_forward_raises():
     with pytest.raises(RuntimeError, match="without a cached forward"):
         Dense(2, 2, rng=np.random.default_rng(0)).backward(

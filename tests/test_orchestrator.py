@@ -1,7 +1,12 @@
 """Query step and run loop: which inputs get computed, and pool bookkeeping."""
 
+import ctypes
+import json
+import os
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -10,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paal
 from paal import orchestrator
 from paal.data import Dataset, generate, split_folds
 from paal.metrics import UNCERTAINTY_KINDS
-from paal.models import build_ap_model, build_seg_model
+from paal.models import Workspace, build_ap_model, build_seg_model
 from paal.nn import Conv2D, NumericalError
-from paal.orchestrator import (_POOL_OUTPUTS, Cell, TrainConfig,
+from paal.orchestrator import (_POOL_OUTPUTS, Cell, TrainConfig, _in_threads,
                                _pool_inference, evaluate, init_pool,
                                query_step, run_active_learning)
 from paal.strategies import STRATEGIES
@@ -129,6 +135,25 @@ def test_each_inference_thread_adds_one_chunks_forward(threads):
     assert query_peak("max_entropy", 400, threads) < bound
 
 
+def test_a_helper_thread_leaves_no_chunks_forward_in_its_arena():
+    # glibc gives the helper thread its own malloc arena, which under the
+    # pinned trim threshold keeps its high-water: 3.40 MiB (one chunk's
+    # forward) when the helper allocated its conv buffers, 0.61 MiB in
+    # buffers the calling thread allocated
+    if not hasattr(ctypes.CDLL(None), "malloc_info"):
+        pytest.skip("the C library has no malloc_info to report its arenas")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(paal.__file__)))
+    probe = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "malloc_arenas.py")
+    proc = subprocess.run([sys.executable, probe], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    main_arena, *others = json.loads(proc.stdout)
+    assert main_arena > 0
+    assert all(size < 1.5 * 2**20 for size in others), others
+
+
 def test_the_initial_count_is_the_ratio_in_decimals():
     # 0.07 * 100 is 7.000000000000001 in floats
     state = init_pool(np.arange(100), 0.07, budget=0.93, iterations=1, seed=0)
@@ -224,6 +249,48 @@ def test_pool_inference_does_not_depend_on_the_chunk_size(
             assert evaluated[1].tobytes() == default_eval[1].tobytes()
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3, 5])
+def test_in_threads_never_hands_one_slot_to_two_threads(threads,
+                                                        short_switch_interval):
+    caller, lock = threading.get_ident(), threading.Lock()
+    busy, owner, done = set(), {}, []
+
+    def work(slot, item):
+        me = threading.get_ident()
+        with lock:
+            assert slot not in busy
+            busy.add(slot)
+            assert owner.setdefault(slot, me) == me
+        time.sleep(1e-4)  # so the other threads take items meanwhile
+        with lock:
+            busy.remove(slot)
+            done.append(item)
+
+    _in_threads(work, range(40), threads)
+    assert sorted(done) == list(range(40))
+    assert set(owner) <= set(range(threads))
+    assert owner.get(0, caller) == caller
+
+
+@pytest.mark.parametrize("n", [3, 100])
+def test_a_pass_sizes_its_workspaces_for_its_largest_chunk(inference_inputs,
+                                                           monkeypatch, n):
+    # 16x16 images make 32-image chunks: 3 ids fit one short chunk, 100 ids
+    # make four chunks, three in flight at once on 3 threads
+    sizes = []
+
+    class Recorded(Workspace):
+        def __init__(self, nets, b, h, w):
+            sizes.append(b)
+            super().__init__(nets, b, h, w)
+
+    monkeypatch.setattr(orchestrator, "Workspace", Recorded)
+    _pool_inference(*inference_inputs, numbered(n), np.arange(n),
+                    ("probs",), 3)
+    step = orchestrator.EVAL_PIXELS // 256
+    assert sizes == [min(n, step)] * min(3, -(-n // step))
+
+
 def numbered(n: int) -> Dataset:
     """n 16x16 images, every pixel of image i equal to i, so a chunk's
     first image names its first id."""
@@ -294,10 +361,10 @@ def test_features_alone_skip_the_logits_conv(dataset, inference_inputs,
     real_conv_kernel = Conv2D.forward_padded
     real_seg_forward = orchestrator.seg_forward
 
-    def counting_conv_kernel(layer, xp, b, h, w):
+    def counting_conv_kernel(layer, xp, b, h, w, **buffers):
         # inference runs every conv through the padded kernel alone
         conv_out_ch.append(layer.out_ch)
-        return real_conv_kernel(layer, xp, b, h, w)
+        return real_conv_kernel(layer, xp, b, h, w, **buffers)
 
     def counting_seg_forward(seg, images, *args, **kwargs):
         chunks.append(len(images))
