@@ -7,7 +7,7 @@ directory as the required ``--out``.
 Exit codes: 0 success, 2 configuration or usage error (bad config value,
 bad command-line number, missing option), 3 I/O error or a malformed dataset
 or results file, 4 numerical failure (NaN/Inf in training or in a model
-output).
+output), 5 the validation evaluator process died (killed, or out of memory).
 """
 
 from __future__ import annotations
@@ -20,11 +20,13 @@ from . import data as data_mod
 from .experiment import (ConfigError, ResultsFormatError, load_config,
                          run_campaign, write_report)
 from .nn import NumericalError
+from .orchestrator import EvaluatorError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
+EXIT_EVALUATOR = 5
 
 # glibc's mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -121,6 +123,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except EvaluatorError as exc:
+        print(f"evaluator failure: {exc}", file=sys.stderr)
+        return EXIT_EVALUATOR
 
 
 if __name__ == "__main__":

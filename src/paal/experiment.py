@@ -44,7 +44,7 @@ from . import data as data_mod
 from .metrics import pearson_r
 from .nn import NumericalError
 from .orchestrator import (CALIBRATION_COLUMNS, EPOCH_COLUMNS, QUERY_COLUMNS,
-                           Cell, TrainConfig, run_active_learning)
+                           Cell, Evaluator, TrainConfig, run_active_learning)
 from .strategies import STRATEGIES
 
 
@@ -198,17 +198,19 @@ def _is_done(cell_dir: str, setting: dict) -> bool:
 
 def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
              dataset: data_mod.Dataset, split: tuple[np.ndarray, np.ndarray],
-             setting: dict, threads: int = 1) -> None:
+             setting: dict, evaluator: Evaluator | None = None,
+             threads: int = 1) -> None:
     """Execute one cell on its fold's ``(train_ids, val_ids)``, its inference
-    on ``threads`` threads, then write its ``cell.json`` (``setting``) and
-    its fragments. The first overflow, invalid operation or division by
-    zero in the run, on any of its threads, raises ``NumericalError``;
+    on ``threads`` threads and its validation partly in ``evaluator``, if
+    given, then write its ``cell.json`` (``setting``) and its fragments.
+    The first overflow, invalid operation or division by zero in the run,
+    on any of its threads or in the evaluator, raises ``NumericalError``;
     underflow stays silent."""
     cell_dir = os.path.join(out_dir, "cells", cell.run_id)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             report = run_active_learning(dataset, *split, cell, config.train,
-                                         threads)
+                                         threads, evaluator)
     except FloatingPointError as exc:
         raise NumericalError(str(exc)) from exc
     # each picked sample counts once, under its highest class label
@@ -260,7 +262,15 @@ def _one_blas_thread() -> None:
 def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[str]:
     """Run every cell that is not done, then merge the fragments. Every cell
     is settled before any runs: a done cell is reused if its ``cell.json``
-    matches its setting, and refuses the whole campaign otherwise."""
+    matches its setting, and refuses the whole campaign otherwise.
+
+    When this process runs the cells itself with two or more inference
+    threads, it forks one ``orchestrator.Evaluator`` before the first cell
+    trains, and each cell scores in it the val DSC of every epoch that
+    cannot change its next step (see ``run_active_learning``). The
+    evaluator is closed and reaped on the way out, after success, an
+    error or a Ctrl-C. ``--jobs`` workers fork no evaluator: each scores
+    validation itself. No output depends on either."""
     cells = campaign_cells(config)
     dataset = data_mod.read_dataset(config.dataset)
     dataset_crc32 = 0  # the file's, read in 1 MiB blocks
@@ -290,11 +300,16 @@ def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_one_blas_thread) as pool:
-            list(pool.map(run_cell, *zip(*runs), [threads] * len(runs)))
+            list(pool.map(run_cell, *zip(*runs), [None] * len(runs),
+                          [threads] * len(runs)))
     elif runs:  # one worker: this process runs the cells
         _one_blas_thread()
-        for args in runs:
-            run_cell(*args, threads)
+        # a spare core scores validation in a process forked before any
+        # cell trains, so its RSS holds no training heap
+        with (Evaluator(dataset) if threads > 1
+              else contextlib.nullcontext()) as evaluator:
+            for args in runs:
+                run_cell(*args, evaluator, threads)
 
     for name, header in _headers(dataset.num_fg).items():
         with _replacing(os.path.join(out_dir, name)) as fh:

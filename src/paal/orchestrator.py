@@ -17,6 +17,14 @@ the chunk size or the thread count. Training runs on the calling thread
 alone. Everything is deterministic given the run's ``Cell``, whose seed
 and fold seed every random draw.
 
+Validation can run beside training, in an :class:`Evaluator`: a process
+forked once per campaign, before any cell trains, which scores the weights
+it is sent on one thread. A run given one scores there the val DSC of
+each epoch that cannot fire a stall query or stop the run, while it does
+that epoch's query and trains the next epoch; it waits only at the epochs
+whose val DSC can change its next step, and scores those itself. Without
+an evaluator every epoch waits. No output depends on where validation ran.
+
 A run returns its CSV rows (``RunReport``): per epoch, per queried sample,
 and the predictor's calibration on the final pool, each in the column order
 named beside it; the campaign puts the cell's own columns in front.
@@ -24,8 +32,11 @@ named beside it; the campaign puts the cell's own columns in front.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
+import os
+import pickle
 import threading
 import time
 from dataclasses import dataclass, field
@@ -363,9 +374,143 @@ def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
     return rows
 
 
+def _next_step(on_stall: bool, cfg: TrainConfig, epoch: int, stalled: int,
+               queries_left: int) -> tuple[bool, bool]:
+    """Whether a query fires after an epoch, and whether the run then stops,
+    given the stall count the epoch's validation left and the queries the
+    schedule has left. A query restarts the stall count."""
+    if on_stall:
+        trigger = stalled >= cfg.iq_patience
+    else:
+        trigger = epoch > 0 and epoch % cfg.query_interval == 0
+    if trigger and queries_left:
+        return True, queries_left == 1 and cfg.early_stop == 0
+    return False, not queries_left and stalled >= cfg.early_stop
+
+
+def _val_decides(on_stall: bool, cfg: TrainConfig, stalled: int,
+                 can_query: bool) -> bool:
+    """Whether an epoch's val DSC can change :func:`_next_step`, given the
+    stall count before it: whether a count of ``stalled + 1`` (val did not
+    rise) and one of 0 (it rose) can give different steps. They can only
+    fire different stall queries, or stop a run with no query left
+    differently."""
+    if can_query:
+        return on_stall and 0 < cfg.iq_patience <= stalled + 1
+    return 0 < cfg.early_stop <= stalled + 1
+
+
+class EvaluatorError(RuntimeError):
+    """The validation evaluator process died before it answered."""
+
+
+class Evaluator:
+    """A forked process that scores validation DSC beside the caller's
+    training: :meth:`submit` sends it a seg net's weights as they are, and
+    :meth:`result` returns what :func:`evaluate` makes of them on one
+    thread, or raises the error it raised there. One request is in flight
+    at a time.
+
+    The child is forked when this is made, on the dataset given, which it
+    keeps. Make it while no other thread runs (:func:`_in_threads` joins
+    its helpers before it returns), and before training grows the heap:
+    a child's RSS counts every page it shares with its parent. Requests and replies are
+    pickled over two pipes; each request carries the caller's
+    ``np.errstate``, under which the child evaluates. The child ignores
+    SIGINT, which a Ctrl-C sends the whole process group, exits when its
+    request pipe reaches EOF, so it never outlives its parent, and leaves
+    through ``os._exit``: it never unwinds into the code that forked it,
+    and never flushes the stdio it inherited. Once the child has died,
+    :meth:`submit` and :meth:`result` raise ``EvaluatorError``.
+    :meth:`close`, or the end of a ``with`` block, closes the pipes and
+    reaps the child.
+    """
+
+    def __init__(self, dataset: Dataset):
+        request_r, request_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(request_w)
+                os.close(reply_r)
+                _serve(dataset, os.fdopen(request_r, "rb"), os.fdopen(reply_w, "wb"))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(request_r)
+        os.close(reply_w)
+        self._requests = os.fdopen(request_w, "wb")
+        self._replies = os.fdopen(reply_r, "rb")
+        self._exit_code = None  # the child's, once reaped
+
+    def __enter__(self) -> Evaluator:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def submit(self, seg: Network, val_ids: np.ndarray) -> None:
+        try:
+            pickle.dump((np.geterr(), [p.value for p in seg.params()], val_ids),
+                        self._requests, pickle.HIGHEST_PROTOCOL)
+            self._requests.flush()
+        except BrokenPipeError as exc:
+            raise EvaluatorError(self._death()) from exc
+
+    def result(self) -> tuple[float, np.ndarray]:
+        try:
+            reply = pickle.load(self._replies)
+        except (EOFError, pickle.UnpicklingError) as exc:
+            raise EvaluatorError(self._death()) from exc
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    def _reap(self) -> int:
+        if self._exit_code is None:
+            self._exit_code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self._exit_code
+
+    def _death(self) -> str:
+        code = self._reap()
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        return f"the validation evaluator (pid {self.pid}) died: {how}"
+
+    def close(self) -> None:
+        with contextlib.suppress(BrokenPipeError):  # the child died first
+            self._requests.close()
+        self._replies.close()
+        self._reap()
+
+
+def _serve(dataset: Dataset, requests, replies) -> None:
+    """The evaluator's loop (see :class:`Evaluator`): until EOF, read a
+    request, score it and write the reply."""
+    import signal  # the child's alone, so `paal generate` loads no more
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    seg = build_seg_model(dataset.num_fg + 1, seed=0)  # weights come with each request
+    while True:
+        try:
+            errstate, weights, val_ids = pickle.load(requests)
+        except EOFError:
+            return
+        for param, value in zip(seg.params(), weights):
+            param.value = value
+        try:
+            with np.errstate(**errstate):
+                reply = evaluate(seg, dataset, val_ids)
+        except Exception as exc:  # raised in the parent
+            reply = exc
+        pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+        replies.flush()
+
+
 def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
                         val_ids: np.ndarray, cell: Cell, cfg: TrainConfig,
-                        threads: int = 1) -> RunReport:
+                        threads: int = 1,
+                        evaluator: Evaluator | None = None) -> RunReport:
     """Algorithm: train, evaluate, update the trigger, maybe query; repeat.
 
     The cell names the strategy, budget, iterations, seed and fold; every
@@ -374,6 +519,17 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
     has been stale for ``early_stop`` epochs, or at ``max_epochs``. A query
     restarts that count as it restarts the trigger's: "stale" only counts
     epochs after the labeled set stopped changing.
+
+    Given an ``evaluator`` forked on ``dataset``, an epoch whose val DSC
+    cannot change the next step (see :func:`_val_decides`) does that step
+    (its query, if one fires) at once, then sends its weights to the
+    evaluator and trains the next epoch while the evaluator scores them;
+    the stall count, best val DSC and the epoch's row are settled before
+    anything reads them. Only the epochs whose val DSC can fire a stall
+    query or stop the run wait for it, scored here on ``threads`` threads
+    as without an evaluator. An error raised while an epoch's val DSC is
+    unsettled is raised only after it is settled, and val DSC's own error
+    wins, as in the serial order. No output depends on the evaluator.
     """
     on_stall = STRATEGIES[cell.strategy].on_stall
     val_ids = np.asarray(val_ids, dtype=np.int64)
@@ -386,38 +542,69 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
 
     report = RunReport()
     best_val, stalled = float("-inf"), 0  # epochs since val DSC last rose
+    in_flight = None  # (row, queried) of the epoch the evaluator scores
 
-    for epoch in range(cfg.max_epochs):
-        shuffle_rng = np.random.default_rng([cell.seed, cell.fold, 3, epoch])
-        seg_loss, ap_loss = train_epoch(seg, ap, dataset, state.labeled, epoch,
-                                        cfg, shuffle_rng)
-        val_mean, val_class = evaluate(seg, dataset, val_ids, threads)
-        stalled = 0 if val_mean > best_val else stalled + 1  # a tie or NaN stalls
+    def settle(row, queried, val_mean, val_class):
+        nonlocal best_val, stalled
+        # a tie or NaN stalls, and a query restarts the count
+        stalled = 0 if val_mean > best_val or queried else stalled + 1
         best_val = max(best_val, val_mean)  # max keeps its first argument on a NaN
+        report.epochs.append([*row, val_mean, *(float(v) for v in val_class)])
 
-        if on_stall:
-            trigger = stalled >= cfg.iq_patience
-        else:
-            trigger = epoch > 0 and epoch % cfg.query_interval == 0
-        if trigger and state.can_query:
-            report.queries += query_step(
-                state, seg, ap, cell.strategy, dataset,
-                query_seed=_subseed(cell.seed, cell.fold, 4, state.t),
-                threads=threads)
-            stalled = 0
+    def collect():
+        nonlocal in_flight
+        (row, queried), in_flight = in_flight, None
+        settle(row, queried, *evaluator.result())
 
-        labeled = np.count_nonzero(state.is_labeled)
-        report.epochs.append([epoch, state.t, labeled, labeled / len(state.ids), seg_loss,
-                              ap_loss, val_mean, *(float(v) for v in val_class)])
+    try:
+        for epoch in range(cfg.max_epochs):
+            shuffle_rng = np.random.default_rng([cell.seed, cell.fold, 3, epoch])
+            seg_loss, ap_loss = train_epoch(seg, ap, dataset, state.labeled,
+                                            epoch, cfg, shuffle_rng)
+            if in_flight:
+                collect()
+            wait = (evaluator is None
+                    or _val_decides(on_stall, cfg, stalled, state.can_query))
+            if wait:
+                val = evaluate(seg, dataset, val_ids, threads)
+            # unless it waits, either count gives the same step
+            rose = wait and val[0] > best_val
+            query, stop = _next_step(on_stall, cfg, epoch,
+                                     0 if rose else stalled + 1,
+                                     len(state.schedule) - state.t + 1)
+            if query:
+                try:
+                    report.queries += query_step(
+                        state, seg, ap, cell.strategy, dataset,
+                        query_seed=_subseed(cell.seed, cell.fold, 4, state.t),
+                        threads=threads)
+                except Exception:
+                    if not wait:  # val DSC comes first, and its error wins
+                        evaluate(seg, dataset, val_ids, threads)
+                    raise
 
-        if not state.can_query and stalled >= cfg.early_stop:
-            break
+            labeled = np.count_nonzero(state.is_labeled)
+            row = [epoch, state.t, labeled, labeled / len(state.ids), seg_loss,
+                   ap_loss]
+            if wait:
+                settle(row, query, *val)
+            else:
+                evaluator.submit(seg, val_ids)
+                in_flight = row, query
+            if stop:
+                break
 
-    if len(state.unlabeled):
-        out = _pool_inference(seg, ap, dataset, state.unlabeled,
-                              ("pred_acc", "actual"), threads)
-        pred, actual = out["pred_acc"], out["actual"]
-        report.calibration = [
-            [int(sid), j + 1, float(pred[i, j]), float(actual[i, j])]
-            for i, sid in enumerate(state.unlabeled) for j in range(num_fg)]
+        if len(state.unlabeled):
+            out = _pool_inference(seg, ap, dataset, state.unlabeled,
+                                  ("pred_acc", "actual"), threads)
+            pred, actual = out["pred_acc"], out["actual"]
+            report.calibration = [
+                [int(sid), j + 1, float(pred[i, j]), float(actual[i, j])]
+                for i, sid in enumerate(state.unlabeled) for j in range(num_fg)]
+    except Exception:
+        if in_flight:  # its val DSC comes first, and its error wins
+            collect()
+        raise
+    if in_flight:
+        collect()
     return report

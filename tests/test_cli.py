@@ -8,6 +8,7 @@ import glob
 import json
 import os
 import platform
+import signal
 import struct
 import subprocess
 import sys
@@ -17,8 +18,9 @@ import numpy as np
 import pytest
 
 import paal
-from paal import cli, experiment
-from paal.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+from paal import cli, experiment, orchestrator
+from paal.cli import (EXIT_CONFIG, EXIT_EVALUATOR, EXIT_IO, EXIT_NUMERICAL,
+                      EXIT_OK, main)
 from paal.data import (ClassSpec, Dataset, generate, read_dataset,
                        write_dataset)
 from paal.strategies import STRATEGIES
@@ -323,6 +325,75 @@ def test_a_numerical_failure_exits_4_without_traceback(tmp_path, data_file, jobs
     assert proc.returncode == EXIT_NUMERICAL, proc.stderr
     assert proc.stderr == "numerical failure: overflow encountered in matmul\n"
     assert not glob.glob(str(out / "cells" / "*" / "results.csv"))
+
+
+@pytest.fixture
+def evaluators(monkeypatch):
+    """A two-core host, where a one-job campaign forks an evaluator: the
+    evaluators its cells ran beside, as they start."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    seen = []
+    run_cell = experiment.run_cell
+
+    def recording_run_cell(*args):
+        seen.append(args[-2])
+        return run_cell(*args)
+
+    monkeypatch.setattr(experiment, "run_cell", recording_run_cell)
+    return seen
+
+
+def at_epoch(monkeypatch, epoch, action):
+    """Call ``action()`` as each run starts training ``epoch``."""
+    train_epoch = orchestrator.train_epoch
+
+    def train(*args):
+        if args[4] == epoch:
+            action()
+        return train_epoch(*args)
+
+    monkeypatch.setattr(orchestrator, "train_epoch", train)
+
+
+@pytest.mark.parametrize("epoch", [0, 1],
+                         ids=["before_training", "with_val_dsc_in_flight"])
+def test_a_killed_evaluator_exits_5_with_one_line(tmp_path, capsys, monkeypatch,
+                                                  data_file, evaluators, epoch):
+    # random scores every epoch's val DSC in the evaluator, so the run finds
+    # it gone when it sends the first epoch's weights or reads its reply
+    at_epoch(monkeypatch, epoch,
+             lambda: os.kill(evaluators[0].pid, signal.SIGKILL))
+    code, out = paal_run(tmp_path, "run", data_file, strategies="random")
+    assert code == EXIT_EVALUATOR
+    assert capsys.readouterr().err == (
+        f"evaluator failure: the validation evaluator (pid {evaluators[0].pid}) "
+        "died: killed by signal 9\n")
+    assert not glob.glob(str(out / "cells" / "*" / "results.csv"))
+
+
+def test_an_interrupted_campaign_reaps_its_evaluator(tmp_path, monkeypatch,
+                                                     data_file, evaluators):
+    def interrupt():
+        raise KeyboardInterrupt
+
+    at_epoch(monkeypatch, 1, interrupt)  # with val(0) in the evaluator
+    with pytest.raises(KeyboardInterrupt):
+        paal_run(tmp_path, "run", data_file)
+    assert evaluators
+    with pytest.raises(ChildProcessError):  # no child, running or not
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_campaign_beside_an_evaluator_writes_the_same_bytes(
+        tmp_path, monkeypatch, data_file, evaluators):
+    code, beside = paal_run(tmp_path, "beside", data_file, 1, EVERY_STRATEGY)
+    assert code == EXIT_OK and evaluators[0] is not None
+    # on one core the campaign forks no evaluator
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    code, alone = paal_run(tmp_path, "alone", data_file, 1, EVERY_STRATEGY)
+    assert code == EXIT_OK and evaluators[-1] is None
+    assert csv_bytes(beside) == csv_bytes(alone)
 
 
 def write_file(tmp_path, ds):

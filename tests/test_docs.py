@@ -46,6 +46,6 @@ def test_the_readme_names_every_config_key_with_its_default():
 def test_the_readme_names_every_exit_code():
     text = readme()
     codes = [v for k, v in vars(cli).items() if k.startswith("EXIT_")]
-    assert len(codes) == 4
+    assert len(codes) == 5
     for code in codes:
         assert f"\n| {code} | " in text, code

@@ -1,14 +1,15 @@
 """Query step and run loop: which inputs get computed, and pool bookkeeping."""
 
 import ctypes
+import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from paal.data import Dataset, generate, split_folds
 from paal.metrics import UNCERTAINTY_KINDS
 from paal.models import Workspace, build_ap_model, build_seg_model
 from paal.nn import Conv2D, NumericalError
-from paal.orchestrator import (_POOL_OUTPUTS, Cell, TrainConfig, _in_threads,
-                               _pool_inference, evaluate, init_pool,
-                               query_step, run_active_learning)
+from paal.orchestrator import (_POOL_OUTPUTS, Cell, Evaluator, EvaluatorError,
+                               TrainConfig, _in_threads, _next_step,
+                               _pool_inference, _val_decides, evaluate,
+                               init_pool, query_step, run_active_learning)
 from paal.strategies import STRATEGIES
 
 INPUT_FIELDS = ("probs", "features", "pred_acc", "labeled_features")
@@ -207,7 +209,7 @@ def inference_inputs(dataset):
 
 
 OUTPUT_SETS = [s for r in range(len(_POOL_OUTPUTS) + 1)
-               for s in combinations(_POOL_OUTPUTS, r)]
+               for s in itertools.combinations(_POOL_OUTPUTS, r)]
 
 
 @pytest.fixture
@@ -463,21 +465,35 @@ def test_a_nan_val_dsc_counts_as_a_stall(dataset, monkeypatch):
     assert [row[1] for row in report.epochs] == [1, 1, 1, 1, 2, 2, 3, 3]
 
 
+def without_wall_times(report):
+    """The report with query_time_ms, the queries' last column, dropped."""
+    report.queries = [row[:-1] for row in report.queries]
+    return report
+
+
+def runs_with_and_without_an_evaluator(dataset, train_ids, val_ids, cell, cfg,
+                                       threads=1):
+    """The run's report without an evaluator, then with one."""
+    with Evaluator(dataset) as evaluator:
+        return [without_wall_times(run_active_learning(
+                    dataset, train_ids, val_ids, cell, cfg, threads, ev))
+                for ev in (None, evaluator)]
+
+
 def test_a_run_does_not_depend_on_its_inference_threads(monkeypatch):
-    # eight-image chunks: the pool spans several, so two threads share them
+    # eight-image chunks: the pool spans several, so two threads share them;
+    # an evaluator forked beside the run changes nothing either
     monkeypatch.setattr(orchestrator, "EVAL_PIXELS", 8 * 16 * 16)
     dataset = generate(5, 120, 16, 16)
     train_ids, val_ids = split_folds(len(dataset), seed=5)[0]
     cfg = TrainConfig(max_epochs=6, early_stop=6, iq_patience=0, warmup=1,
                       silent_period=1, lr0=0.03)
-    reports = [run_active_learning(dataset, train_ids, val_ids,
-                                   Cell("paal_full", 0.3, 3, seed=0, fold=0),
-                                   cfg, threads)
-               for threads in (1, 2)]
-    for report in reports:  # query_time_ms, the last column, is a wall time
-        report.queries = [row[:-1] for row in report.queries]
+    cell = Cell("paal_full", 0.3, 3, seed=0, fold=0)
+    reports = [report for threads in (1, 2)
+               for report in runs_with_and_without_an_evaluator(
+                   dataset, train_ids, val_ids, cell, cfg, threads)]
     assert reports[0].queries and reports[0].calibration
-    assert reports[1] == reports[0]
+    assert all(report == reports[0] for report in reports[1:])
 
 
 # (strategy, early_stop, iq_patience, lr0) -> epochs run out of max_epochs=40;
@@ -495,7 +511,131 @@ def test_early_stopping_epoch_counts(strategy, early_stop, iq_patience, lr0,
     cfg = TrainConfig(max_epochs=40, early_stop=early_stop,
                       iq_patience=iq_patience, warmup=2, silent_period=2,
                       query_interval=2, lr0=lr0)
-    report = run_active_learning(dataset, train_ids, val_ids,
-                                 Cell(strategy, 0.3, 3, seed=0, fold=0), cfg)
+    report, evaluated = runs_with_and_without_an_evaluator(
+        dataset, train_ids, val_ids, Cell(strategy, 0.3, 3, seed=0, fold=0), cfg)
     assert len(report.epochs) == epochs
     assert len({row[0] for row in report.queries}) == 3  # iterations
+    assert evaluated == report
+
+
+@pytest.mark.parametrize("on_stall", [False, True], ids=["grid", "stall"])
+def test_val_dsc_decides_exactly_where_it_can_change_the_next_step(on_stall):
+    # brute force: the step after an epoch whose val DSC rose (a stall count
+    # of 0) against the step after one whose did not (stalled + 1), with
+    # two, one (the last) or no scheduled query left
+    for iq_patience, early_stop, stalled, left, epoch in itertools.product(
+            range(4), range(4), range(5), range(3), range(4)):
+        cfg = TrainConfig(iq_patience=iq_patience, early_stop=early_stop,
+                          query_interval=2)
+        steps = {_next_step(on_stall, cfg, epoch, count, left)
+                 for count in (0, stalled + 1)}
+        assert _val_decides(on_stall, cfg, stalled, left > 0) == \
+            (len(steps) > 1), (iq_patience, early_stop, stalled, left, epoch)
+
+
+def test_the_evaluator_scores_what_evaluate_scores(dataset, inference_inputs):
+    seg = inference_inputs[0]
+    val_ids = np.arange(8, 40, 3)
+    with Evaluator(dataset) as evaluator:
+        for ids in (val_ids, val_ids[:5]):
+            evaluator.submit(seg, ids)
+            mean, per_class = evaluator.result()
+            expected = evaluate(seg, dataset, ids)
+            assert mean == expected[0]
+            assert np.array_equal(per_class, expected[1])
+
+
+@pytest.mark.parametrize("err", ["raise", "ignore"])
+def test_the_evaluator_raises_what_evaluate_raises_under_the_callers_errstate(
+        dataset, err):
+    seg = build_seg_model(dataset.num_fg + 1, seed=1)
+    for conv in seg.layers[0], seg.layers[2]:  # the second conv overflows
+        conv.weight.value *= np.float32(1e30)
+    with Evaluator(dataset) as evaluator, np.errstate(all=err):
+        with pytest.raises(ArithmeticError) as expected:
+            evaluate(seg, dataset, np.arange(8))
+        evaluator.submit(seg, np.arange(8))
+        with pytest.raises(type(expected.value), match=str(expected.value)):
+            evaluator.result()
+        evaluator.submit(seg, np.arange(8))  # it keeps serving
+        with pytest.raises(type(expected.value)):
+            evaluator.result()
+
+
+def test_the_evaluator_ignores_sigint(dataset, inference_inputs):
+    seg = inference_inputs[0]
+    with Evaluator(dataset) as evaluator:
+        evaluator.submit(seg, np.arange(8))  # it has set up its handler
+        expected = evaluator.result()
+        os.kill(evaluator.pid, signal.SIGINT)
+        evaluator.submit(seg, np.arange(8))
+        assert evaluator.result()[0] == expected[0]
+
+
+@pytest.mark.parametrize("in_flight", [False, True])
+def test_a_dead_evaluator_raises_evaluator_error(dataset, inference_inputs,
+                                                 in_flight):
+    seg = inference_inputs[0]
+    with Evaluator(dataset) as evaluator:
+        if in_flight:
+            evaluator.submit(seg, np.arange(8))
+        os.kill(evaluator.pid, signal.SIGKILL)
+        message = (f"the validation evaluator \\(pid {evaluator.pid}\\) "
+                   "died: killed by signal 9")
+        with pytest.raises(EvaluatorError, match=message):
+            # a request may still fit in the pipe of a child not yet gone
+            evaluator.submit(seg, np.arange(8))
+            evaluator.result()
+
+
+# (stage that fails, where val DSC fails, on that process's n-th evaluation):
+# train_epoch fails at epoch 1, with val(0) in flight; the query at epoch 1
+# first scores val(1) on the calling thread; calibration fails with val(2)
+# in flight. Where val DSC fails, its error wins, as in the serial order
+@pytest.mark.parametrize("stage,val_fails", [
+    ("train_epoch", None), ("train_epoch", ("child", 1)),
+    ("query_step", None), ("query_step", ("parent", 1)),
+    ("calibration", None), ("calibration", ("child", 3)),
+])
+def test_an_error_while_val_dsc_is_unsettled_waits_for_it(dataset, monkeypatch,
+                                                          stage, val_fails):
+    parent = os.getpid()
+    calls = {"evaluate": 0, "train_epoch": 0}
+
+    def fake_evaluate(seg, dataset, ids, threads=1):
+        calls["evaluate"] += 1
+        where = "parent" if os.getpid() == parent else "child"
+        if val_fails == (where, calls["evaluate"]):
+            raise NumericalError("val DSC")
+        return 0.5, np.zeros(dataset.num_fg)
+
+    def fake_train_epoch(*args):
+        calls["train_epoch"] += 1
+        if stage == "train_epoch" and calls["train_epoch"] == 2:
+            raise ValueError(stage)
+        return 0.0, None
+
+    def failing(*args, **kwargs):
+        raise ValueError(stage)
+
+    real_pool_inference = orchestrator._pool_inference
+
+    def pool_inference(seg, ap, dataset, ids, wanted, threads=1):
+        if stage == "calibration" and "pred_acc" in wanted:
+            raise ValueError(stage)
+        return real_pool_inference(seg, ap, dataset, ids, wanted, threads)
+
+    monkeypatch.setattr(orchestrator, "evaluate", fake_evaluate)
+    monkeypatch.setattr(orchestrator, "train_epoch", fake_train_epoch)
+    monkeypatch.setattr(orchestrator, "_pool_inference", pool_inference)
+    if stage == "query_step":
+        monkeypatch.setattr(orchestrator, "query_step", failing)
+    # random queries at epochs 1 and 2, so no epoch waits for its val DSC
+    cfg = TrainConfig(max_epochs=3, early_stop=3, warmup=1, silent_period=1,
+                      query_interval=1)
+    with Evaluator(dataset) as evaluator:
+        with pytest.raises(NumericalError if val_fails else ValueError,
+                           match="val DSC" if val_fails else stage):
+            run_active_learning(dataset, np.arange(32), np.arange(32, 40),
+                                Cell("random", 0.25, 2, seed=0, fold=0), cfg,
+                                evaluator=evaluator)
