@@ -201,8 +201,9 @@ def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
              setting: dict, evaluator: Evaluator | None = None,
              threads: int = 1) -> None:
     """Execute one cell on its fold's ``(train_ids, val_ids)``, its inference
-    on ``threads`` threads and its validation partly in ``evaluator``, if
-    given, then write its ``cell.json`` (``setting``) and its fragments.
+    on ``threads`` threads, and its validation partly and its accuracy
+    predictor's training wholly in ``evaluator``, if given, then write its
+    ``cell.json`` (``setting``) and its fragments.
     The first overflow, invalid operation or division by zero in the run,
     on any of its threads or in the evaluator, raises ``NumericalError``;
     underflow stays silent."""
@@ -266,11 +267,13 @@ def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[
 
     When this process runs the cells itself with two or more inference
     threads, it forks one ``orchestrator.Evaluator`` before the first cell
-    trains, and each cell scores in it the val DSC of every epoch that
+    trains. Each cell trains its accuracy predictor in it, beside the
+    segmentation net, and scores in it the val DSC of every epoch that
     cannot change its next step (see ``run_active_learning``). The
     evaluator is closed and reaped on the way out, after success, an
-    error or a Ctrl-C. ``--jobs`` workers fork no evaluator: each scores
-    validation itself. No output depends on either."""
+    error or a Ctrl-C. ``--jobs`` workers fork no evaluator: each trains
+    its predictor and scores validation itself. No output depends on
+    either."""
     cells = campaign_cells(config)
     dataset = data_mod.read_dataset(config.dataset)
     dataset_crc32 = 0  # the file's, read in 1 MiB blocks
@@ -304,8 +307,9 @@ def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[
                           [threads] * len(runs)))
     elif runs:  # one worker: this process runs the cells
         _one_blas_thread()
-        # a spare core scores validation in a process forked before any
-        # cell trains, so its RSS holds no training heap
+        # a spare core trains the predictor and scores validation in a
+        # process forked before any cell trains, so its RSS holds no
+        # training heap
         with (Evaluator(dataset) if threads > 1
               else contextlib.nullcontext()) as evaluator:
             for args in runs:

@@ -13,17 +13,22 @@ over the validation split, the pool or the labeled set runs in chunks of
 a run given ``threads`` keeps up to that many chunks in flight at once,
 the calling thread's and one per helper thread, each in conv buffers that
 the calling thread allocated before the first chunk. No output depends on
-the chunk size or the thread count. Training runs on the calling thread
-alone. Everything is deterministic given the run's ``Cell``, whose seed
-and fold seed every random draw.
+the chunk size or the thread count. The segmentation net trains on the
+calling thread alone, and so does the predictor, unless the run has an
+evaluator. Everything is deterministic given the run's ``Cell``, whose
+seed and fold seed every random draw.
 
-Validation can run beside training, in an :class:`Evaluator`: a process
-forked once per campaign, before any cell trains, which scores the weights
-it is sent on one thread. A run given one scores there the val DSC of
-each epoch that cannot fire a stall query or stop the run, while it does
-that epoch's query and trains the next epoch; it waits only at the epochs
+Validation and the predictor's training can run beside the segmentation
+net's training, in an :class:`Evaluator`: a process forked once per
+campaign, before any cell trains, which works on one thread. A run given
+one sends it each training batch's posteriors, and the predictor trains
+there; the run reads the predictor back only where a query or the final
+calibration uses it. The evaluator also scores the val DSC of each epoch
+that cannot fire a stall query or stop the run, while the run does that
+epoch's query and trains the next epoch; the run waits only at the epochs
 whose val DSC can change its next step, and scores those itself. Without
-an evaluator every epoch waits. No output depends on where validation ran.
+an evaluator the predictor trains in the run's own process and every
+epoch waits. No output depends on where validation or the predictor ran.
 
 A run returns its CSV rows (``RunReport``): per epoch, per queried sample,
 and the predictor's calibration on the final pool, each in the column order
@@ -62,6 +67,12 @@ _POOL_OUTPUTS = ("probs", "features", "pred_acc", "actual")
 # and 78 ms at 16K, with tracemalloc peaks of 9.2, 11.1 and 14.7 MB; at 16K
 # the query-step memory tests fail
 EVAL_PIXELS = 8192
+
+# bytes an evaluator's request pipe is widened to: about 4 training batches'
+# posteriors (16 x 4 x 32 x 32 float32 is 256 KiB), against the default 64
+# KiB, which holds none, so the trainer need not wait while the evaluator
+# scores validation; Linux's default pipe-max-size
+_REQUEST_PIPE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -179,16 +190,33 @@ def init_pool(train_ids: np.ndarray, init_ratio: float, budget: float,
     return PoolState(ids, is_labeled, schedule)
 
 
+def ap_step(ap: Network, x: np.ndarray, probs: np.ndarray, y: np.ndarray,
+            num_fg: int, lr: float, weight_decay: float) -> float:
+    """One accuracy-predictor step on a batch: regress the per-class DSC of
+    the segmentation output ``probs`` against the masks ``y``, with the
+    posteriors treated as constants. Returns the batch's loss."""
+    targets = dsc_per_class_batch(channel_argmax(probs), y, num_fg)
+    pred = ap.forward(np.concatenate([x, probs], axis=1), train=True)
+    loss, gpred = mse_loss(pred, targets.astype(np.float32))
+    ap.backward(gpred)
+    adamw_step(ap.params(), lr, weight_decay=weight_decay)
+    return loss
+
+
 def train_epoch(seg: Network, ap: Network, dataset: Dataset,
                 labeled_ids: np.ndarray, epoch: int, cfg: TrainConfig,
-                shuffle_rng: np.random.Generator) -> tuple[float, float | None]:
+                shuffle_rng: np.random.Generator,
+                evaluator: Evaluator | None = None) -> tuple[float, float | None]:
     """One pass over the labeled set in shuffled mini-batches, at the
     epoch's cosine learning rate.
 
     The segmentation model always trains; the accuracy predictor joins in
-    after the silent period, regressing the per-class DSC of the *current*
-    segmentation output, with the posteriors treated as constants. Each
-    batch's u8 images are normalised as it is read.
+    after the silent period, one :func:`ap_step` after each segmentation
+    step, on that step's posteriors. Each batch's u8 images are normalised
+    as it is read. Given an ``evaluator``, the predictor's steps run there
+    (see :meth:`Evaluator.train_ap`), on the evaluator's copy of the AP,
+    and the AP loss returned is None: the evaluator's next reply carries
+    it.
     """
     lr = cosine_lr(epoch, cfg.max_epochs, cfg.warmup, cfg.lr0, cfg.lr_min)
     order = labeled_ids[shuffle_rng.permutation(len(labeled_ids))]
@@ -208,14 +236,13 @@ def train_epoch(seg: Network, ap: Network, dataset: Dataset,
         seg_total += loss * len(batch)
         count += len(batch)
 
-        if train_ap:
-            targets = dsc_per_class_batch(channel_argmax(probs), y, dataset.num_fg)
-            pred = ap.forward(np.concatenate([x, probs], axis=1), train=True)
-            ap_loss, gpred = mse_loss(pred, targets.astype(np.float32))
-            ap.backward(gpred)
-            adamw_step(ap.params(), lr, weight_decay=cfg.weight_decay)
-            ap_total += ap_loss * len(batch)
-    return seg_total / count, (ap_total / count) if train_ap else None
+        if train_ap and evaluator is not None:
+            evaluator.train_ap(batch, probs, lr, cfg.weight_decay, first=lo == 0)
+        elif train_ap:
+            ap_total += ap_step(ap, x, probs, y, dataset.num_fg, lr,
+                                cfg.weight_decay) * len(batch)
+    ap_loss = ap_total / count if train_ap and evaluator is None else None
+    return seg_total / count, ap_loss
 
 
 def evaluate(seg: Network, dataset: Dataset, val_ids: np.ndarray,
@@ -405,30 +432,51 @@ class EvaluatorError(RuntimeError):
 
 
 class Evaluator:
-    """A forked process that scores validation DSC beside the caller's
-    training: :meth:`submit` sends it a seg net's weights as they are, and
-    :meth:`result` returns what :func:`evaluate` makes of them on one
-    thread, or raises the error it raised there. One request is in flight
-    at a time.
+    """A forked process beside the caller's training that scores validation
+    DSC and trains each run's accuracy predictor. Its requests run in the
+    order they are sent:
+
+    - :meth:`start` begins a run: the child's AP becomes a copy of the
+      caller's, with fresh Adam state;
+    - :meth:`train_ap` sends one :func:`ap_step` on a batch; no reply;
+    - :meth:`submit` sends a seg net's weights as they are, and
+      :meth:`result` returns what :func:`evaluate` makes of them on one
+      thread;
+    - :meth:`sync_ap` waits for every AP step sent so far, and copies the
+      child's AP weights into the caller's AP if given one.
+
+    Every reply carries ``ap_loss``, the AP's mean loss over the latest
+    epoch that trained it (None before any), which :func:`train_epoch`
+    would have returned. A reply raises instead the earliest error since
+    the last reply: after an AP step fails, the child skips the AP steps
+    and the scoring that follow it until it has replied. One reply is
+    awaited at a time.
 
     The child is forked when this is made, on the dataset given, which it
     keeps. Make it while no other thread runs (:func:`_in_threads` joins
     its helpers before it returns), and before training grows the heap:
-    a child's RSS counts every page it shares with its parent. Requests and replies are
-    pickled over two pipes; each request carries the caller's
-    ``np.errstate``, under which the child evaluates. The child ignores
-    SIGINT, which a Ctrl-C sends the whole process group, exits when its
-    request pipe reaches EOF, so it never outlives its parent, and leaves
-    through ``os._exit``: it never unwinds into the code that forked it,
-    and never flushes the stdio it inherited. Once the child has died,
-    :meth:`submit` and :meth:`result` raise ``EvaluatorError``.
-    :meth:`close`, or the end of a ``with`` block, closes the pipes and
-    reaps the child.
+    a child's RSS counts every page it shares with its parent. Requests and
+    replies are pickled over two pipes. The request pipe is widened to
+    ``_REQUEST_PIPE_BYTES`` where the system allows, so a few batches'
+    posteriors fit while the child is busy. Each request carries the
+    caller's ``np.errstate``, under which the child runs it. The child
+    ignores SIGINT, which a Ctrl-C sends the whole process group, exits
+    when its request pipe reaches EOF, so it never outlives its parent, and
+    leaves through ``os._exit``: it never unwinds into the code that forked
+    it, and never flushes the stdio it inherited. Once the child has died,
+    sending or awaiting a reply raises ``EvaluatorError``. :meth:`close`,
+    or the end of a ``with`` block, closes the pipes and reaps the child.
     """
 
+    ap_loss: float | None = None
+
     def __init__(self, dataset: Dataset):
+        import fcntl  # where os.fork exists, so does fcntl
         request_r, request_w = os.pipe()
         reply_r, reply_w = os.pipe()
+        # Linux alone can widen a pipe, up to the system's pipe-max-size
+        with contextlib.suppress(AttributeError, OSError):
+            fcntl.fcntl(request_w, fcntl.F_SETPIPE_SZ, _REQUEST_PIPE_BYTES)
         self.pid = os.fork()
         if self.pid == 0:
             code = 1
@@ -451,22 +499,44 @@ class Evaluator:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def submit(self, seg: Network, val_ids: np.ndarray) -> None:
+    def _send(self, kind: str, *args) -> None:
         try:
-            pickle.dump((np.geterr(), [p.value for p in seg.params()], val_ids),
-                        self._requests, pickle.HIGHEST_PROTOCOL)
+            pickle.dump((kind, np.geterr(), *args), self._requests,
+                        pickle.HIGHEST_PROTOCOL)
             self._requests.flush()
         except BrokenPipeError as exc:
             raise EvaluatorError(self._death()) from exc
 
-    def result(self) -> tuple[float, np.ndarray]:
+    def start(self, ap: Network) -> None:
+        self._send("start", [p.value for p in ap.params()])
+
+    def train_ap(self, ids: np.ndarray, probs: np.ndarray, lr: float,
+                 weight_decay: float, first: bool) -> None:
+        """One :func:`ap_step` on the batch ``ids`` of the dataset, whose
+        posteriors are ``probs``; ``first`` starts an epoch's loss."""
+        self._send("ap", ids, probs, lr, weight_decay, first)
+
+    def submit(self, seg: Network, val_ids: np.ndarray) -> None:
+        self._send("val", [p.value for p in seg.params()], val_ids)
+
+    def result(self):
         try:
             reply = pickle.load(self._replies)
         except (EOFError, pickle.UnpicklingError) as exc:
             raise EvaluatorError(self._death()) from exc
         if isinstance(reply, Exception):
             raise reply
-        return reply
+        self.ap_loss, value = reply
+        return value
+
+    def sync_ap(self, ap: Network | None = None) -> float | None:
+        """Wait for every AP step sent so far; copy the child's AP weights
+        into ``ap``, if given, and return ``ap_loss``."""
+        self._send("sync", ap is not None)
+        weights = self.result()
+        if ap is not None:
+            _load(ap, weights)
+        return self.ap_loss
 
     def _reap(self) -> int:
         if self._exit_code is None:
@@ -487,24 +557,56 @@ class Evaluator:
 
 def _serve(dataset: Dataset, requests, replies) -> None:
     """The evaluator's loop (see :class:`Evaluator`): until EOF, read a
-    request, score it and write the reply."""
+    request and run it, and answer the ones that await a reply."""
     import signal  # the child's alone, so `paal generate` loads no more
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    seg = build_seg_model(dataset.num_fg + 1, seed=0)  # weights come with each request
+    # weights come with the requests
+    seg = build_seg_model(dataset.num_fg + 1, seed=0)
+    ap = None
+    error = None  # the earliest since the last reply
+    ap_total, ap_count = 0.0, 0  # the latest AP epoch's, as train_epoch sums
     while True:
         try:
-            errstate, weights, val_ids = pickle.load(requests)
+            kind, errstate, *args = pickle.load(requests)
         except EOFError:
             return
-        for param, value in zip(seg.params(), weights):
-            param.value = value
-        try:
-            with np.errstate(**errstate):
-                reply = evaluate(seg, dataset, val_ids)
-        except Exception as exc:  # raised in the parent
-            reply = exc
+        if kind == "start":
+            ap = build_ap_model(dataset.num_fg + 1, seed=0)  # fresh Adam state
+            _load(ap, args[0])
+            error, ap_total, ap_count = None, 0.0, 0
+            continue
+        value = None
+        if error is None:
+            try:
+                with np.errstate(**errstate):
+                    if kind == "ap":
+                        ids, probs, lr, weight_decay, first = args
+                        if first:
+                            ap_total, ap_count = 0.0, 0
+                        ap_total += ap_step(
+                            ap, normalize_images(dataset.images[ids]), probs,
+                            dataset.masks[ids], dataset.num_fg, lr,
+                            weight_decay) * len(ids)
+                        ap_count += len(ids)
+                    elif kind == "val":
+                        _load(seg, args[0])
+                        value = evaluate(seg, dataset, args[1])
+                    elif args[0]:  # a "sync" that asks for the AP's weights
+                        value = [p.value for p in ap.params()]
+            except Exception as exc:  # raised in the parent
+                error = exc
+        if kind == "ap":
+            continue
+        reply = error if error is not None else (
+            ap_total / ap_count if ap_count else None, value)
+        error = None
         pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
         replies.flush()
+
+
+def _load(net: Network, weights) -> None:
+    for param, value in zip(net.params(), weights):
+        param.value = value
 
 
 def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
@@ -520,18 +622,26 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
     restarts that count as it restarts the trigger's: "stale" only counts
     epochs after the labeled set stopped changing.
 
-    Given an ``evaluator`` forked on ``dataset``, an epoch whose val DSC
-    cannot change the next step (see :func:`_val_decides`) does that step
-    (its query, if one fires) at once, then sends its weights to the
-    evaluator and trains the next epoch while the evaluator scores them;
-    the stall count, best val DSC and the epoch's row are settled before
-    anything reads them. Only the epochs whose val DSC can fire a stall
-    query or stop the run wait for it, scored here on ``threads`` threads
-    as without an evaluator. An error raised while an epoch's val DSC is
-    unsettled is raised only after it is settled, and val DSC's own error
-    wins, as in the serial order. No output depends on the evaluator.
+    Given an ``evaluator`` forked on ``dataset``, the accuracy predictor
+    trains there, from a copy of this run's initial AP, beside the
+    segmentation net training here (see :func:`train_epoch`). A query
+    waits for the AP's steps so far, and the AP's weights come back only
+    before a query whose entry reads ``pred_acc`` and before the final
+    calibration. An epoch whose val DSC cannot change
+    the next step (see :func:`_val_decides`) does that step (its query,
+    if one fires) at once, then sends its weights to the evaluator and
+    trains the next epoch while the evaluator scores them; the stall
+    count, best val DSC and the epoch's row, with its AP loss from the
+    same reply, are settled before anything reads them. Only the epochs
+    whose val DSC can fire a stall query or stop the run wait for it,
+    scored here on ``threads`` threads as without an evaluator, and they
+    fetch the epoch's AP loss from the evaluator. An error raised here
+    while the evaluator's work is unsettled is raised only after it is
+    settled, and the evaluator's earliest error wins, as in the serial
+    order. No output depends on the evaluator.
     """
     on_stall = STRATEGIES[cell.strategy].on_stall
+    reads_ap = "pred_acc" in STRATEGIES[cell.strategy].needs
     val_ids = np.asarray(val_ids, dtype=np.int64)
     num_fg = dataset.num_fg
 
@@ -539,28 +649,32 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
                       seed=[cell.seed, cell.fold, 0xD1])
     seg = build_seg_model(num_fg + 1, seed=_subseed(cell.seed, cell.fold, 1))
     ap = build_ap_model(num_fg + 1, seed=_subseed(cell.seed, cell.fold, 2))
+    if evaluator is not None:
+        evaluator.start(ap)
 
     report = RunReport()
     best_val, stalled = float("-inf"), 0  # epochs since val DSC last rose
     in_flight = None  # (row, queried) of the epoch the evaluator scores
 
-    def settle(row, queried, val_mean, val_class):
+    def settle(row, queried, ap_loss, val_mean, val_class):
         nonlocal best_val, stalled
         # a tie or NaN stalls, and a query restarts the count
         stalled = 0 if val_mean > best_val or queried else stalled + 1
         best_val = max(best_val, val_mean)  # max keeps its first argument on a NaN
-        report.epochs.append([*row, val_mean, *(float(v) for v in val_class)])
+        report.epochs.append([*row, ap_loss, val_mean,
+                              *(float(v) for v in val_class)])
 
     def collect():
         nonlocal in_flight
         (row, queried), in_flight = in_flight, None
-        settle(row, queried, *evaluator.result())
+        val = evaluator.result()
+        settle(row, queried, evaluator.ap_loss, *val)
 
     try:
         for epoch in range(cfg.max_epochs):
             shuffle_rng = np.random.default_rng([cell.seed, cell.fold, 3, epoch])
             seg_loss, ap_loss = train_epoch(seg, ap, dataset, state.labeled,
-                                            epoch, cfg, shuffle_rng)
+                                            epoch, cfg, shuffle_rng, evaluator)
             if in_flight:
                 collect()
             wait = (evaluator is None
@@ -572,6 +686,9 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
             query, stop = _next_step(on_stall, cfg, epoch,
                                      0 if rose else stalled + 1,
                                      len(state.schedule) - state.t + 1)
+            if evaluator is not None and (wait or query):
+                # the AP's steps come first, with the loss a waiting row reads
+                ap_loss = evaluator.sync_ap(ap if query and reads_ap else None)
             if query:
                 try:
                     report.queries += query_step(
@@ -584,27 +701,33 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
                     raise
 
             labeled = np.count_nonzero(state.is_labeled)
-            row = [epoch, state.t, labeled, labeled / len(state.ids), seg_loss,
-                   ap_loss]
+            row = [epoch, state.t, labeled, labeled / len(state.ids), seg_loss]
             if wait:
-                settle(row, query, *val)
+                settle(row, query, ap_loss, *val)
             else:
                 evaluator.submit(seg, val_ids)
                 in_flight = row, query
             if stop:
                 break
+        if in_flight:
+            collect()
 
         if len(state.unlabeled):
+            if evaluator is not None:
+                evaluator.sync_ap(ap)
             out = _pool_inference(seg, ap, dataset, state.unlabeled,
                                   ("pred_acc", "actual"), threads)
             pred, actual = out["pred_acc"], out["actual"]
             report.calibration = [
                 [int(sid), j + 1, float(pred[i, j]), float(actual[i, j])]
                 for i, sid in enumerate(state.unlabeled) for j in range(num_fg)]
-    except Exception:
-        if in_flight:  # its val DSC comes first, and its error wins
-            collect()
+    except EvaluatorError:
         raise
-    if in_flight:
-        collect()
+    except Exception:
+        # the evaluator's work comes first, and its earliest error wins
+        if in_flight:
+            collect()
+        if evaluator is not None:
+            evaluator.sync_ap()
+        raise
     return report

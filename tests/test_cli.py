@@ -372,6 +372,28 @@ def test_a_killed_evaluator_exits_5_with_one_line(tmp_path, capsys, monkeypatch,
     assert not glob.glob(str(out / "cells" / "*" / "results.csv"))
 
 
+def test_an_evaluator_killed_with_ap_steps_in_flight_exits_5_with_one_line(
+        tmp_path, capsys, monkeypatch, data_file, evaluators):
+    # the AP trains in the evaluator from epoch 1 (silent_period 1); it is
+    # killed as soon as the first step is sent, once
+    train_ap = orchestrator.Evaluator.train_ap
+    killed = []
+
+    def train_ap_then_kill(evaluator, *args, **kwargs):
+        train_ap(evaluator, *args, **kwargs)
+        if not killed:
+            os.kill(evaluator.pid, signal.SIGKILL)
+            killed.append(evaluator.pid)
+
+    monkeypatch.setattr(orchestrator.Evaluator, "train_ap", train_ap_then_kill)
+    code, out = paal_run(tmp_path, "run", data_file)
+    assert code == EXIT_EVALUATOR and killed == [evaluators[0].pid]
+    assert capsys.readouterr().err == (
+        f"evaluator failure: the validation evaluator (pid {killed[0]}) "
+        "died: killed by signal 9\n")
+    assert not glob.glob(str(out / "cells" / "*" / "results.csv"))
+
+
 def test_an_interrupted_campaign_reaps_its_evaluator(tmp_path, monkeypatch,
                                                      data_file, evaluators):
     def interrupt():

@@ -590,8 +590,9 @@ def test_a_dead_evaluator_raises_evaluator_error(dataset, inference_inputs,
 
 # (stage that fails, where val DSC fails, on that process's n-th evaluation):
 # train_epoch fails at epoch 1, with val(0) in flight; the query at epoch 1
-# first scores val(1) on the calling thread; calibration fails with val(2)
-# in flight. Where val DSC fails, its error wins, as in the serial order
+# first scores val(1) on the calling thread; calibration fails after val(2),
+# scored in the evaluator, is settled. Where val DSC fails, its error wins,
+# as in the serial order
 @pytest.mark.parametrize("stage,val_fails", [
     ("train_epoch", None), ("train_epoch", ("child", 1)),
     ("query_step", None), ("query_step", ("parent", 1)),
@@ -639,3 +640,116 @@ def test_an_error_while_val_dsc_is_unsettled_waits_for_it(dataset, monkeypatch,
             run_active_learning(dataset, np.arange(32), np.arange(32, 40),
                                 Cell("random", 0.25, 2, seed=0, fold=0), cfg,
                                 evaluator=evaluator)
+
+
+def trained_ap(dataset, seed, cfg, epochs, evaluator=None):
+    """A run's AP after ``epochs`` epochs on the dataset's first 40 images,
+    trained here or in ``evaluator``: each param's bytes, and each epoch's
+    AP loss as bytes (None while silent)."""
+    seg = build_seg_model(dataset.num_fg + 1, seed=seed)
+    ap = build_ap_model(dataset.num_fg + 1, seed=seed + 1)
+    if evaluator is not None:
+        evaluator.start(ap)
+    losses = []
+    for epoch in range(epochs):
+        _, ap_loss = orchestrator.train_epoch(
+            seg, ap, dataset, np.arange(40), epoch, cfg,
+            np.random.default_rng([seed, epoch]), evaluator)
+        if evaluator is not None:
+            ap_loss = evaluator.sync_ap(ap)
+        losses.append(None if ap_loss is None else np.float64(ap_loss).tobytes())
+    return [p.value.tobytes() for p in ap.params()], losses
+
+
+def test_an_ap_trained_in_the_evaluator_is_bit_identical(dataset):
+    # 3 batches an epoch (16, 16, 8), the silent period ends mid-run, and
+    # two runs share one evaluator, so the second must start from its own
+    # weights and fresh Adam state
+    cfg = TrainConfig(max_epochs=6, warmup=1, silent_period=2, lr0=0.03)
+    with Evaluator(dataset) as evaluator:
+        for seed in (0, 1):
+            local = trained_ap(dataset, seed, cfg, 5)
+            assert local[1][:2] == [None, None] and None not in local[1][2:]
+            assert trained_ap(dataset, seed, cfg, 5, evaluator) == local
+
+
+def test_beside_an_evaluator_this_process_runs_no_ap_backward(dataset,
+                                                              monkeypatch):
+    # without an evaluator the AP trains here, so a fallback would show
+    shapes = []
+    backward = Conv2D.backward
+
+    def recording(layer, *args, **kwargs):
+        shapes.append((layer.in_ch, layer.out_ch))
+        return backward(layer, *args, **kwargs)
+
+    monkeypatch.setattr(Conv2D, "backward", recording)
+    ap_conv = (dataset.num_fg + 2, 8)  # the image and the posteriors in
+    cfg = TrainConfig(max_epochs=3, warmup=1, silent_period=1)
+    cell = Cell("paal_full", 0.25, 2, seed=0, fold=0)
+    with Evaluator(dataset) as evaluator:
+        for ev in (evaluator, None):
+            shapes.clear()
+            run_active_learning(dataset, np.arange(32), np.arange(32, 40),
+                                cell, cfg, evaluator=ev)
+            assert (1, 8) in shapes
+            assert (ap_conv in shapes) == (ev is None)
+
+
+# The AP's third step (epoch 2's first batch, at 2 batches an epoch)
+# overflows, in whichever process trains it, and the later steps succeed,
+# so only the first error can be the serial one; the parent's own failure
+# comes at epoch 2's second segmentation step, and val(2) is each
+# process's third evaluation. A grid entry sends every epoch's val DSC to
+# the evaluator; a stall entry at iq_patience 1 scores each one in-process
+@pytest.mark.parametrize("trigger", ["grid", "stall"])
+@pytest.mark.parametrize("also_fails", [None, "parent", "val"])
+def test_an_ap_error_in_the_evaluator_is_the_serial_runs_error(
+        dataset, monkeypatch, trigger, also_fails):
+    calls = {"ap_step": 0, "dice_ce_loss": 0, "evaluate": 0}
+    real = {name: getattr(orchestrator, name) for name in calls}
+
+    def overflowing_ap_step(ap, *args):
+        calls["ap_step"] += 1
+        if calls["ap_step"] != 3:
+            return real["ap_step"](ap, *args)
+        weight = ap.layers[0].weight  # overflows once, then is as it was
+        kept = weight.value.copy()
+        weight.value[...] = np.float32(1e38)
+        try:
+            return real["ap_step"](ap, *args)
+        finally:
+            weight.value[...] = kept
+
+    def dice_ce_loss(*args):
+        calls["dice_ce_loss"] += 1
+        if also_fails == "parent" and calls["dice_ce_loss"] == 6:
+            raise ValueError("segmentation step")
+        return real["dice_ce_loss"](*args)
+
+    def rising_evaluate(seg, dataset, ids, threads=1):
+        calls["evaluate"] += 1  # val DSC always rises: no stall, no query
+        if also_fails == "val" and calls["evaluate"] == 3:
+            raise NumericalError("val DSC")
+        return calls["evaluate"] / 10, np.zeros(dataset.num_fg)
+
+    for name, fake in (("ap_step", overflowing_ap_step),
+                       ("dice_ce_loss", dice_ce_loss),
+                       ("evaluate", rising_evaluate)):
+        monkeypatch.setattr(orchestrator, name, fake)
+    strategy = "random" if trigger == "grid" else "paal_ap_only"
+    cfg = TrainConfig(max_epochs=5, early_stop=5, warmup=1, silent_period=1,
+                      iq_patience=1, query_interval=100, batch_size=4,
+                      init_ratio=0.25)
+    errors = []
+    with Evaluator(dataset) as evaluator:  # its counts start at 0 too
+        for ev in (None, evaluator):
+            calls.update(dict.fromkeys(calls, 0))
+            with pytest.raises(Exception) as raised, \
+                    np.errstate(over="raise", invalid="raise", divide="raise"):
+                run_active_learning(dataset, np.arange(32), np.arange(32, 40),
+                                    Cell(strategy, 0.25, 1, seed=0, fold=0),
+                                    cfg, evaluator=ev)
+            errors.append((type(raised.value), str(raised.value)))
+    assert errors[0] == (FloatingPointError, "overflow encountered in matmul")
+    assert errors[1] == errors[0]
