@@ -29,6 +29,7 @@ import concurrent.futures
 import contextlib
 import csv
 import ctypes
+import functools
 import glob
 import json
 import os
@@ -198,20 +199,19 @@ def _is_done(cell_dir: str, setting: dict) -> bool:
 
 def run_cell(config: ExperimentConfig, cell: Cell, out_dir: str,
              dataset: data_mod.Dataset, split: tuple[np.ndarray, np.ndarray],
-             setting: dict, evaluator: Evaluator | None = None,
-             threads: int = 1) -> None:
-    """Execute one cell on its fold's ``(train_ids, val_ids)``, its inference
-    on ``threads`` threads, and its validation partly and its accuracy
-    predictor's training wholly in ``evaluator``, if given, then write its
+             setting: dict, evaluator: Evaluator | None = None) -> None:
+    """Execute one cell on its fold's ``(train_ids, val_ids)``, with its
+    validation and its inference partly and its accuracy predictor's
+    training wholly in ``evaluator``, if given, then write its
     ``cell.json`` (``setting``) and its fragments.
     The first overflow, invalid operation or division by zero in the run,
-    on any of its threads or in the evaluator, raises ``NumericalError``;
-    underflow stays silent."""
+    here or in the evaluator, raises ``NumericalError``; underflow stays
+    silent."""
     cell_dir = os.path.join(out_dir, "cells", cell.run_id)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             report = run_active_learning(dataset, *split, cell, config.train,
-                                         threads, evaluator)
+                                         evaluator)
     except FloatingPointError as exc:
         raise NumericalError(str(exc)) from exc
     # each picked sample counts once, under its highest class label
@@ -244,13 +244,13 @@ _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
 def _one_blas_thread() -> None:
     """Run this process's OpenBLAS on one thread.
 
-    Every process that runs cells calls it: each ``--jobs`` worker, as the
+    Every process that runs cells calls it: each ``--jobs`` worker, in the
     process pool's initializer, or the campaign's own process when it runs
     the cells itself. A second BLAS thread spins on a core that a sibling
-    worker or the cell's inference threads would use, and at the nets'
-    shapes it buys training a few percent at most. A parent that hands its
-    cells to workers keeps its threads. Does nothing where numpy bundles no
-    OpenBLAS exporting either setter.
+    worker or an evaluator would use, and at the nets' shapes it buys
+    training a few percent at most. A parent that hands its cells to
+    workers keeps its threads. Does nothing where numpy bundles no OpenBLAS
+    exporting either setter.
     """
     for path in sorted(glob.glob(_OPENBLAS_LIBS)):
         lib = ctypes.CDLL(path)
@@ -260,20 +260,41 @@ def _one_blas_thread() -> None:
                 return
 
 
+_worker_evaluator: Evaluator | None = None  # a --jobs worker's, if any
+
+
+def _start_worker(dataset: data_mod.Dataset, cores: int):
+    """The ``--jobs`` process pool's initializer: one BLAS thread, and with
+    ``cores`` of two or more an evaluator forked on ``dataset`` before any
+    cell trains, which a ``multiprocessing.util.Finalize`` exit hook closes
+    and reaps as the worker exits. Returns that hook, or None."""
+    global _worker_evaluator
+    _one_blas_thread()
+    if cores < 2:
+        return None
+    from multiprocessing import util  # loaded with the pool already
+    _worker_evaluator = Evaluator(dataset)
+    return util.Finalize(_worker_evaluator, _worker_evaluator.close,
+                         exitpriority=0)
+
+
+def _run_cell_in_worker(*args) -> None:
+    run_cell(*args, _worker_evaluator)
+
+
 def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[str]:
     """Run every cell that is not done, then merge the fragments. Every cell
     is settled before any runs: a done cell is reused if its ``cell.json``
     matches its setting, and refuses the whole campaign otherwise.
 
-    When this process runs the cells itself with two or more inference
-    threads, it forks one ``orchestrator.Evaluator`` before the first cell
-    trains. Each cell trains its accuracy predictor in it, beside the
-    segmentation net, and scores in it the val DSC of every epoch that
-    cannot change its next step (see ``run_active_learning``). The
-    evaluator is closed and reaped on the way out, after success, an
-    error or a Ctrl-C. ``--jobs`` workers fork no evaluator: each trains
-    its predictor and scores validation itself. No output depends on
-    either."""
+    The cores this process may use are shared equally among the processes
+    that run cells: this one at one job, else the ``--jobs`` workers. Each
+    with two or more cores forks one ``orchestrator.Evaluator`` before its
+    first cell trains (a worker in :func:`_start_worker`), in which each
+    cell trains its accuracy predictor, scores val DSC and runs half of
+    its inference passes (see ``run_active_learning``). It is closed and
+    reaped on the way out, after success, an error or a Ctrl-C, or as the
+    worker exits. No output depends on any of this."""
     cells = campaign_cells(config)
     dataset = data_mod.read_dataset(config.dataset)
     dataset_crc32 = 0  # the file's, read in 1 MiB blocks
@@ -294,26 +315,23 @@ def run_campaign(config: ExperimentConfig, out_dir: str, jobs: int = 1) -> list[
             runs.append((config, cell, out_dir, dataset, split, setting))
     # a fork pool starts every worker on the first submit: start no idle
     # ones. concurrent.futures loads the pool, and with it multiprocessing,
-    # on first lookup, so a one-job run never loads either. Each worker's
-    # inference threads get an equal share of the cores this process may use
+    # on first lookup, so a one-job run never loads either. Each process
+    # that runs cells gets an equal share of the cores this one may use
     workers = min(jobs, len(runs))
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    threads = max(1, cores // max(workers, 1))
+             else os.cpu_count() or 1) // max(workers, 1)
     if workers > 1:
+        start = functools.partial(_start_worker, dataset, cores)
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_one_blas_thread) as pool:
-            list(pool.map(run_cell, *zip(*runs), [None] * len(runs),
-                          [threads] * len(runs)))
+                max_workers=workers, initializer=start) as pool:
+            list(pool.map(_run_cell_in_worker, *zip(*runs)))
     elif runs:  # one worker: this process runs the cells
         _one_blas_thread()
-        # a spare core trains the predictor and scores validation in a
-        # process forked before any cell trains, so its RSS holds no
-        # training heap
-        with (Evaluator(dataset) if threads > 1
+        # forked before any cell trains, so its RSS holds no training heap
+        with (Evaluator(dataset) if cores > 1
               else contextlib.nullcontext()) as evaluator:
             for args in runs:
-                run_cell(*args, evaluator, threads)
+                run_cell(*args, evaluator)
 
     for name, header in _headers(dataset.num_fg).items():
         with _replacing(os.path.join(out_dir, name)) as fh:

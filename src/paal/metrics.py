@@ -53,9 +53,7 @@ def dice_ce_loss(probs: np.ndarray, true_labels: np.ndarray
     b, c, h, w = probs.shape
     npix = b * h * w
     labels = np.asarray(true_labels)
-    onehot = np.zeros_like(probs)
-    for j in range(c):
-        onehot[:, j][labels == j] = 1.0
+    onehot = (labels[:, None] == np.arange(c)[:, None, None]).astype(probs.dtype)
 
     p64 = probs.astype(np.float64)
     p_true = np.take_along_axis(p64, labels[:, None].astype(np.int64), axis=1)[:, 0]

@@ -85,7 +85,7 @@ def channel_argmax(probs: np.ndarray) -> np.ndarray:
 
 
 class Workspace:
-    """One inference thread's conv buffers, flat: a patch matrix and two
+    """One inference pass's conv buffers, flat: a patch matrix and two
     padded activation buffers, each as large as the largest that the
     given nets' convs use on B HxW images (``Conv2D.buffer_sizes``).
 

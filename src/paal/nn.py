@@ -83,10 +83,9 @@ class Conv2D(Layer):
     reads it as is; :meth:`forward` is that kernel between one ``pad`` and
     one copy into a contiguous (B, O, H, W) output. Given flat ``cols``
     and ``out`` buffers of at least :meth:`buffer_sizes` elements, the
-    kernel allocates neither its patch matrix nor its output, so whoever
-    allocates those buffers decides which malloc arena holds them; pool
-    inference allocates every thread's on the calling thread (see
-    ``orchestrator._in_threads``). A narrowing conv (the
+    kernel allocates neither its patch matrix nor its output, and one
+    inference pass reuses one set of them for every chunk (see
+    ``models.Workspace``). A narrowing conv (the
     seg net's logits head) builds its patch matrix one image at a time:
     its matmul does few multiply-adds per element read, so a whole-batch
     matrix far larger than L2 is slower (16->4 at 16 images, 32x32: 2.7 ms

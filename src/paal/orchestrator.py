@@ -10,25 +10,20 @@ The pool is one labeled flag per sorted train id; a query flags ids whose
 ground-truth masks stand in for an annotator's labels. Inference
 over the validation split, the pool or the labeled set runs in chunks of
 ``EVAL_PIXELS`` pixels each and only through the layers its outputs read;
-a run given ``threads`` keeps up to that many chunks in flight at once,
-the calling thread's and one per helper thread, each in conv buffers that
-the calling thread allocated before the first chunk. No output depends on
-the chunk size or the thread count. The segmentation net trains on the
-calling thread alone, and so does the predictor, unless the run has an
-evaluator. Everything is deterministic given the run's ``Cell``, whose
-seed and fold seed every random draw.
+no output depends on the chunk size. Everything is deterministic given
+the run's ``Cell``, whose seed and fold seed every random draw.
 
-Validation and the predictor's training can run beside the segmentation
-net's training, in an :class:`Evaluator`: a process forked once per
-campaign, before any cell trains, which works on one thread. A run given
-one sends it each training batch's posteriors, and the predictor trains
-there; the run reads the predictor back only where a query or the final
-calibration uses it. The evaluator also scores the val DSC of each epoch
-that cannot fire a stall query or stop the run, while the run does that
-epoch's query and trains the next epoch; the run waits only at the epochs
-whose val DSC can change its next step, and scores those itself. Without
-an evaluator the predictor trains in the run's own process and every
-epoch waits. No output depends on where validation or the predictor ran.
+Validation, the predictor's training and half of each inference pass can
+run beside the segmentation net's training, in an :class:`Evaluator`: a
+process forked once per campaign or ``--jobs`` worker, before any cell
+trains, which works on one thread. A run given one sends it each training
+batch's posteriors, and the predictor trains there; the run reads the
+predictor back only where a query or the final calibration uses it. The
+evaluator also scores the val DSC of each epoch that cannot fire a stall
+query or stop the run, while the run does that epoch's query and trains
+the next epoch. Every pass the run waits for runs its first half of
+chunks here and its second half there. Without an evaluator everything
+runs in the run's own process. No output depends on the evaluator.
 
 A run returns its CSV rows (``RunReport``): per epoch, per queried sample,
 and the predictor's calibration on the final pool, each in the column order
@@ -38,11 +33,9 @@ named beside it; the campaign puts the cell's own columns in front.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import math
 import os
 import pickle
-import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,14 +51,12 @@ from .strategies import STRATEGIES, QueryContext, select
 
 _POOL_OUTPUTS = ("probs", "features", "pred_acc", "actual")
 
-# pixels per chunk of a forward pass when nothing trains; with n threads
-# up to n chunks are in flight, each in its thread's conv buffers (one
-# models.Workspace per thread, all allocated by the calling thread). With
-# the convs chained on padded buffers, a 452-image 32x32 pool pass on one
-# thread (posteriors and features; medians of 3 runs of 20 interleaved
-# repeats, heap pinned, 2-core Xeon) took 91 ms at 4K pixels, 84 ms at 8K
-# and 78 ms at 16K, with tracemalloc peaks of 9.2, 11.1 and 14.7 MB; at 16K
-# the query-step memory tests fail
+# pixels per chunk of a forward pass when nothing trains, each chunk in one
+# models.Workspace's conv buffers. With the convs chained on padded buffers,
+# a 452-image 32x32 pool pass in one process (posteriors and features;
+# medians of 3 runs of 20 interleaved repeats, heap pinned, 2-core Xeon)
+# took 91 ms at 4K pixels, 84 ms at 8K and 78 ms at 16K, with tracemalloc
+# peaks of 9.2, 11.1 and 14.7 MB; at 16K the query-step memory tests fail
 EVAL_PIXELS = 8192
 
 # bytes an evaluator's request pipe is widened to: about 4 training batches'
@@ -246,67 +237,48 @@ def train_epoch(seg: Network, ap: Network, dataset: Dataset,
 
 
 def evaluate(seg: Network, dataset: Dataset, val_ids: np.ndarray,
-             threads: int = 1) -> tuple[float, np.ndarray]:
+             evaluator: Evaluator | None = None) -> tuple[float, np.ndarray]:
     """Mean foreground DSC on the validation set (classes averaged, then samples)."""
     dsc = _pool_inference(seg, None, dataset, val_ids, ("actual",),
-                          threads)["actual"]
+                          evaluator)["actual"]
     return float(dsc.mean(axis=1).mean()), dsc.mean(axis=0)
 
 
-def _in_threads(work, items, threads: int) -> None:
-    """Call ``work(slot, item)`` for every item of a sequence, on the
-    calling thread (slot 0) and up to ``threads - 1`` helper threads
-    (slots 1, 2, ...), which all take the next item in order; no two
-    threads share a slot.
-
-    glibc gives each thread that allocates its own malloc arena, and under
-    ``cli._pin_heap``'s trim threshold an arena keeps its high-water for
-    the rest of the process. So the caller works too, rather than idle
-    beside helpers that would each hold an arena, and ``work`` should put
-    its large buffers in ones the caller allocated for its slot: a helper
-    that allocated one pool chunk's conv buffers itself kept 3.4 MiB in
-    its arena and raised the benchmark's peak RSS by about 3 MB; in the
-    caller's buffers it keeps 0.6 MiB.
-
-    Each helper runs in its own copy of the caller's context, so the
-    caller's ``np.errstate`` (a context variable) holds in it. Once an item
-    fails no further item starts, so every item before it has run; the
-    earliest failed item's error is raised, the one a serial loop would
-    raise. The helpers are joined before this returns or raises.
-    """
-    lock = threading.Lock()
-    todo = enumerate(items)
-    errors: dict[int, BaseException] = {}
-
-    def drain(slot):
-        while True:
-            with lock:  # no item starts after a failure
-                i, item = (None, None) if errors else next(todo, (None, None))
-            if i is None:
-                return
-            try:
-                work(slot, item)
-            except BaseException as exc:  # raised by the caller below
-                with lock:
-                    errors[i] = exc
-                return
-
-    started = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(drain, slot))
-               for slot in range(1, min(threads, len(items)))]
-    for thread in started:
-        thread.start()
-    try:
-        drain(0)
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
+def _infer(seg: Network, ap: Network | None, dataset: Dataset, ids,
+           names: list[str], rows: int) -> dict[str, np.ndarray]:
+    """The outputs ``names`` of a non-empty set of ids, in the first
+    ``len(ids)`` rows of arrays ``rows`` long, chunk by chunk in one
+    ``Workspace`` (see :func:`_pool_inference`); ``actual`` holds each
+    pixel's argmax label, not yet scored."""
+    need_probs = bool(set(names) - {"features"})  # the rest read the posteriors
+    step = max(1, EVAL_PIXELS // math.prod(dataset.images.shape[1:]))
+    workspace = Workspace([seg, ap] if "pred_acc" in names else [seg],
+                          min(step, len(ids)), *dataset.images.shape[1:])
+    outputs: dict[str, np.ndarray] = {}
+    for lo in range(0, len(ids), step):
+        chunk = ids[lo:lo + step]
+        x = normalize_images(dataset.images[chunk])
+        probs, feats = seg_forward(seg, x, probs=need_probs,
+                                   features="features" in names,
+                                   workspace=workspace)
+        out = {"probs": probs, "features": feats}
+        if "pred_acc" in names:
+            out["pred_acc"] = ap_forward(ap, x, probs, workspace=workspace)
+        if not all(np.isfinite(v).all() for v in out.values() if v is not None):
+            raise NumericalError("non-finite model output")
+        if "actual" in names:  # the labels; scored in one call afterwards
+            out["actual"] = channel_argmax(probs)
+        for name in names:
+            if name not in outputs:  # shapes and dtypes from the first chunk
+                outputs[name] = np.empty((rows, *out[name].shape[1:]),
+                                         dtype=out[name].dtype)
+            outputs[name][lo:lo + len(chunk)] = out[name]
+    return outputs
 
 
 def _pool_inference(seg: Network, ap: Network | None, dataset: Dataset, ids,
-                    wanted, threads: int = 1) -> dict[str, np.ndarray]:
+                    wanted, evaluator: Evaluator | None = None
+                    ) -> dict[str, np.ndarray]:
     """Model outputs over a set of ids, in chunks (never trains anything).
 
     Returns one (len(ids), ...) array for each name in ``wanted`` that is
@@ -318,51 +290,30 @@ def _pool_inference(seg: Network, ap: Network | None, dataset: Dataset, ids,
     the logits conv, and features are pooled only when wanted. A chunk is
     ``EVAL_PIXELS`` pixels' worth of the u8 images (at least one),
     normalised as it is read, and its outputs go straight into arrays sized
-    for every id, so no output exists twice. The first chunk sizes those
-    arrays; the rest run on ``threads`` threads (see :func:`_in_threads`),
-    each chunk writing only its own rows. Before the first chunk the
-    calling thread allocates one ``Workspace`` per thread, sized for the
-    pass's largest chunk, for the convs of that thread's chunks; they are
-    freed when the pass ends. A
-    non-finite posterior, feature or predicted accuracy in any chunk
-    raises ``NumericalError``. Chunking splits only the column axis of
-    each conv's matmul, so every output is bit-identical whatever the
-    chunk size and thread count.
+    for every id, so no output exists twice. Given an ``evaluator`` whose
+    AP is ``ap``, a pass of two or more chunks sends the second half of
+    them there before it runs the first half here, and reads the
+    evaluator's rows into the same arrays. A non-finite posterior, feature
+    or predicted accuracy raises ``NumericalError``. Errors come in the
+    serial order: the evaluator's unsettled AP steps', this process's
+    chunks', then the evaluator's. Chunking splits only the column axis of
+    each conv's matmul, so no output bit depends on the chunk size or on
+    where a chunk ran.
     """
     names = [name for name in _POOL_OUTPUTS if name in wanted]
-    need_probs = bool(set(names) - {"features"})  # the rest read the posteriors
-    outputs: dict[str, np.ndarray] = {}
+    if not names or not len(ids):
+        return {}
     step = max(1, EVAL_PIXELS // math.prod(dataset.images.shape[1:]))
-
-    def infer(slot, lo):
-        chunk = ids[lo:lo + step]
-        x = normalize_images(dataset.images[chunk])
-        probs, feats = seg_forward(seg, x, probs=need_probs,
-                                   features="features" in names,
-                                   workspace=workspaces[slot])
-        out = {"probs": probs, "features": feats}
-        if "pred_acc" in names:
-            out["pred_acc"] = ap_forward(ap, x, probs,
-                                         workspace=workspaces[slot])
-        if not all(np.isfinite(v).all() for v in out.values() if v is not None):
-            raise NumericalError("non-finite model output")
-        if "actual" in names:  # the labels; scored in one call below
-            out["actual"] = channel_argmax(probs)
-        for name in names:
-            if name not in outputs:  # shapes and dtypes from the first chunk
-                outputs[name] = np.empty((len(ids), *out[name].shape[1:]),
-                                         dtype=out[name].dtype)
-            outputs[name][lo:lo + len(chunk)] = out[name]
-
-    starts = range(0, len(ids) if names else 0, step)
-    if starts:  # the outputs exist before any helper starts
-        nets = [seg, ap] if "pred_acc" in names else [seg]
-        largest = min(step, len(ids))  # the largest chunk of this pass
-        workspaces = [Workspace(nets, largest, *dataset.images.shape[1:])
-                      for _ in range(max(1, min(threads, len(starts) - 1)))]
-        infer(0, starts[0])
-        _in_threads(infer, starts[1:], threads)
-        del workspaces  # back to the heap before the scoring below
+    # the first half of the chunks, the odd one included, stays here
+    split = step * -(-len(ids) // (2 * step)) if evaluator else len(ids)
+    if split < len(ids):  # two chunks or more, and an evaluator
+        evaluator.infer(seg, ids[split:], names)
+    outputs = None
+    try:
+        outputs = _infer(seg, ap, dataset, ids[:split], names, len(ids))
+    finally:  # read whatever is raised, so the next reply is the next one's
+        if split < len(ids):
+            evaluator.rows(outputs, split)
     if "actual" in outputs:
         outputs["actual"] = dsc_per_class_batch(outputs["actual"],
                                                 dataset.masks[ids], dataset.num_fg)
@@ -370,21 +321,28 @@ def _pool_inference(seg: Network, ap: Network | None, dataset: Dataset, ids,
 
 
 def query_step(state: PoolState, seg: Network, ap: Network, strategy: str,
-               dataset: Dataset, query_seed: int, threads: int = 1) -> list[list]:
+               dataset: Dataset, query_seed: int,
+               evaluator: Evaluator | None = None) -> list[list]:
     """Select, 'annotate' (ground-truth lookup) and absorb one query batch.
 
     Returns one ``QUERY_COLUMNS`` row per picked sample, in id order. Runs
-    the models, on ``threads`` threads, only for the inputs the strategy's
-    entry declares; the caller ensures ``state.can_query``.
+    the models, half in ``evaluator`` if given, only for the inputs the
+    strategy's entry declares: one pass over the pool, or over every id
+    when the entry reads the labeled set's features too, its rows then
+    split by flag. The caller ensures ``state.can_query``.
     """
     t0 = time.perf_counter()
     pool = state.unlabeled
 
     needs = STRATEGIES[strategy].needs
-    inputs = _pool_inference(seg, ap, dataset, pool, needs, threads)
     if "labeled_features" in needs:
-        inputs["labeled_features"] = _pool_inference(
-            seg, ap, dataset, state.labeled, ("features",), threads)["features"]
+        out = _pool_inference(seg, ap, dataset, state.ids, (*needs, "features"),
+                              evaluator)
+        inputs = {name: out[name][~state.is_labeled] for name in out
+                  if name in needs}
+        inputs["labeled_features"] = out["features"][state.is_labeled]
+    else:
+        inputs = _pool_inference(seg, ap, dataset, pool, needs, evaluator)
 
     ctx = QueryContext(ids=pool, b=state.schedule[state.t - 1],
                        seed=query_seed, **inputs)
@@ -433,30 +391,34 @@ class EvaluatorError(RuntimeError):
 
 class Evaluator:
     """A forked process beside the caller's training that scores validation
-    DSC and trains each run's accuracy predictor. Its requests run in the
-    order they are sent:
+    DSC, trains each run's accuracy predictor and runs half of the run's
+    inference passes. Its requests run in the order they are sent:
 
     - :meth:`start` begins a run: the child's AP becomes a copy of the
       caller's, with fresh Adam state;
     - :meth:`train_ap` sends one :func:`ap_step` on a batch; no reply;
     - :meth:`submit` sends a seg net's weights as they are, and
-      :meth:`result` returns what :func:`evaluate` makes of them on one
-      thread;
+      :meth:`result` returns what :func:`evaluate` makes of them in the
+      child alone;
+    - :meth:`infer` sends a seg net's weights and a pass's share of ids,
+      and :meth:`rows` reads that share's outputs, computed with the
+      child's AP, into the caller's arrays;
     - :meth:`sync_ap` waits for every AP step sent so far, and copies the
       child's AP weights into the caller's AP if given one.
 
     Every reply carries ``ap_loss``, the AP's mean loss over the latest
     epoch that trained it (None before any), which :func:`train_epoch`
     would have returned. A reply raises instead the earliest error since
-    the last reply: after an AP step fails, the child skips the AP steps
-    and the scoring that follow it until it has replied. One reply is
-    awaited at a time.
+    the last reply: after an AP step fails, the child skips the AP steps,
+    the scoring and the shares that follow it until it has replied. A
+    share's own error comes back in its reply's value, so the caller can
+    raise its own share's error first. One reply is awaited at a time.
 
     The child is forked when this is made, on the dataset given, which it
-    keeps. Make it while no other thread runs (:func:`_in_threads` joins
-    its helpers before it returns), and before training grows the heap:
-    a child's RSS counts every page it shares with its parent. Requests and
-    replies are pickled over two pipes. The request pipe is widened to
+    keeps. Make it while no other thread runs, and before training grows
+    the heap: a child's RSS counts every page it shares with its parent.
+    Requests and replies are pickled over two pipes; a share's output rows
+    follow its reply as raw bytes. The request pipe is widened to
     ``_REQUEST_PIPE_BYTES`` where the system allows, so a few batches'
     posteriors fit while the child is busy. Each request carries the
     caller's ``np.errstate``, under which the child runs it. The child
@@ -519,6 +481,12 @@ class Evaluator:
     def submit(self, seg: Network, val_ids: np.ndarray) -> None:
         self._send("val", [p.value for p in seg.params()], val_ids)
 
+    def infer(self, seg: Network, ids: np.ndarray, names: list[str]) -> None:
+        """Send a share of an inference pass: the outputs ``names`` (as
+        :func:`_infer` makes them) over ``ids``, from ``seg``'s weights as
+        they are and the child's AP."""
+        self._send("infer", [p.value for p in seg.params()], ids, names)
+
     def result(self):
         try:
             reply = pickle.load(self._replies)
@@ -528,6 +496,23 @@ class Evaluator:
             raise reply
         self.ap_loss, value = reply
         return value
+
+    def rows(self, outputs: dict[str, np.ndarray] | None, at: int) -> None:
+        """Read the reply to :meth:`infer` into each of ``outputs``'s arrays
+        from row ``at`` on, in the order the names were sent. Given None,
+        drop the rows, and the share's error: the caller raises its own. An
+        AP step's error raises either way."""
+        value = self.result()
+        if outputs is None:
+            if not isinstance(value, Exception):
+                self._replies.read(sum(value))
+        elif isinstance(value, Exception):
+            raise value
+        else:
+            for array in outputs.values():
+                view = memoryview(array[at:]).cast("B")
+                if self._replies.readinto(view) < len(view):
+                    raise EvaluatorError(self._death())
 
     def sync_ap(self, ap: Network | None = None) -> float | None:
         """Wait for every AP step sent so far; copy the child's AP weights
@@ -575,7 +560,7 @@ def _serve(dataset: Dataset, requests, replies) -> None:
             _load(ap, args[0])
             error, ap_total, ap_count = None, 0.0, 0
             continue
-        value = None
+        value, rows = None, {}
         if error is None:
             try:
                 with np.errstate(**errstate):
@@ -591,6 +576,14 @@ def _serve(dataset: Dataset, requests, replies) -> None:
                     elif kind == "val":
                         _load(seg, args[0])
                         value = evaluate(seg, dataset, args[1])
+                    elif kind == "infer":
+                        _load(seg, args[0])
+                        try:
+                            rows = _infer(seg, ap, dataset, *args[1:],
+                                          len(args[1]))
+                            value = [array.nbytes for array in rows.values()]
+                        except Exception as exc:  # the value, not the reply
+                            value = exc
                     elif args[0]:  # a "sync" that asks for the AP's weights
                         value = [p.value for p in ap.params()]
             except Exception as exc:  # raised in the parent
@@ -601,6 +594,8 @@ def _serve(dataset: Dataset, requests, replies) -> None:
             ap_total / ap_count if ap_count else None, value)
         error = None
         pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+        for array in rows.values():  # a share's rows, as raw bytes
+            replies.write(memoryview(array).cast("B"))
         replies.flush()
 
 
@@ -611,12 +606,10 @@ def _load(net: Network, weights) -> None:
 
 def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
                         val_ids: np.ndarray, cell: Cell, cfg: TrainConfig,
-                        threads: int = 1,
                         evaluator: Evaluator | None = None) -> RunReport:
     """Algorithm: train, evaluate, update the trigger, maybe query; repeat.
 
-    The cell names the strategy, budget, iterations, seed and fold; every
-    inference pass runs on ``threads`` threads, which changes no output.
+    The cell names the strategy, budget, iterations, seed and fold.
     Terminates once the budget can no longer be spent *and* validation DSC
     has been stale for ``early_stop`` epochs, or at ``max_epochs``. A query
     restarts that count as it restarts the trigger's: "stale" only counts
@@ -627,15 +620,16 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
     segmentation net training here (see :func:`train_epoch`). A query
     waits for the AP's steps so far, and the AP's weights come back only
     before a query whose entry reads ``pred_acc`` and before the final
-    calibration. An epoch whose val DSC cannot change
-    the next step (see :func:`_val_decides`) does that step (its query,
-    if one fires) at once, then sends its weights to the evaluator and
-    trains the next epoch while the evaluator scores them; the stall
-    count, best val DSC and the epoch's row, with its AP loss from the
-    same reply, are settled before anything reads them. Only the epochs
-    whose val DSC can fire a stall query or stop the run wait for it,
-    scored here on ``threads`` threads as without an evaluator, and they
-    fetch the epoch's AP loss from the evaluator. An error raised here
+    calibration. An epoch whose val DSC cannot change the next step (see
+    :func:`_val_decides`) does that step (its query, if one fires) at
+    once, then sends its weights to the evaluator and trains the next
+    epoch while the evaluator scores them; the stall count, best val DSC
+    and the epoch's row, with its AP loss from the same reply, are settled
+    before anything reads them. Only the epochs whose val DSC can fire a
+    stall query or stop the run wait for it, and they fetch the epoch's AP
+    loss from the evaluator. Every pass the run waits for (a query's, the
+    calibration's and a waiting epoch's val DSC) runs half of its chunks
+    in the evaluator (see :func:`_pool_inference`). An error raised here
     while the evaluator's work is unsettled is raised only after it is
     settled, and the evaluator's earliest error wins, as in the serial
     order. No output depends on the evaluator.
@@ -680,7 +674,7 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
             wait = (evaluator is None
                     or _val_decides(on_stall, cfg, stalled, state.can_query))
             if wait:
-                val = evaluate(seg, dataset, val_ids, threads)
+                val = evaluate(seg, dataset, val_ids, evaluator)
             # unless it waits, either count gives the same step
             rose = wait and val[0] > best_val
             query, stop = _next_step(on_stall, cfg, epoch,
@@ -694,10 +688,10 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
                     report.queries += query_step(
                         state, seg, ap, cell.strategy, dataset,
                         query_seed=_subseed(cell.seed, cell.fold, 4, state.t),
-                        threads=threads)
+                        evaluator=evaluator)
                 except Exception:
                     if not wait:  # val DSC comes first, and its error wins
-                        evaluate(seg, dataset, val_ids, threads)
+                        evaluate(seg, dataset, val_ids)
                     raise
 
             labeled = np.count_nonzero(state.is_labeled)
@@ -716,7 +710,7 @@ def run_active_learning(dataset: Dataset, train_ids: np.ndarray,
             if evaluator is not None:
                 evaluator.sync_ap(ap)
             out = _pool_inference(seg, ap, dataset, state.unlabeled,
-                                  ("pred_acc", "actual"), threads)
+                                  ("pred_acc", "actual"), evaluator)
             pred, actual = out["pred_acc"], out["actual"]
             report.calibration = [
                 [int(sid), j + 1, float(pred[i, j]), float(actual[i, j])]

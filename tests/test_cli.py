@@ -193,13 +193,14 @@ def test_a_one_job_campaign_runs_its_cells_on_one_blas_thread(tmp_path, data_fil
     argv = ["run", "--config", str(config), "--out", str(tmp_path / "out"),
             "--jobs", "1"]
     # the campaign's own process runs both cells; each reports its BLAS
-    # thread count and the inference threads it was given, every core
+    # thread count and whether it was given an evaluator, as it is on two
+    # or more cores
     script = (
         "import ctypes\nfrom paal import experiment\nfrom paal.cli import main\n"
         f"path, name = {getter!r}.rsplit(':', 1)\n"
         "threads = getattr(ctypes.CDLL(path), name)\nrun_cell = experiment.run_cell\n"
         "def reporting_run_cell(*args):\n"
-        "    print('cell', threads(), args[-1])\n"
+        "    print('cell', threads(), args[-1] is not None)\n"
         "    return run_cell(*args)\n"
         "experiment.run_cell = reporting_run_cell\n"
         f"print('code', main({argv!r}))\n")
@@ -207,7 +208,7 @@ def test_a_one_job_campaign_runs_its_cells_on_one_blas_thread(tmp_path, data_fil
     lines = proc.stdout.splitlines()
     cores = len(os.sched_getaffinity(0))
     assert [line for line in lines if line.startswith("cell")] == \
-        [f"cell 1 {cores}"] * 2, proc.stderr
+        [f"cell 1 {cores > 1}"] * 2, proc.stderr
     assert lines[-1] == f"code {EXIT_OK}", proc.stderr
 
 
@@ -337,7 +338,7 @@ def evaluators(monkeypatch):
     run_cell = experiment.run_cell
 
     def recording_run_cell(*args):
-        seen.append(args[-2])
+        seen.append(args[-1])
         return run_cell(*args)
 
     monkeypatch.setattr(experiment, "run_cell", recording_run_cell)
@@ -416,6 +417,49 @@ def test_a_campaign_beside_an_evaluator_writes_the_same_bytes(
     code, alone = paal_run(tmp_path, "alone", data_file, 1, EVERY_STRATEGY)
     assert code == EXIT_OK and evaluators[-1] is None
     assert csv_bytes(beside) == csv_bytes(alone)
+
+
+def test_a_worker_forks_its_evaluator_and_its_exit_hook_reaps_it(
+        monkeypatch, data_file):
+    # the pool initializer and its exit hook, called here, so this test's
+    # guard sees the evaluator as a child of this process
+    monkeypatch.setattr(experiment, "_worker_evaluator", None)
+    dataset = read_dataset(data_file)
+    assert experiment._start_worker(dataset, 1) is None
+    assert experiment._worker_evaluator is None
+    exit_hook = experiment._start_worker(dataset, 2)
+    evaluator = experiment._worker_evaluator
+    assert os.waitpid(evaluator.pid, os.WNOHANG) == (0, 0)  # running
+    seg = orchestrator.build_seg_model(dataset.num_fg + 1, seed=0)
+    evaluator.submit(seg, np.arange(8))
+    assert evaluator.result()[0] == orchestrator.evaluate(seg, dataset,
+                                                           np.arange(8))[0]
+    exit_hook()
+    with pytest.raises(ChildProcessError):  # reaped
+        os.waitpid(evaluator.pid, os.WNOHANG)
+
+
+def test_jobs_workers_beside_evaluators_write_the_same_bytes(
+        tmp_path, monkeypatch, data_file):
+    # four cores make two cores a worker at --jobs 2, so each forks an
+    # evaluator; each cell logs whether it ran beside one
+    log = tmp_path / "cells.log"
+    run_cell = experiment.run_cell
+
+    def logging_run_cell(*args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{args[-1] is not None}\n")
+        return run_cell(*args)
+
+    monkeypatch.setattr(experiment, "run_cell", logging_run_cell)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    code, workers = paal_run(tmp_path, "workers", data_file, 2, EVERY_STRATEGY)
+    assert code == EXIT_OK
+    assert log.read_text().split() == ["True"] * len(STRATEGIES)
+    code, one_job = paal_run(tmp_path, "one_job", data_file, 1, EVERY_STRATEGY)
+    assert code == EXIT_OK
+    assert csv_bytes(workers) == csv_bytes(one_job)
 
 
 def write_file(tmp_path, ds):

@@ -167,6 +167,42 @@ class TestDiceCE:
             assert abs(analytic - numeric) <= 1e-3 * max(abs(analytic), abs(numeric), 1e-4)
 
 
+    def test_matches_the_per_class_one_hot_loop_bit_for_bit(self):
+        # the loss as it was with a one-hot built class by class; training
+        # batches' shapes and dtypes (float32 posteriors, u8 masks)
+        def looped(probs, labels):
+            b, c, h, w = probs.shape
+            npix = b * h * w
+            onehot = np.zeros_like(probs)
+            for j in range(c):
+                onehot[:, j][labels == j] = 1.0
+            p64 = probs.astype(np.float64)
+            p_true = np.take_along_axis(p64, labels[:, None].astype(np.int64),
+                                        axis=1)[:, 0]
+            ce = -np.log(np.maximum(p_true, 1e-30)).sum() / npix
+            inter = (p64[:, 1:] * onehot[:, 1:]).sum(axis=(0, 2, 3))
+            sums = (p64[:, 1:].sum(axis=(0, 2, 3))
+                    + onehot[:, 1:].sum(axis=(0, 2, 3)))
+            dice = (2.0 * inter + metrics.DICE_SMOOTH) / (sums + metrics.DICE_SMOOTH)
+            gprobs = np.zeros_like(p64)
+            coef = 1.0 / ((c - 1) * (sums + metrics.DICE_SMOOTH))
+            gprobs[:, 1:] = (-(2.0 * onehot[:, 1:] - dice[None, :, None, None])
+                             * coef[None, :, None, None])
+            glogits = p64 * (gprobs - (gprobs * p64).sum(axis=1, keepdims=True))
+            glogits += (p64 - onehot) / npix
+            return float(ce + 1.0 - dice.mean()), glogits.astype(probs.dtype)
+
+        rng = np.random.default_rng(29)
+        for b in (16, 16, 8, 1) * 5:
+            probs = softmax(rng.normal(size=(b, 4, 16, 16)).astype(np.float32))
+            labels = rng.integers(0, 4, size=(b, 16, 16), dtype=np.uint8)
+            loss, grad = dice_ce_loss(probs, labels)
+            want_loss, want_grad = looped(probs, labels)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert grad.dtype == want_grad.dtype
+            assert grad.tobytes() == want_grad.tobytes()
+
+
 class TestMSE:
     def test_equal_inputs_zero(self):
         x = np.array([[0.3, 0.7]])

@@ -1,14 +1,9 @@
 """Query step and run loop: which inputs get computed, and pool bookkeeping."""
 
-import ctypes
+import contextlib
 import itertools
-import json
 import os
 import signal
-import subprocess
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -16,14 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import paal
 from paal import orchestrator
 from paal.data import Dataset, generate, split_folds
 from paal.metrics import UNCERTAINTY_KINDS
 from paal.models import Workspace, build_ap_model, build_seg_model
 from paal.nn import Conv2D, NumericalError
 from paal.orchestrator import (_POOL_OUTPUTS, Cell, Evaluator, EvaluatorError,
-                               TrainConfig, _in_threads, _next_step,
+                               TrainConfig, _next_step,
                                _pool_inference, _val_decides, evaluate,
                                init_pool, query_step, run_active_learning)
 from paal.strategies import STRATEGIES
@@ -71,10 +65,9 @@ def test_query_step_computes_exactly_the_declared_inputs(strategy, dataset,
     assert len(state.labeled) == before + 4
 
 
-def query_peak(kind: str, n: int, threads: int = 1) -> int:
+def query_peak(kind: str, n: int) -> int:
     """tracemalloc peak of a query step scored by uncertainty ``kind`` on
-    an n-image 32x32 pool (4 classes) on ``threads`` threads, above what
-    was live before it."""
+    an n-image 32x32 pool (4 classes), above what was live before it."""
     rng = np.random.default_rng(73)
     images = rng.integers(0, 256, size=(5 * n // 4, 32, 32), dtype=np.uint8)
     pool = Dataset(images, rng.integers(0, 4, size=images.shape, dtype=np.uint8), 3)
@@ -85,7 +78,7 @@ def query_peak(kind: str, n: int, threads: int = 1) -> int:
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        query_step(state, seg, ap, kind, pool, query_seed=5, threads=threads)
+        query_step(state, seg, ap, kind, pool, query_seed=5)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -109,51 +102,6 @@ def test_no_uncertainty_kind_copies_the_pool_posteriors(kind):
     # each kind scores a block of samples at a time; a whole-pool margin
     # partition or float64 top-1 map would read 3.0x or 2.0x
     assert query_peak(kind, 400) < 1.7 * posterior_bytes(400)
-
-
-def chunk_peak() -> int:
-    """tracemalloc peak of one default chunk's forward on 32x32 images,
-    posteriors and features, its outputs included."""
-    step = orchestrator.EVAL_PIXELS // (32 * 32)
-    rng = np.random.default_rng(73)
-    images = rng.integers(0, 256, size=(step, 32, 32), dtype=np.uint8)
-    chunk = Dataset(images, np.zeros_like(images), 3)
-    seg, ap = build_seg_model(4, seed=1), build_ap_model(4, seed=2)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        _pool_inference(seg, ap, chunk, np.arange(step), ("probs", "features"))
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
-@pytest.mark.parametrize("threads", [2, 3])
-def test_each_inference_thread_adds_one_chunks_forward(threads):
-    # 400 images: 6.55 MB of posteriors, and each thread keeps one chunk's
-    # forward (3.49 MB) in flight; a thread holding two, or a second copy
-    # of the posteriors, would break the bound
-    bound = posterior_bytes(400) + threads * 1.1 * chunk_peak()
-    assert query_peak("max_entropy", 400, threads) < bound
-
-
-def test_a_helper_thread_leaves_no_chunks_forward_in_its_arena():
-    # glibc gives the helper thread its own malloc arena, which under the
-    # pinned trim threshold keeps its high-water: 3.40 MiB (one chunk's
-    # forward) when the helper allocated its conv buffers, 0.61 MiB in
-    # buffers the calling thread allocated
-    if not hasattr(ctypes.CDLL(None), "malloc_info"):
-        pytest.skip("the C library has no malloc_info to report its arenas")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(paal.__file__)))
-    probe = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         "malloc_arenas.py")
-    proc = subprocess.run([sys.executable, probe], capture_output=True,
-                          text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    main_arena, *others = json.loads(proc.stdout)
-    assert main_arena > 0
-    assert all(size < 1.5 * 2**20 for size in others), others
 
 
 def test_the_initial_count_is_the_ratio_in_decimals():
@@ -212,85 +160,69 @@ OUTPUT_SETS = [s for r in range(len(_POOL_OUTPUTS) + 1)
                for s in itertools.combinations(_POOL_OUTPUTS, r)]
 
 
-@pytest.fixture
-def short_switch_interval():
-    """Switch threads every microsecond, so helper threads interleave."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
+def maybe_evaluator(dataset, ap=None, split=True):
+    """An evaluator forked on ``dataset``, its AP a copy of ``ap`` if given,
+    or no evaluator (a null context) when not ``split``."""
+    if not split:
+        return contextlib.nullcontext()
+    evaluator = Evaluator(dataset)
+    if ap is not None:
+        evaluator.start(ap)
+    return evaluator
 
 
 @pytest.mark.parametrize("wanted", OUTPUT_SETS,
                          ids=lambda s: "+".join(s) or "nothing")
 def test_pool_inference_does_not_depend_on_the_chunk_size(
-        wanted, dataset, inference_inputs, monkeypatch, short_switch_interval):
+        wanted, dataset, inference_inputs, monkeypatch):
     seg, ap = inference_inputs
     ids = np.arange(3, 40)  # 37 ids: two default 16x16 chunks, the last short
     pixels = dataset.images[0].size
 
-    def run(eval_pixels, threads):
+    def run(eval_pixels, evaluator):
         monkeypatch.setattr(orchestrator, "EVAL_PIXELS", eval_pixels)
-        return (_pool_inference(seg, ap, dataset, ids, wanted, threads),
-                evaluate(seg, dataset, ids, threads))
+        return (_pool_inference(seg, ap, dataset, ids, wanted, evaluator),
+                evaluate(seg, dataset, ids, evaluator))
 
-    default, default_eval = run(orchestrator.EVAL_PIXELS, 1)
+    default, default_eval = run(orchestrator.EVAL_PIXELS, None)
     assert sorted(default) == sorted(wanted)
-    # one chunk per id, ten chunks (the last short) or one chunk, each on
-    # one, two or three threads (more than a 2-core box has cores)
-    for eval_pixels in (pixels, 4 * pixels, len(ids) * pixels):
-        for threads in (1, 2, 3):
-            outputs, evaluated = run(eval_pixels, threads)
-            assert outputs.keys() == default.keys()
-            for name, array in outputs.items():
-                assert array.dtype == default[name].dtype
-                assert array.tobytes() == default[name].tobytes(), name
-            assert evaluated[0] == default_eval[0]
-            assert evaluated[1].tobytes() == default_eval[1].tobytes()
-
-
-@pytest.mark.parametrize("threads", [1, 2, 3, 5])
-def test_in_threads_never_hands_one_slot_to_two_threads(threads,
-                                                        short_switch_interval):
-    caller, lock = threading.get_ident(), threading.Lock()
-    busy, owner, done = set(), {}, []
-
-    def work(slot, item):
-        me = threading.get_ident()
-        with lock:
-            assert slot not in busy
-            busy.add(slot)
-            assert owner.setdefault(slot, me) == me
-        time.sleep(1e-4)  # so the other threads take items meanwhile
-        with lock:
-            busy.remove(slot)
-            done.append(item)
-
-    _in_threads(work, range(40), threads)
-    assert sorted(done) == list(range(40))
-    assert set(owner) <= set(range(threads))
-    assert owner.get(0, caller) == caller
+    # one chunk per id, ten chunks (the last short) or one chunk, each pass
+    # here alone or split with an evaluator (whose own chunks stay at the
+    # default size)
+    with Evaluator(dataset) as evaluator:
+        evaluator.start(ap)
+        for eval_pixels in (pixels, 4 * pixels, len(ids) * pixels):
+            for ev in (None, evaluator):
+                outputs, evaluated = run(eval_pixels, ev)
+                assert outputs.keys() == default.keys()
+                for name, array in outputs.items():
+                    assert array.dtype == default[name].dtype
+                    assert array.tobytes() == default[name].tobytes(), name
+                assert evaluated[0] == default_eval[0]
+                assert evaluated[1].tobytes() == default_eval[1].tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 100])
 def test_a_pass_sizes_its_workspaces_for_its_largest_chunk(inference_inputs,
                                                            monkeypatch, n):
     # 16x16 images make 32-image chunks: 3 ids fit one short chunk, 100 ids
-    # make four chunks, three in flight at once on 3 threads
+    # make four chunks, the evaluator's two of them sized in the evaluator
     sizes = []
 
     class Recorded(Workspace):
         def __init__(self, nets, b, h, w):
-            sizes.append(b)
+            sizes.append((os.getpid(), b))
             super().__init__(nets, b, h, w)
 
     monkeypatch.setattr(orchestrator, "Workspace", Recorded)
-    _pool_inference(*inference_inputs, numbered(n), np.arange(n),
-                    ("probs",), 3)
+    data = numbered(n)
     step = orchestrator.EVAL_PIXELS // 256
-    assert sizes == [min(n, step)] * min(3, -(-n // step))
+    for split in (False, True):
+        sizes.clear()
+        with maybe_evaluator(data, split=split) as evaluator:
+            _pool_inference(*inference_inputs, data, np.arange(n), ("probs",),
+                            evaluator)
+        assert sizes == [(os.getpid(), min(n, step))]
 
 
 def numbered(n: int) -> Dataset:
@@ -305,53 +237,104 @@ def first_id(images: np.ndarray) -> int:
     return round(float(images[0, 0, 0, 0]) * 255)
 
 
-def test_a_helper_threads_overflow_raises_under_the_callers_errstate(
-        inference_inputs, monkeypatch):
-    # only chunks a helper thread runs overflow, so the caller's
-    # over="raise" reaches the failure only through the helper's copy of
-    # its context; without it numpy would only warn
-    data = numbered(12)
-    caller, helped = threading.get_ident(), threading.Event()
+def failing_chunks(monkeypatch, data, *chunks):
+    """One-image chunks of ``data``, of which those that start at the ids
+    ``chunks`` raise ``ValueError("chunk <id>")`` from the seg net, in
+    this process and in any evaluator forked after this."""
     real_seg_forward = orchestrator.seg_forward
 
     def seg_forward(seg, images, **kwargs):
-        if threading.get_ident() != caller:
-            helped.set()
-            np.float32(3e38) * np.float32(10)
-        elif first_id(images) > 0:  # a helper starts a chunk meanwhile
-            assert helped.wait(10)
+        if first_id(images) in chunks:
+            raise ValueError(f"chunk {first_id(images)}")
         return real_seg_forward(seg, images, **kwargs)
 
     monkeypatch.setattr(orchestrator, "seg_forward", seg_forward)
     monkeypatch.setattr(orchestrator, "EVAL_PIXELS", data.images[0].size)
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError, match="overflow"):
-            _pool_inference(*inference_inputs, data, np.arange(12),
-                            ("probs",), 2)
 
 
 def test_of_two_failing_chunks_the_earlier_ones_error_is_raised(
         inference_inputs, monkeypatch):
-    # chunk 2 fails first, on one thread, while chunk 1 waits for it on
-    # the other: a serial pass would have raised chunk 1's error
+    # a serial pass raises chunk 1's error; split with an evaluator (ids
+    # 6-11 there), chunk 8 fails there as well and chunk 1's still wins
     data = numbered(12)
-    second_failed = threading.Event()
-    real_seg_forward = orchestrator.seg_forward
+    failing_chunks(monkeypatch, data, 1, 2, 8)
+    for split in (False, True):
+        with maybe_evaluator(data, split=split) as evaluator:
+            with pytest.raises(ValueError, match="chunk 1"):
+                _pool_inference(*inference_inputs, data, np.arange(12),
+                                ("probs",), evaluator)
 
-    def seg_forward(seg, images, **kwargs):
-        chunk = first_id(images)
-        if chunk == 2:
-            second_failed.set()
-            raise ValueError("chunk 2")
-        if chunk == 1:
-            assert second_failed.wait(10)
-            raise ValueError("chunk 1")
-        return real_seg_forward(seg, images, **kwargs)
 
-    monkeypatch.setattr(orchestrator, "seg_forward", seg_forward)
-    monkeypatch.setattr(orchestrator, "EVAL_PIXELS", data.images[0].size)
-    with pytest.raises(ValueError, match="chunk 1"):
-        _pool_inference(*inference_inputs, data, np.arange(12), ("probs",), 2)
+# which shares of a 12-chunk pass fail (ids 0-5 here, 6-11 in the
+# evaluator), and whether an AP step sent before it fails: the error raised
+@pytest.mark.parametrize("run,child,ap_step,raised", [
+    (True, False, False, "chunk 1"),
+    (False, True, False, "chunk 7"),
+    (True, True, False, "chunk 1"),
+    (False, False, True, "AP step"),
+    (True, True, True, "AP step"),
+], ids=["run", "evaluator", "both", "ap_step", "ap_step_and_both"])
+def test_a_split_pass_raises_in_the_serial_order_and_stays_in_step(
+        dataset, inference_inputs, monkeypatch, run, child, ap_step, raised):
+    seg, ap = inference_inputs
+    data = numbered(24)
+    failing_chunks(monkeypatch, data, *[1] * run, *[7] * child)
+
+    def failing_ap_step(*args):
+        raise ValueError("AP step")
+
+    monkeypatch.setattr(orchestrator, "ap_step", failing_ap_step)
+    with maybe_evaluator(data, ap) as evaluator:
+        if ap_step:
+            evaluator.train_ap(np.arange(4), np.zeros((4, 4, 16, 16), np.float32),
+                               0.01, 0.0, first=True)
+        with pytest.raises(ValueError, match=raised):
+            _pool_inference(seg, ap, data, np.arange(12), ("probs", "pred_acc"),
+                            evaluator)
+        # the next reply answers the next request: a val DSC, then a pass
+        evaluator.submit(seg, np.arange(12, 24))
+        mean, per_class = evaluator.result()
+        expected = evaluate(seg, data, np.arange(12, 24))
+        assert mean == expected[0] and np.array_equal(per_class, expected[1])
+        split = _pool_inference(seg, ap, data, np.arange(12, 24), _POOL_OUTPUTS,
+                                evaluator)
+        serial = _pool_inference(seg, ap, data, np.arange(12, 24), _POOL_OUTPUTS)
+        assert {k: v.tobytes() for k, v in split.items()} == \
+            {k: v.tobytes() for k, v in serial.items()}
+
+
+def sent_requests(monkeypatch) -> list[str]:
+    """The kinds of the requests every evaluator sends from now on."""
+    kinds = []
+    send = Evaluator._send
+
+    def recording(evaluator, kind, *args):
+        kinds.append(kind)
+        return send(evaluator, kind, *args)
+
+    monkeypatch.setattr(Evaluator, "_send", recording)
+    return kinds
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def test_a_query_beside_an_evaluator_sends_it_one_pass_or_none(
+        strategy, dataset, inference_inputs, monkeypatch):
+    # four-image chunks, so every pass splits; coreset reads the pool's and
+    # the labeled set's features from one pass over every id, and random
+    # runs no model and sends nothing
+    seg, ap = inference_inputs
+    monkeypatch.setattr(orchestrator, "EVAL_PIXELS", 4 * dataset.images[0].size)
+    kinds = sent_requests(monkeypatch)
+    rows = []
+    for split in (False, True):
+        state = init_pool(np.arange(32), 0.25, budget=0.25, iterations=2, seed=0)
+        with maybe_evaluator(dataset, ap, split) as evaluator:
+            kinds.clear()
+            rows.append(without_wall_times(orchestrator.RunReport(
+                queries=query_step(state, seg, ap, strategy, dataset,
+                                   query_seed=5, evaluator=evaluator))))
+    assert rows[1] == rows[0]
+    assert kinds == (["infer"] if STRATEGIES[strategy].needs else [])
 
 
 def test_features_alone_skip_the_logits_conv(dataset, inference_inputs,
@@ -471,29 +454,36 @@ def without_wall_times(report):
     return report
 
 
-def runs_with_and_without_an_evaluator(dataset, train_ids, val_ids, cell, cfg,
-                                       threads=1):
+def runs_with_and_without_an_evaluator(dataset, train_ids, val_ids, cell, cfg):
     """The run's report without an evaluator, then with one."""
     with Evaluator(dataset) as evaluator:
         return [without_wall_times(run_active_learning(
-                    dataset, train_ids, val_ids, cell, cfg, threads, ev))
+                    dataset, train_ids, val_ids, cell, cfg, ev))
                 for ev in (None, evaluator)]
 
 
-def test_a_run_does_not_depend_on_its_inference_threads(monkeypatch):
-    # eight-image chunks: the pool spans several, so two threads share them;
-    # an evaluator forked beside the run changes nothing either
+def test_a_run_does_not_depend_on_where_its_chunks_run(monkeypatch):
+    # eight-image chunks, so every pass beside an evaluator splits: each
+    # query's and the calibration's, and at iq_patience 1, where every
+    # epoch with a query left waits for it, the val DSC's too
     monkeypatch.setattr(orchestrator, "EVAL_PIXELS", 8 * 16 * 16)
+    kinds = sent_requests(monkeypatch)
     dataset = generate(5, 120, 16, 16)
     train_ids, val_ids = split_folds(len(dataset), seed=5)[0]
-    cfg = TrainConfig(max_epochs=6, early_stop=6, iq_patience=0, warmup=1,
-                      silent_period=1, lr0=0.03)
     cell = Cell("paal_full", 0.3, 3, seed=0, fold=0)
-    reports = [report for threads in (1, 2)
-               for report in runs_with_and_without_an_evaluator(
-                   dataset, train_ids, val_ids, cell, cfg, threads)]
-    assert reports[0].queries and reports[0].calibration
-    assert all(report == reports[0] for report in reports[1:])
+    for iq_patience in (0, 1):
+        cfg = TrainConfig(max_epochs=6, early_stop=6, iq_patience=iq_patience,
+                          warmup=1, silent_period=1, lr0=0.03)
+        kinds.clear()
+        alone, beside = runs_with_and_without_an_evaluator(
+            dataset, train_ids, val_ids, cell, cfg)
+        assert alone.queries and alone.calibration
+        assert beside == alone
+        # one pass per query and the calibration's, and with iq_patience 1
+        # each waiting epoch's val DSC too
+        passes = len({row[0] for row in alone.queries}) + 1
+        assert (kinds.count("infer") > passes) if iq_patience else \
+            (kinds.count("infer") == passes)
 
 
 # (strategy, early_stop, iq_patience, lr0) -> epochs run out of max_epochs=40;
@@ -603,7 +593,7 @@ def test_an_error_while_val_dsc_is_unsettled_waits_for_it(dataset, monkeypatch,
     parent = os.getpid()
     calls = {"evaluate": 0, "train_epoch": 0}
 
-    def fake_evaluate(seg, dataset, ids, threads=1):
+    def fake_evaluate(seg, dataset, ids, evaluator=None):
         calls["evaluate"] += 1
         where = "parent" if os.getpid() == parent else "child"
         if val_fails == (where, calls["evaluate"]):
@@ -621,10 +611,10 @@ def test_an_error_while_val_dsc_is_unsettled_waits_for_it(dataset, monkeypatch,
 
     real_pool_inference = orchestrator._pool_inference
 
-    def pool_inference(seg, ap, dataset, ids, wanted, threads=1):
+    def pool_inference(seg, ap, dataset, ids, wanted, evaluator=None):
         if stage == "calibration" and "pred_acc" in wanted:
             raise ValueError(stage)
-        return real_pool_inference(seg, ap, dataset, ids, wanted, threads)
+        return real_pool_inference(seg, ap, dataset, ids, wanted, evaluator)
 
     monkeypatch.setattr(orchestrator, "evaluate", fake_evaluate)
     monkeypatch.setattr(orchestrator, "train_epoch", fake_train_epoch)
@@ -727,7 +717,7 @@ def test_an_ap_error_in_the_evaluator_is_the_serial_runs_error(
             raise ValueError("segmentation step")
         return real["dice_ce_loss"](*args)
 
-    def rising_evaluate(seg, dataset, ids, threads=1):
+    def rising_evaluate(seg, dataset, ids, evaluator=None):
         calls["evaluate"] += 1  # val DSC always rises: no stall, no query
         if also_fails == "val" and calls["evaluate"] == 3:
             raise NumericalError("val DSC")
